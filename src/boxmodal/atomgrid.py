@@ -98,16 +98,26 @@ class AtomGrid:
             arr[sel] = True
         return arr
 
-    def region_of_bool(self, arr: np.ndarray) -> Region:
-        """Rebuild a region from an atom set, coalescing adjacent atoms into boxes."""
-        boxes = [Box(ivs) for ivs in self._collect(np.ascontiguousarray(arr), 0)]
+    def region_of_bool(self, arr: np.ndarray, origin: Optional[Sequence[int]] = None) -> Region:
+        """Rebuild a region from an atom set, coalescing adjacent atoms into boxes.
+
+        The boxes are the canonical form of the set: along each coordinate in
+        turn, maximal runs of equal nonempty slices.  ``arr`` covers the whole
+        grid, or with ``origin`` only the window of atoms starting at those
+        indices; the region then has no atom outside the window.
+        """
+        origin = tuple(origin) if origin is not None else (0,) * self.dim
+        boxes = [Box(ivs) for ivs in self._collect(np.ascontiguousarray(arr), 0, origin)]
         return Region(self.dim, tuple(boxes))
 
-    def _collect(self, arr: np.ndarray, coord: int) -> list[tuple[Interval, ...]]:
+    def _collect(
+        self, arr: np.ndarray, coord: int, origin: tuple[int, ...]
+    ) -> list[tuple[Interval, ...]]:
         if coord == self.dim:
             return [()] if bool(arr) else []
         out: list[tuple[Interval, ...]] = []
         n = arr.shape[0]
+        at = origin[coord]
         start = 0
         while start < n:
             rep = arr[start]
@@ -119,9 +129,9 @@ class AtomGrid:
             while end + 1 < n and arr[end + 1].tobytes() == key:
                 end += 1
             cuts = self.cuts[coord]
-            hi = cuts[end + 1] - 1 if end + 1 < len(cuts) else OMEGA
-            head = Interval(cuts[start], hi)
-            for tail in self._collect(rep, coord + 1):
+            hi = cuts[at + end + 1] - 1 if at + end + 1 < len(cuts) else OMEGA
+            head = Interval(cuts[at + start], hi)
+            for tail in self._collect(rep, coord + 1, origin):
                 out.append((head,) + tail)
             start = end + 1
         return out

@@ -1,14 +1,15 @@
-"""Modal formula syntax tree and a small recursive-descent parser.
+"""Modal formula syntax tree and a small parser.
 
 Grammar (tightest first): unary ``~`` ``<>`` ``[]``, then ``&``, then ``|``,
 then right-associative ``->``.  Variables match [a-zA-Z][a-zA-Z0-9_]*;
-``true`` and ``false`` are constants.
+``true`` and ``false`` are constants.  Formulas nested deeper than
+``MAX_DEPTH`` levels (operators and parentheses) are rejected.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 
 class ParseError(ValueError):
@@ -91,10 +92,28 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     yield "end", "", len(text)
 
 
+# Deepest nesting a formula may have, counting operators and parentheses.
+# Parsing and evaluation recurse along the nesting, so deeper input is
+# rejected as malformed instead of exhausting the interpreter's stack.
+MAX_DEPTH = 200
+
+# Binary operators: token value, binding strength, node type.
+_BINARY = {"->": (0, Implies), "|": (1, Or), "&": (2, And)}
+
+
 class _Parser:
+    """Recursive descent for unary operators and parentheses, and operator
+    precedence on explicit stacks for the binary operators.
+
+    A level of parentheses thus costs three stack frames, which keeps
+    ``MAX_DEPTH`` levels well inside the interpreter's recursion limit.
+    Binary chains add no recursion here; their height is checked after.
+    """
+
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -105,47 +124,63 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.implies()
+        f = self.formula()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
+        if _height(f) > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
         return f
 
-    def implies(self) -> Formula:
-        left = self.disjunct()
-        if self.peek()[0] == "arrow":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunct(self) -> Formula:
-        f = self.conjunct()
-        while self.peek()[:2] == ("punct", "|"):
-            self.advance()
-            f = Or(f, self.conjunct())
+    def nested(self, parse: Callable[[], Formula], pos: int) -> Formula:
+        """Parse one level deeper: an operand of a unary operator, or a parenthesised formula."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
+        f = parse()
+        self.depth -= 1
         return f
 
-    def conjunct(self) -> Formula:
-        f = self.unary()
-        while self.peek()[:2] == ("punct", "&"):
+    def binary(self) -> Optional[str]:
+        kind, value, _ = self.peek()
+        if kind == "arrow" or (kind == "punct" and value in ("&", "|")):
+            return value
+        return None
+
+    def formula(self) -> Formula:
+        """Operands joined by binary operators; ``->`` groups to the right."""
+        operands = [self.unary()]
+        ops: list[str] = []
+
+        def reduce() -> None:
+            right = operands.pop()
+            operands.append(_BINARY[ops.pop()][1](operands.pop(), right))
+
+        while (op := self.binary()) is not None:
+            strength = _BINARY[op][0]
+            while ops and (_BINARY[ops[-1]][0] > strength or (ops[-1] == op and op != "->")):
+                reduce()
             self.advance()
-            f = And(f, self.unary())
-        return f
+            ops.append(op)
+            operands.append(self.unary())
+        while ops:
+            reduce()
+        return operands[0]
 
     def unary(self) -> Formula:
         kind, value, pos = self.peek()
         if kind == "punct" and value == "~":
             self.advance()
-            return Not(self.unary())
+            return Not(self.nested(self.unary, pos))
         if kind == "diamond":
             self.advance()
-            return Diamond(self.unary())
+            return Diamond(self.nested(self.unary, pos))
         if kind == "boxop":
             self.advance()
-            return Box(self.unary())
+            return Box(self.nested(self.unary, pos))
         if kind == "punct" and value == "(":
             self.advance()
-            f = self.implies()
+            f = self.nested(self.formula, pos)
             kind, value, pos = self.advance()
             if (kind, value) != ("punct", ")"):
                 raise ParseError("expected ')'", pos)
@@ -162,6 +197,20 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     return _Parser(text).parse()
+
+
+def _height(f: Formula) -> int:
+    """Longest chain of operators in the formula tree, found without recursion."""
+    best = 0
+    stack = [(f, 0)]
+    while stack:
+        node, height = stack.pop()
+        best = max(best, height)
+        if isinstance(node, (Not, Diamond, Box)):
+            stack.append((node.sub, height + 1))
+        elif isinstance(node, (And, Or, Implies)):
+            stack += [(node.left, height + 1), (node.right, height + 1)]
+    return best
 
 
 def format_formula(f: Formula) -> str:

@@ -159,12 +159,22 @@ def restrict(p: Partition, v: Region) -> Partition:
     return Partition._trusted(p.dim, carrier, [c for c in cells if not c.is_empty()])
 
 
-def induced(carrier: Region, family: Sequence[Region]) -> Partition:
+def induced(
+    carrier: "Region | AtomGrid", family: "Sequence[Region] | np.ndarray"
+) -> "Partition | np.ndarray":
     """Partition of the carrier into membership classes of the family.
 
     Two points fall in the same cell exactly when they belong to the same
     members of the family.
+
+    With a Region carrier and a sequence of Regions this returns the
+    Partition.  With an AtomGrid carrier (the whole grid) the family is
+    given per atom instead: one int row per atom in row-major order, rows
+    equal exactly when the atoms lie in the same members.  The result is
+    then the class of every atom, numbered from 0, in the grid's shape.
     """
+    if isinstance(carrier, AtomGrid):
+        return _classes(family).reshape(carrier.shape)
     if carrier.is_empty():
         raise PartitionError("empty_carrier", "cannot partition an empty carrier")
     family = list(family)
@@ -177,13 +187,19 @@ def induced(carrier: Region, family: Sequence[Region]) -> Partition:
     car = grid.region_bool(carrier).ravel()
     idx = np.flatnonzero(car)
     profiles = np.stack([grid.region_bool(f).ravel()[idx] for f in family])
-    _, inverse = np.unique(profiles.T, axis=0, return_inverse=True)
+    inverse = _classes(profiles.T)
     cells = []
     for label in range(int(inverse.max()) + 1):
         flat = np.zeros(grid.size, dtype=bool)
         flat[idx[inverse == label]] = True
         cells.append(grid.region_of_bool(flat.reshape(grid.shape)))
     return Partition._trusted(carrier.dim, carrier, cells)
+
+
+def _classes(rows: np.ndarray) -> np.ndarray:
+    """Class index of every row: equal rows share one, numbered from 0."""
+    _, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return inverse.reshape(-1)
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:

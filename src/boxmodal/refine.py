@@ -5,29 +5,44 @@ monotone refinement, and monotone partitions are tuned for both product
 orders.  The construction here is recursive in the dimension:
 
 * dimension 1: if some cell is finite, split the initial segment up to the
-  largest point covered by finite cells into singletons and keep the tails
-  of the infinite cells;
+  largest point covered by finite cells into singletons and keep the tail
+  of the infinite cell;
 * dimension n: pick the least threshold k0 such that every cell meeting the
-  shifted quadrant [k0, w)^n is cofinal in the whole grid, restrict to that
-  quadrant, and grow the refined partition back toward the origin one
-  quadrant layer at a time.  Each layer adds, for every nonempty set I of
-  coordinates, a partition of the face where exactly those coordinates are
-  zero; the face partition refines both the target partition and the shadows
-  (zero-pinned images) of everything built so far, and is itself refined
-  recursively in the lower dimension.
+  quadrant [k0, w)^n is cofinal in the whole grid (only one cell can be),
+  keep that cell's trace on the quadrant, and grow the refined partition
+  back toward the origin one layer at a time.  Layer s adds, for every
+  nonempty set I of coordinates, a partition of the face where the
+  coordinates in I equal s and the others exceed s.  The face partition
+  refines the input and the shadows (images with the coordinates in I set
+  to s) of every cell built so far, and is itself refined recursively in
+  the lower dimension.
+
+The construction runs on the atom quotient (see ``atomgrid``).  Each
+recursive call holds its partition as one int label per atom of one grid,
+cut where some input cell changes, at 0..k0, and wherever a sub-call's
+result needs it.  A face is an index slice of that array.  The shadows of
+the built cells on a face are the sets of labels along the fibers above
+it, and ``partition.induced`` groups the face's atoms into membership
+classes.  A face's sub-problem goes down, and its result comes back, as
+labels.  Regions are built once, at the end, in the canonical form of
+``AtomGrid.region_of_bool``; only each call's quadrant cell keeps the box
+form that ``Region.intersect`` gives it.  A call whose grid would exceed
+``MAX_ATOMS`` raises ValueError before allocating it.
 
 A trace records the threshold, the per-layer face work, and recursive
 subtraces; identical inputs yield identical traces and outputs.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import AtomGrid
+from .atomgrid import MAX_ATOMS, AtomGrid
 from .partition import (
     Partition,
     PartitionError,
@@ -41,7 +56,6 @@ from .region import (
     OrderKind,
     Point,
     Region,
-    boundary_face,
     full,
     point_region,
     upper_quadrant,
@@ -106,6 +120,24 @@ def _require_full_carrier(p: Partition) -> None:
         raise PartitionError("carrier_mismatch", "refinement expects a full carrier")
 
 
+def _require_atoms(size: int) -> None:
+    if size > MAX_ATOMS:
+        raise ValueError(f"atom grid too large: the refinement needs at least {size} atoms")
+
+
+def _refine_line(p: Partition) -> tuple[Partition, Optional[int]]:
+    """Refinement over the line and its threshold (None if no cell is finite)."""
+    finite = [c for c in p.cells if all(b.intervals[0].bounded for b in c.boxes)]
+    if not finite:
+        return p, None
+    k0 = max(c.max_constant() for c in finite)
+    _require_atoms(k0 + 2)
+    tail = upper_quadrant(1, k0 + 1)
+    cells = [point_region(k) for k in range(k0 + 1)]
+    cells += [c.intersect(tail) for c in p.cells if c not in finite]
+    return Partition._trusted(1, full(1), cells), k0
+
+
 def refine_monotone_1d(p: Partition) -> Partition:
     """Monotone refinement over the line.
 
@@ -116,14 +148,7 @@ def refine_monotone_1d(p: Partition) -> Partition:
     if p.dim != 1:
         raise ValueError("refine_monotone_1d expects dimension 1")
     _require_full_carrier(p)
-    finite = [c for c in p.cells if all(b.intervals[0].bounded for b in c.boxes)]
-    if not finite:
-        return p
-    k0 = max(c.max_constant() for c in finite)
-    tail = upper_quadrant(1, k0 + 1)
-    cells = [point_region(k) for k in range(k0 + 1)]
-    cells += [c.intersect(tail) for c in p.cells if c not in finite]
-    return Partition._trusted(1, full(1), cells)
+    return _refine_line(p)[0]
 
 
 def cofinal_threshold(p: Partition) -> int:
@@ -164,45 +189,261 @@ def _proper_subsets(coords: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _extend_core(
-    coarse: Partition, inner: Partition
-) -> tuple[Partition, tuple[FaceStep, ...]]:
-    """Extend a monotone partition of [1, w)^n to all of omega^n.
+# -- partitions as atom labels ----------------------------------------------------
 
-    ``coarse`` partitions the full grid; ``inner`` partitions the shifted
-    quadrant and refines the restriction of ``coarse`` to it.  The points
-    with at least one zero coordinate are covered face by face, ordered by
-    how many coordinates are pinned to zero.
+
+def _quadrant_index(grid: AtomGrid, k: int) -> tuple[slice, ...]:
+    """Index of the atoms that meet [k, w)^n."""
+    return tuple(slice(bisect.bisect_right(c, k) - 1, None) for c in grid.cuts)
+
+
+def _face_index(grid: AtomGrid, coords: tuple[int, ...], s: int) -> tuple:
+    """Index of the atoms where the coordinates in ``coords`` equal s and the others exceed s.
+
+    Both s and s + 1 must be cuts of every axis.
     """
-    n = coarse.dim
-    parts: dict[tuple[int, ...], list[Region]] = {(): list(inner.cells)}
+    return tuple(
+        bisect.bisect_left(c, s) if i in coords else slice(bisect.bisect_left(c, s + 1), None)
+        for i, c in enumerate(grid.cuts)
+    )
+
+
+def _regrid(
+    grid: AtomGrid, cuts: Sequence[Sequence[int]], arrays: list[np.ndarray]
+) -> tuple[AtomGrid, list[np.ndarray]]:
+    """The same labellings over a grid with more cuts on some axes."""
+    fine = AtomGrid(grid.dim, cuts)
+    for axis, (old, new) in enumerate(zip(grid.cuts, fine.cuts)):
+        if len(old) != len(new):
+            index = [bisect.bisect_right(old, c) - 1 for c in new]
+            arrays = [np.take(a, index, axis=axis) for a in arrays]
+    return fine, arrays
+
+
+def _compress(grid: AtomGrid, labels: np.ndarray) -> tuple[AtomGrid, np.ndarray]:
+    """Drop the cuts across which no cell changes."""
+    cuts = []
+    for axis, c in enumerate(grid.cuts):
+        change = np.ones(len(c), dtype=bool)
+        if len(c) > 1:
+            moved = np.moveaxis(labels, axis, 0)
+            change[1:] = (moved[1:] != moved[:-1]).reshape(len(c) - 1, -1).any(axis=1)
+        keep = np.flatnonzero(change)
+        if keep.size < len(c):
+            labels = np.take(labels, keep, axis=axis)
+        cuts.append([c[i] for i in keep])
+    return AtomGrid(grid.dim, cuts), labels
+
+
+def _atom_threshold(grid: AtomGrid, labels: np.ndarray) -> int:
+    """``cofinal_threshold`` of a labelled partition of the full grid.
+
+    The cofinal cell is the one on the top atom.  An atom meets [k, w)^n
+    exactly when the least of its upper bounds is at least k; bounds are
+    compared through their ranks, so the arithmetic stays in small ints.
+    """
+    top = labels[(-1,) * grid.dim]
+    his = [[c - 1 for c in cuts[1:]] for cuts in grid.cuts]
+    values = sorted(set().union(*his))
+    rank = {v: r for r, v in enumerate(values)}
+    unbounded = len(values)
+    reach = reduce(np.minimum, np.ix_(*[[rank[h] for h in hs] + [unbounded] for hs in his]))
+    below = reach[labels != top]
+    k0 = values[int(below.max())] + 1 if below.size else 0
+    # The closed form above is checked against the defining property.
+    if (labels[_quadrant_index(grid, k0)] != top).any():
+        raise RuntimeError("threshold check failed: non-cofinal cell meets the quadrant")
+    if k0 > 0 and not (labels[_quadrant_index(grid, k0 - 1)] != top).any():
+        raise RuntimeError("threshold is not minimal")
+    return k0
+
+
+@dataclass
+class _Cells:
+    """A partition of omega^m as one int label per atom of a grid.
+
+    Cells are numbered 0..count-1, and -1 marks atoms no cell covers yet.
+    A cell in ``kept`` keeps that Region's box form when the partition
+    becomes Regions; every other cell takes the canonical form of
+    ``AtomGrid.region_of_bool``.  While the partition grows, ``coarse``
+    labels the input partition on the same grid, and ``lines`` holds the
+    faces that ``place`` keeps off the grid, with their coordinates.
+    """
+
+    grid: AtomGrid
+    labels: np.ndarray
+    count: int
+    kept: dict[int, Region] = field(default_factory=dict)
+    coarse: Optional[np.ndarray] = None
+    hold_lines: bool = False
+    lines: list[tuple[tuple[int, ...], "_Cells"]] = field(default_factory=list)
+
+    def place(self, coords: tuple[int, ...], s: int, sub: "_Cells") -> None:
+        """Put a face's refined partition where the coordinates in ``coords`` equal s.
+
+        ``sub`` is in the face's own coordinates: the others, shifted down by
+        s + 1.  With ``hold_lines``, a face with one free coordinate on the
+        last layer (s = 0) stays on its own grid: no later face projects it,
+        and on this grid its cuts would multiply with those of the other axes.
+        """
+        free = [i for i in range(self.grid.dim) if i not in coords]
+        if self.hold_lines and s == 0 and len(free) == 1:
+            self.lines.append((coords, sub))
+            self.count += sub.count
+            return
+        cuts = list(self.grid.cuts)
+        grown = False
+        for i, sub_cuts in zip(free, sub.grid.cuts):
+            need = {c + s + 1 for c in sub_cuts}
+            if not need.issubset(cuts[i]):
+                cuts[i] = sorted(need.union(cuts[i]))
+                grown = True
+        if grown:
+            self.grid, (self.labels, self.coarse) = _regrid(
+                self.grid, cuts, [self.labels, self.coarse]
+            )
+        face = _face_index(self.grid, coords, s)
+        index = []  # the sub-atom under each face atom, per free axis
+        for i, sub_cuts in zip(free, sub.grid.cuts):
+            ends = self.grid.cuts[i][face[i].start :]
+            index.append([bisect.bisect_right(sub_cuts, c - s - 1) - 1 for c in ends])
+        self.labels[face] = (sub.labels[np.ix_(*index)] if index else sub.labels) + self.count
+        for label, cell in sub.kept.items():
+            self.kept[label + self.count] = cell.translate(s + 1).insert_coords(coords, s)
+        self.count += sub.count
+
+    def to_regions(self) -> list[Region]:
+        """Every cell as a Region: kept ones as given, the others canonical."""
+        grid, labels = self.grid, self.labels
+        flat = labels.ravel()
+        where = np.flatnonzero(flat >= 0)
+        where = where[np.argsort(flat[where], kind="stable")]
+        ordered = flat[where]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        at = np.unravel_index(where, labels.shape)
+        lows = [np.minimum.reduceat(a, starts) for a in at]
+        highs = [np.maximum.reduceat(a, starts) + 1 for a in at]
+        regions = []
+        for k, start in enumerate(starts):
+            label = int(ordered[start])
+            if label in self.kept:
+                regions.append(self.kept[label])
+                continue
+            lo = [int(a[k]) for a in lows]
+            window = labels[tuple(slice(a, int(b[k])) for a, b in zip(lo, highs))] == label
+            regions.append(grid.region_of_bool(window, lo))
+        for coords, sub in self.lines:
+            regions += [cell.translate(1).insert_coords(coords, 0) for cell in sub.to_regions()]
+        return regions
+
+
+def _face_profiles(
+    cells: _Cells, coords: tuple[int, ...], face: tuple, coarse: np.ndarray
+) -> np.ndarray:
+    """Membership rows of a face's atoms, one per atom in row-major order.
+
+    A row holds the atom's coarse cell, then the set of built cells whose
+    shadow contains the atom: the labels along the fiber of built atoms
+    that setting the coordinates in ``coords`` to s maps onto it, sorted,
+    with repeats replaced by -1 in front.
+    """
+    n = cells.grid.dim
+    block = cells.labels[
+        tuple(slice(face[i], None) if i in coords else face[i] for i in range(n))
+    ]
+    k = len(coords)
+    fibers = np.moveaxis(block, coords, range(n - k, n)).reshape(coarse.size, -1)
+    rows = np.sort(fibers[:, 1:], axis=1)  # column 0 is the face atom itself
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+    rows.sort(axis=1)
+    first = int(np.argmax((rows >= 0).any(axis=0)))
+    return np.column_stack([coarse.reshape(-1), rows[:, first:]])
+
+
+def _extend_core(cells: _Cells, s: int) -> tuple[FaceStep, ...]:
+    """Extend a monotone partition of [s+1, w)^n to [s, w)^n.
+
+    ``cells`` covers [s+1, w)^n and refines its ``coarse`` partition there.
+    The points with least coordinate s are covered face by face, ordered by
+    how many coordinates equal s.
+    """
+    n = cells.grid.dim
+    built = {(): cells.count}
     faces: list[FaceStep] = []
     for size in range(1, n + 1):
         for coords in itertools.combinations(range(n), size):
-            face = boundary_face(n, coords)
-            family: list[Region] = []
-            for cell in coarse.cells:
-                cut = cell.intersect(face)
-                if not cut.is_empty():
-                    family.append(cut)
-            for sub in _proper_subsets(coords):
-                for built in parts[sub]:
-                    family.append(built.pin_coords(coords, 0))
-            atoms = induced(face, family)
-            shifted = [
-                cell.drop_coords(coords).translate(-1) for cell in atoms.cells
-            ]
-            sub_part = Partition._trusted(n - size, full(n - size), shifted)
-            refined, subtrace = refine_monotone(sub_part)
-            back = [
-                cell.translate(1).insert_coords(coords, 0) for cell in refined.cells
-            ]
-            parts[coords] = back
-            faces.append(
-                FaceStep(coords, len(family), atoms.size, len(back), subtrace)
-            )
-    cells = [c for key in parts for c in parts[key]]
-    return Partition._trusted(n, full(n), cells), tuple(faces)
+            face = _face_index(cells.grid, coords, s)
+            coarse = cells.coarse[face]
+            meets = int(np.count_nonzero(np.bincount(coarse.ravel())))
+            family_size = meets + sum(built[sub] for sub in _proper_subsets(coords))
+            if size < n:
+                free = [i for i in range(n) if i not in coords]
+                face_cuts = [[c - s - 1 for c in cells.grid.cuts[i][face[i].start :]] for i in free]
+                face_grid = AtomGrid(n - size, face_cuts)
+                classes = induced(face_grid, _face_profiles(cells, coords, face, coarse))
+                atom_count = int(classes.max()) + 1
+                sub, subtrace = _refine_atoms(*_compress(face_grid, classes), atom_count)
+            else:  # a single point: one class
+                atom_count = 1
+                sub, subtrace = _refine_atoms(AtomGrid(0, []), np.zeros((), dtype=np.int32), 1)
+            cells.place(coords, s, sub)
+            built[coords] = sub.count
+            faces.append(FaceStep(coords, family_size, atom_count, sub.count, subtrace))
+    return tuple(faces)
+
+
+def _grow(
+    grid: AtomGrid,
+    coarse: np.ndarray,
+    count: int,
+    k0: int,
+    quadrant: Region,
+    hold_lines: bool = False,
+) -> tuple[_Cells, RefinementTrace]:
+    """Refine a labelled partition from its quadrant cell outward, one layer per level.
+
+    ``quadrant`` is the partition's cofinal cell restricted to [k0, w)^m.
+    """
+    m = grid.dim
+    if not quadrant.is_cofinal_in_space():
+        raise RuntimeError("restriction to the quadrant lost cofinality")
+    _require_atoms((k0 + 1) ** m)
+    cuts = [sorted(set(c).union(range(k0 + 1))) for c in grid.cuts]
+    grid, (coarse,) = _regrid(grid, cuts, [coarse])
+    labels = np.full(grid.shape, -1, dtype=np.int32)
+    labels[_quadrant_index(grid, k0)] = 0
+    cells = _Cells(grid, labels, 1, {0: quadrant}, coarse, hold_lines)
+    steps = tuple(LevelStep(level, _extend_core(cells, level - 1)) for level in range(k0, 0, -1))
+    trace = RefinementTrace(m, k0, count, cells.count, steps)
+    # Structural bounds on the run: one extension step per quadrant layer,
+    # one face per nonempty coordinate set, recursion no deeper than m.
+    assert len(trace.steps) == k0
+    assert all(len(step.faces) == 2**m - 1 for step in trace.steps)
+    assert trace.depth() <= m
+    return cells, trace
+
+
+def _refine_atoms(
+    grid: AtomGrid, labels: np.ndarray, count: int
+) -> tuple[_Cells, RefinementTrace]:
+    """``refine_monotone`` of a labelled partition of the full grid into ``count`` cells."""
+    m = grid.dim
+    if m == 0:
+        return _Cells(grid, labels, 1), RefinementTrace(0, None, 1, 1, ())
+    if m == 1:
+        top = labels[-1]
+        finite = np.flatnonzero(labels != top)
+        if not finite.size:
+            return _Cells(grid, labels, count), RefinementTrace(1, None, count, count, ())
+        k0 = grid.cuts[0][finite[-1] + 1] - 1
+        _require_atoms(k0 + 2)
+        line = _Cells(AtomGrid(1, [range(k0 + 2)]), np.arange(k0 + 2, dtype=np.int32), k0 + 2)
+        return line, RefinementTrace(1, k0, count, k0 + 2, ())
+    k0 = _atom_threshold(grid, labels)
+    if not k0:
+        return _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
+    cofinal = grid.region_of_bool(labels == labels[(-1,) * m])
+    return _grow(grid, labels, count, k0, cofinal.intersect(upper_quadrant(m, k0)))
 
 
 def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
@@ -216,14 +457,12 @@ def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
         raise PartitionError("not_monotone", "inner partition is not monotone")
     if not refines(inner, restrict(coarse, upper_quadrant(coarse.dim, 1))):
         raise PartitionError("not_refining", "inner partition does not refine the restriction")
-    part, _ = _extend_core(coarse, inner)
-    return part
-
-
-def _shift_partition(p: Partition, delta: int) -> Partition:
-    return Partition._trusted(
-        p.dim, p.carrier.translate(delta), [c.translate(delta) for c in p.cells]
-    )
+    cuts = [sorted({0, 1}.union(a, b)) for a, b in zip(coarse._grid.cuts, inner._grid.cuts)]
+    grid, (outer,) = _regrid(coarse._grid, cuts, [coarse._owner.reshape(coarse._grid.shape)])
+    _, (labels,) = _regrid(inner._grid, cuts, [inner._owner.reshape(inner._grid.shape)])
+    cells = _Cells(grid, labels, inner.size, dict(enumerate(inner.cells)), outer, hold_lines=True)
+    _extend_core(cells, 0)
+    return Partition._trusted(coarse.dim, full(coarse.dim), cells.to_regions())
 
 
 def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
@@ -233,34 +472,15 @@ def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
     if n == 0:
         return p, RefinementTrace(0, None, p.size, p.size, ())
     if n == 1:
-        refined = refine_monotone_1d(p)
-        k0 = None if refined is p else max(
-            c.max_constant()
-            for c in p.cells
-            if all(b.intervals[0].bounded for b in c.boxes)
-        )
+        refined, k0 = _refine_line(p)
         return refined, RefinementTrace(1, k0, p.size, refined.size, ())
     k0 = cofinal_threshold(p)
-    current = restrict(p, upper_quadrant(n, k0)) if k0 else p
-    for cell in current.cells:
-        if not cell.is_cofinal_in_space():
-            raise RuntimeError("restriction to the quadrant lost cofinality")
-    steps: list[LevelStep] = []
-    for level in range(k0, 0, -1):
-        shift = level - 1
-        outer = restrict(p, upper_quadrant(n, shift)) if shift else p
-        extended, faces = _extend_core(
-            _shift_partition(outer, -shift), _shift_partition(current, -shift)
-        )
-        current = _shift_partition(extended, shift)
-        steps.append(LevelStep(level, faces))
-    trace = RefinementTrace(n, k0, p.size, current.size, tuple(steps))
-    # Structural bounds on the run: one extension step per quadrant layer,
-    # one face per nonempty coordinate set, recursion no deeper than n.
-    assert len(trace.steps) == k0
-    assert all(len(step.faces) == 2**n - 1 for step in trace.steps)
-    assert trace.depth() <= n
-    return current, trace
+    if not k0:
+        return p, RefinementTrace(n, 0, p.size, p.size, ())
+    grid, labels = _compress(p._grid, p._owner.reshape(p._grid.shape))
+    quadrant = p.cells[labels[(-1,) * n]].intersect(upper_quadrant(n, k0))
+    cells, trace = _grow(grid, labels, p.size, k0, quadrant, hold_lines=True)
+    return Partition._trusted(n, full(n), cells.to_regions()), trace
 
 
 # -- products with a finite frame ---------------------------------------------------

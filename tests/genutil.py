@@ -11,7 +11,9 @@ from boxmodal import (
     Partition,
     Region,
     Valuation,
+    full,
     make_fibered,
+    make_partition,
 )
 from boxmodal.formulas import (
     And,
@@ -94,3 +96,77 @@ def random_fibered(rng: random.Random, dim: int, n_worlds: int):
         for _ in worlds
     ]
     return make_fibered(worlds, edges, fibers)
+
+
+# -- grid-sizing probes for the refiner ---------------------------------------------
+
+
+def _cell(*boxes: tuple) -> Region:
+    """Region from boxes given as tuples of (lo, hi) pairs or single values."""
+    return Region(
+        len(boxes[0]),
+        tuple(
+            Box(tuple(Interval(b[0], b[1]) if isinstance(b, tuple) else Interval(b, b) for b in bx))
+            for bx in boxes
+        ),
+    )
+
+
+def probe_far_cut() -> Partition:
+    """n=2: a column at 0, and one cell made of two boxes that meet at 10000."""
+    return make_partition(
+        full(2),
+        [
+            _cell((0, (0, OMEGA))),
+            _cell(((1, 9999), (0, OMEGA)), ((10000, OMEGA), (0, OMEGA))),
+        ],
+    )
+
+
+def probe_long_line() -> Partition:
+    """n=3: the line x0 = x1 = 0 split at 400; everything else one cell."""
+    return make_partition(
+        full(3),
+        [
+            _cell((0, 0, (0, 399))),
+            _cell((0, 0, (400, OMEGA))),
+            _cell(((1, OMEGA), (0, OMEGA), (0, OMEGA)), (0, (1, OMEGA), (0, OMEGA))),
+        ],
+    )
+
+
+def probe_split_axes(c: int) -> Partition:
+    """n=3: each coordinate axis split at c; everything else one cell."""
+    return make_partition(
+        full(3),
+        [
+            _cell(((0, c - 1), 0, 0)),
+            _cell(((c, OMEGA), 0, 0)),
+            _cell((0, (1, c - 1), 0)),
+            _cell((0, (c, OMEGA), 0)),
+            _cell((0, 0, (1, c - 1))),
+            _cell((0, 0, (c, OMEGA))),
+            _cell(
+                ((1, OMEGA), (1, OMEGA), (0, OMEGA)),
+                ((1, OMEGA), 0, (1, OMEGA)),
+                (0, (1, OMEGA), (1, OMEGA)),
+            ),
+        ],
+    )
+
+
+def probe_split_face(c: int) -> Partition:
+    """n=4: ``probe_split_axes(c)`` moved onto the face x0 = 0, shifted up by one.
+
+    Everything with x0 >= 1 is one cell, and so is the rest of the face.
+    """
+    origin = Interval(0, 0)
+    cells = [
+        Region(4, tuple(Box((origin, *(iv.shifted(1) for iv in b.intervals))) for b in cell.boxes))
+        for cell in probe_split_axes(c).cells
+    ]
+    cells.append(_cell(((1, OMEGA), (0, OMEGA), (0, OMEGA), (0, OMEGA))))
+    covered = cells[0]
+    for cell in cells[1:]:
+        covered = covered.union(cell)
+    return make_partition(full(4), cells + [covered.complement()])

@@ -104,6 +104,25 @@ class TestMc:
         code, _ = run(capsys, "mc", "--formula", "p &", "--valuation", valuation_file)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "formula",
+        ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000, "p &" * 3000 + "p", "p ->" * 3000 + "p"],
+        ids=["unary", "parentheses", "conjunction", "implication"],
+    )
+    def test_too_deep_formula_is_usage_error(self, capsys, valuation_file, formula):
+        assert main(["mc", "--formula", formula, "--valuation", valuation_file]) == 2
+        assert "nested deeper than 200 levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["~" * 200 + "p", "(" * 200 + "p" + ")" * 200, "(~" * 100 + "p" + ")" * 100],
+        ids=["unary", "parentheses", "mixed"],
+    )
+    def test_formula_at_the_depth_limit_is_checked(self, capsys, valuation_file, formula):
+        code, payload = run(capsys, "mc", "--formula", formula, "--valuation", valuation_file)
+        assert code == 0
+        assert "truth_region" in payload
+
 
 class TestQuotient:
     def test_quotient_worlds(self, capsys, origin_partition_file, valuation_file, tmp_path):

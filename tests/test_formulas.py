@@ -100,3 +100,31 @@ def test_constant_growth_counts():
     assert constant_growth(parse_formula("[]p")) == 2
     assert constant_growth(parse_formula("p -> q")) == 1
     assert constant_growth(parse_formula("<>p")) == 0
+
+
+def test_random_formulas_survive_a_format_roundtrip():
+    import random
+
+    from genutil import random_formula
+
+    rng = random.Random(3)
+    for _ in range(300):
+        f = random_formula(rng, ["p", "q", "r"], 6)
+        assert parse_formula(format_formula(f)) == f
+
+
+def test_nesting_is_bounded():
+    from boxmodal.formulas import MAX_DEPTH
+
+    deep = MAX_DEPTH
+    assert parse_formula("~" * deep + "p") is not None
+    assert parse_formula("(" * deep + "p" + ")" * deep) == Var("p")
+    for text in (
+        "~" * (deep + 1) + "p",
+        "(" * (deep + 1) + "p" + ")" * (deep + 1),
+        "<>(" * (deep // 2) + "~p" + ")" * (deep // 2),
+        "p & " * (deep + 1) + "p",
+        "p -> " * (deep + 1) + "p",
+    ):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_formula(text)

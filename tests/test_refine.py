@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -30,7 +31,18 @@ from boxmodal import (
     upper_quadrant,
 )
 
-from genutil import random_fibered, random_partition
+from boxmodal.atomgrid import MAX_ATOMS
+from boxmodal.cli import main
+from boxmodal.refine import _atom_threshold, _compress
+from genutil import (
+    probe_far_cut,
+    probe_long_line,
+    probe_split_axes,
+    probe_split_face,
+    random_fibered,
+    random_partition,
+)
+from record_refine_golden import GOLDEN, refine_digest, square
 
 LE = OrderKind.REFLEXIVE
 LT = OrderKind.STRICT
@@ -224,6 +236,60 @@ class TestRefine:
         p = make_partition(upper_quadrant(2, 1), [upper_quadrant(2, 1)])
         with pytest.raises(PartitionError):
             refine_monotone(p)
+
+
+class TestGridSizing:
+    """The refiner's atom grid grows only where some cell changes."""
+
+    golden = {c["name"]: c for c in json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]}
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("probe_far_cut", probe_far_cut),
+            ("probe_long_line", probe_long_line),
+            ("probe_split_axes_50", lambda: probe_split_axes(50)),
+            ("probe_split_axes_200", lambda: probe_split_axes(200)),
+        ],
+    )
+    def test_probe_matches_golden_within_a_second(self, name, build, tmp_path):
+        p = build()
+        assert p.to_json() == self.golden[name]["input"]
+        start = time.perf_counter()
+        digest = refine_digest(p.to_json(), str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert digest == self.golden[name]["sha256"]
+
+    def test_fine_cuts_on_different_lines_of_a_face_multiply(self, tmp_path):
+        # Inside the recursion each call keeps one grid, a product over the
+        # axes: split at 50 the face fits, split at 200 it needs 8.1M atoms.
+        p = probe_split_face(50)
+        assert refine_digest(p.to_json(), str(tmp_path)) == self.golden["probe_split_face_50"]["sha256"]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="atom grid too large: 8120601 atoms"):
+            refine_monotone(probe_split_face(200))
+        assert time.perf_counter() - start < 1.0
+
+    def test_label_threshold_matches_the_region_threshold(self):
+        rng = random.Random(5)
+        for n in (2, 3):
+            for _ in range(20):
+                p = random_partition(rng, n, rng.randint(1, 8), rng.randint(0, 8))
+                grid, labels = _compress(p._grid, p._owner.reshape(p._grid.shape))
+                assert _atom_threshold(grid, labels) == cofinal_threshold(p)
+
+    def test_too_many_atoms_fail_before_any_layer(self, tmp_path):
+        # A finite square of side C needs (C + 1)^2 atoms; a line, C + 2.
+        side = int(MAX_ATOMS**0.5)
+        with pytest.raises(ValueError, match="atom grid too large"):
+            refine_monotone(square(2, side))
+        far = point_region(MAX_ATOMS)
+        line = make_partition(full(1), [far, far.complement()])
+        with pytest.raises(ValueError, match="atom grid too large"):
+            refine_monotone(line)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(square(2, side).to_json()))
+        assert main(["refine", "--partition", str(path), "--out", str(tmp_path / "out.json")]) == 2
 
 
 class TestProduct:
