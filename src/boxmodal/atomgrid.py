@@ -7,18 +7,29 @@ union of atoms.  Downward closures and hulls of such regions are unions of
 atoms as well, because the cut set contains 0, every lower bound, and both
 hi and hi + 1 for every finite upper bound.  This turns the partition
 checkers into boolean-array arithmetic while staying exact.
+
+``sees`` gives every cell's downward closure at once.  Under <= an atom
+sees an atom of a cell exactly when its index is at most the other's on
+every axis: a reverse cumulative OR along each axis.  Under < the index must
+be smaller on every axis, except inside an axis's unbounded last atom.  That
+is exact although a finite atom [l, h] with l < h does not see itself from
+h: h is not a cut, every finite upper bound of a box is, so the box holding
+the target atom also holds the next atom along that axis.  The bitset of
+``sees`` stays within ``SEES_BYTES``; more targets are processed in blocks.
 """
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .region import OMEGA, Box, Interval, Point, Region
+from .region import OMEGA, Box, Interval, OrderKind, Point, Region
 
 # Guard against accidentally enormous quotients.
 MAX_ATOMS = 1 << 22
+# Bytes of the per-atom bitset of one ``sees`` block (32 targets at MAX_ATOMS).
+SEES_BYTES = 4 * MAX_ATOMS
 
 
 class AtomGrid:
@@ -54,18 +65,18 @@ class AtomGrid:
                         cuts[i].add(iv.hi + 1)
         return cls(dim, [sorted(c) for c in cuts])
 
+    def regrid(
+        self, cuts: Sequence[Sequence[int]], arrays: list[np.ndarray]
+    ) -> tuple["AtomGrid", list[np.ndarray]]:
+        """The same labellings (arrays in this grid's shape) over a grid with more cuts."""
+        fine = AtomGrid(self.dim, cuts)
+        for axis, (old, new) in enumerate(zip(self.cuts, fine.cuts)):
+            if len(old) != len(new):
+                index = [bisect.bisect_right(old, c) - 1 for c in new]
+                arrays = [np.take(a, index, axis=axis) for a in arrays]
+        return fine, arrays
+
     # -- atoms ------------------------------------------------------------------
-
-    def atom_interval(self, coord: int, idx: int) -> Interval:
-        c = self.cuts[coord]
-        if idx + 1 < len(c):
-            return Interval(c[idx], c[idx + 1] - 1)
-        return Interval(c[idx], OMEGA)
-
-    def atom_lo(self, flat_index: int) -> Point:
-        """Lower corner of an atom; row-major flat order is lexicographic."""
-        idx = np.unravel_index(flat_index, self.shape) if self.dim else ()
-        return tuple(self.cuts[i][j] for i, j in enumerate(idx))
 
     def point_atom(self, point: Point) -> tuple[int, ...]:
         return tuple(
@@ -137,8 +148,64 @@ class AtomGrid:
         return out
 
     def first_point(self, flat: np.ndarray) -> Optional[Point]:
-        """Lexicographically least point of an atom set (flat boolean array)."""
+        """Lexicographically least point of a flat atom set: its first atom's lower corner."""
         idx = np.flatnonzero(flat)
         if idx.size == 0:
             return None
-        return self.atom_lo(int(idx[0]))
+        at = np.unravel_index(int(idx[0]), self.shape) if self.dim else ()
+        return tuple(self.cuts[i][j] for i, j in enumerate(at))
+
+    # -- the seeing relation between cells -----------------------------------------
+
+    def sees(
+        self, sources: np.ndarray, targets: np.ndarray, count: int, order: OrderKind
+    ) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
+        """Which target cells every atom and every source cell sees, by blocks of targets.
+
+        ``sources``/``targets`` give every atom (flat) a source/target cell or
+        -1; targets are below ``count``, sources from 0, each owning an atom.
+        Yields ``(block, bits, meets, within)`` per range of targets, rows
+        packed little-endian, bit k for target block[k].  ``bits`` has a row
+        per atom, its column k the target's downset; ``meets``/``within`` a
+        row per source: some atom of it sees the target / every atom does.
+        """
+        by_source = np.argsort(sources, kind="stable")
+        by_source = by_source[sources[by_source] >= 0]
+        labels = sources[by_source]
+        starts = np.searchsorted(labels, np.arange(labels[-1] + 1))
+        width = 8 * max(1, SEES_BYTES // self.size)
+        for first in range(0, count, width):
+            block = range(first, min(count, first + width))
+            k = targets - first
+            hit = np.flatnonzero((k >= 0) & (k < width))
+            bits = np.zeros((self.size, (len(block) + 7) // 8), dtype=np.uint8)
+            bits[hit, k[hit] >> 3] = np.left_shift(1, k[hit] & 7)
+            cube = bits.reshape(*self.shape, -1)
+            for axis in range(self.dim):
+                rev = (slice(None),) * axis + (slice(None, None, -1),)  # reversed along the axis
+                cube = np.bitwise_or.accumulate(cube[rev], axis)[rev]
+                if order is OrderKind.STRICT:  # all but the unbounded last atom see strictly above
+                    cube[rev[:-1] + (slice(-1),)] = cube[rev[:-1] + (slice(1, None),)]
+            bits = np.ascontiguousarray(cube).reshape(self.size, -1)
+            grouped = bits[by_source]
+            meets = np.bitwise_or.reduceat(grouped, starts)
+            yield block, bits, meets, np.bitwise_and.reduceat(grouped, starts)
+
+
+def unpack(rows: np.ndarray, count: int) -> np.ndarray:
+    """Boolean matrix of packed rows (as ``AtomGrid.sees`` gives them), ``count`` columns."""
+    return np.unpackbits(rows, axis=1, count=count, bitorder="little").view(bool)
+
+
+def bit_column(rows: np.ndarray, k: int) -> np.ndarray:
+    """Bit k of every packed row, as a boolean array."""
+    return (rows[:, k >> 3] >> (k & 7)) & 1 != 0
+
+
+def first_bit(rows: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, bit) of the first set bit of packed rows in row-major order, or None."""
+    hit = np.flatnonzero(rows.any(axis=1))
+    if not hit.size:
+        return None
+    i = int(hit[0])
+    return i, int(np.flatnonzero(unpack(rows[i : i + 1], rows.shape[1] * 8)[0])[0])

@@ -89,24 +89,18 @@ def _order(args: argparse.Namespace) -> OrderKind:
     return OrderKind.from_json(args.order)
 
 
+def _verdict(key: str, violation, out: Optional[str]) -> int:
+    _dump({key: violation is None, "violation": violation.to_json() if violation else None}, out)
+    return 0 if violation is None else 1
+
+
 def cmd_check_tuned(args: argparse.Namespace) -> int:
     p = _load_partition(args.partition)
-    violation = tuned_violation(p, _order(args))
-    _dump(
-        {"tuned": violation is None, "violation": violation.to_json() if violation else None},
-        args.out,
-    )
-    return 0 if violation is None else 1
+    return _verdict("tuned", tuned_violation(p, _order(args)), args.out)
 
 
 def cmd_check_monotone(args: argparse.Namespace) -> int:
-    p = _load_partition(args.partition)
-    violation = monotone_violation(p)
-    _dump(
-        {"monotone": violation is None, "violation": violation.to_json() if violation else None},
-        args.out,
-    )
-    return 0 if violation is None else 1
+    return _verdict("monotone", monotone_violation(_load_partition(args.partition)), args.out)
 
 
 def cmd_refine(args: argparse.Namespace) -> int:
@@ -179,21 +173,25 @@ def cmd_product(args: argparse.Namespace) -> int:
     return 0 if payload["refines"] and payload["tuned"] else 1
 
 
+def _diffs(dim: int, bound: int, grid: set, member) -> list[list[int]]:
+    """Points of [0, bound]^dim where grid search and the symbolic membership disagree."""
+    return sorted(
+        list(u) for u in itertools.product(range(bound + 1), repeat=dim) if (u in grid) != member(u)
+    )
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.bound is None:
         raise ValueError("the oracle command requires --bound")
+    if args.bound < 0:
+        raise ValueError(f"--bound must be nonnegative, got {args.bound}")
     cases = []
     agree = True
     if args.formula and args.valuation:
         f = parse_formula(args.formula)
         val = _load_valuation(args.valuation)
         symbolic = truth_region(f, val)
-        grid = grid_truth(f, val, args.bound)
-        diffs = sorted(
-            list(u)
-            for u in itertools.product(range(args.bound + 1), repeat=val.dim)
-            if (tuple(u) in grid) != symbolic.member(tuple(u))
-        )
+        diffs = _diffs(val.dim, args.bound, grid_truth(f, val, args.bound), symbolic.member)
         agree &= not diffs
         cases.append({"kind": "truth", "formula": args.formula, "diffs": diffs})
     elif args.partition:
@@ -212,12 +210,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
         for j, cell in enumerate(p.cells):
             grid_pts = grid_downset(cell, order, args.bound)
-            down = cell.downset(order)
-            diffs = sorted(
-                list(u)
-                for u in itertools.product(range(args.bound + 1), repeat=p.dim)
-                if (tuple(u) in grid_pts) != down.member(tuple(u))
-            )
+            diffs = _diffs(p.dim, args.bound, grid_pts, cell.downset(order).member)
             agree &= not diffs
             cases.append({"kind": "downset", "cell": j, "diffs": diffs})
     elif args.generators:
@@ -225,12 +218,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         order = _order(args)
         for j, r in enumerate(regions):
             grid_pts = grid_downset(r, order, args.bound)
-            down = r.downset(order)
-            diffs = sorted(
-                list(u)
-                for u in itertools.product(range(args.bound + 1), repeat=dim)
-                if (tuple(u) in grid_pts) != down.member(tuple(u))
-            )
+            diffs = _diffs(dim, args.bound, grid_pts, r.downset(order).member)
             agree &= not diffs
             cases.append({"kind": "downset", "region": j, "diffs": diffs})
     else:

@@ -260,6 +260,40 @@ def subformulas(f: Formula) -> list[Formula]:
     return list(seen)
 
 
+def evaluate(f: Formula, env, unbound, const, neg, meet, join, diamond) -> dict:
+    """Value of every subformula, in post-order, in a Boolean algebra with a diamond.
+
+    Variables take their values from the mapping ``env``; a missing one raises
+    ``unbound(name)``.  The rest of the algebra is given as functions: ``const``
+    of a bool, complement, meet, join and diamond; ``a -> b`` is ``~a | b``, box
+    ``~<>~``.
+    """
+    out: dict = {}
+    for node in subformulas(f):
+        if isinstance(node, Var):
+            if node.name not in env:
+                raise unbound(node.name)
+            r = env[node.name]
+        elif isinstance(node, Const):
+            r = const(node.value)
+        elif isinstance(node, Not):
+            r = neg(out[node.sub])
+        elif isinstance(node, And):
+            r = meet(out[node.left], out[node.right])
+        elif isinstance(node, Or):
+            r = join(out[node.left], out[node.right])
+        elif isinstance(node, Implies):
+            r = join(neg(out[node.left]), out[node.right])
+        elif isinstance(node, Diamond):
+            r = diamond(out[node.sub])
+        elif isinstance(node, Box):
+            r = neg(diamond(neg(out[node.sub])))
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        out[node] = r
+    return out
+
+
 def variables(f: Formula) -> frozenset[str]:
     return frozenset(n.name for n in subformulas(f) if isinstance(n, Var))
 

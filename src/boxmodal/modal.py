@@ -18,21 +18,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import AtomGrid
-from .formulas import (
-    And,
-    Box,
-    Const,
-    Diamond,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Var,
-    subformulas,
-    variables,
-)
-from .partition import Partition, TunedViolation, induced, tuned_violation
+from .atomgrid import AtomGrid, bit_column, unpack
+from .formulas import Formula, evaluate, subformulas, variables
+from .partition import Partition, TunedViolation, cover, induced, tuned_violation
 from .refine import RefinementTrace, refine_monotone
 from .region import OrderKind, Region, empty_region, full
 
@@ -95,37 +83,12 @@ class Valuation:
 
 def truth_region(f: Formula, val: Valuation) -> Region:
     """Exact truth set of a formula on the infinite frame."""
-    memo: dict[Formula, Region] = {}
-
-    def ev(node: Formula) -> Region:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            try:
-                r = val.vars[node.name]
-            except KeyError:
-                raise UnboundVariable(f"variable {node.name!r} has no region") from None
-        elif isinstance(node, Const):
-            r = full(val.dim) if node.value else empty_region(val.dim)
-        elif isinstance(node, Not):
-            r = ev(node.sub).complement()
-        elif isinstance(node, And):
-            r = ev(node.left).intersect(ev(node.right))
-        elif isinstance(node, Or):
-            r = ev(node.left).union(ev(node.right))
-        elif isinstance(node, Implies):
-            r = ev(node.left).complement().union(ev(node.right))
-        elif isinstance(node, Diamond):
-            r = ev(node.sub).downset(val.order)
-        elif isinstance(node, Box):
-            r = ev(node.sub).complement().downset(val.order).complement()
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[node] = r
-        return r
-
-    return ev(f)
+    return evaluate(
+        f, val.vars, lambda name: UnboundVariable(f"variable {name!r} has no region"),
+        lambda value: full(val.dim) if value else empty_region(val.dim),
+        lambda r: r.complement(), lambda a, b: a.intersect(b), lambda a, b: a.union(b),
+        lambda r: r.downset(val.order),
+    )[f]
 
 
 @dataclass(frozen=True)
@@ -162,69 +125,33 @@ def quotient_frame(p: Partition, order: OrderKind, val: Valuation) -> QuotientFr
     violation = tuned_violation(p, order)
     if violation is not None:
         raise NotTuned(violation)
-    grid = AtomGrid.for_regions(p.dim, (p.carrier, *p.cells, *val.vars.values()))
-    owner = np.full(grid.size, -1, dtype=np.int32)
-    for i, cell in enumerate(p.cells):
-        owner[grid.region_bool(cell).ravel()] = i
-    owned = owner >= 0
-    sizes = np.bincount(owner[owned], minlength=p.size)
+    grid, owner = p._owner_on(AtomGrid.for_regions(p.dim, val.vars.values()).cuts)
     val_map: dict[str, frozenset[int]] = {}
     for name in sorted(val.vars):
-        flat = grid.region_bool(val.vars[name]).ravel()
-        cov = np.bincount(owner[flat & owned], minlength=p.size)
-        partial = np.flatnonzero((cov > 0) & (cov < sizes))
+        partial, whole = cover(owner, grid.region_bool(val.vars[name]).ravel(), p.size)
         if partial.size:
             i = int(partial[0])
-            witness = p.cells[i].intersect(val.vars[name])
-            raise NotCompatible(name, i, witness)
-        val_map[name] = frozenset(int(i) for i in np.flatnonzero(cov == sizes))
+            raise NotCompatible(name, i, p.cells[i].intersect(val.vars[name]))
+        val_map[name] = frozenset(int(i) for i in whole)
     edges = set()
-    for j in range(p.size):
-        down = grid.region_bool(p.cells[j].downset(order)).ravel()
-        for i in np.unique(owner[down & owned]):
-            edges.add((int(i), j))
+    for block, _, meets, _ in p._grid.sees(p._owner, p._owner, p.size, order):
+        edges.update((int(i), block[j]) for i, j in np.argwhere(unpack(meets, len(block))))
     return QuotientFrame(p.dim, order, tuple(p.cells), frozenset(edges), val_map)
 
 
 def mc_finite(qf: QuotientFrame, f: Formula) -> frozenset[int]:
     """Worlds of the quotient frame satisfying the formula."""
-    succ: dict[int, tuple[int, ...]] = {
-        i: tuple(sorted(j for (a, j) in qf.edges if a == i))
-        for i in range(qf.world_count)
-    }
+    succ: list[list[int]] = [[] for _ in range(qf.world_count)]
+    for i, j in sorted(qf.edges):
+        succ[i].append(j)
     everything = frozenset(range(qf.world_count))
-    memo: dict[Formula, frozenset[int]] = {}
-
-    def ev(node: Formula) -> frozenset[int]:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            if node.name not in qf.valuation:
-                raise UnboundVariable(f"variable {node.name!r} not interpreted in the frame")
-            s = qf.valuation[node.name]
-        elif isinstance(node, Const):
-            s = everything if node.value else frozenset()
-        elif isinstance(node, Not):
-            s = everything - ev(node.sub)
-        elif isinstance(node, And):
-            s = ev(node.left) & ev(node.right)
-        elif isinstance(node, Or):
-            s = ev(node.left) | ev(node.right)
-        elif isinstance(node, Implies):
-            s = (everything - ev(node.left)) | ev(node.right)
-        elif isinstance(node, Diamond):
-            sub = ev(node.sub)
-            s = frozenset(i for i in everything if any(j in sub for j in succ[i]))
-        elif isinstance(node, Box):
-            sub = ev(node.sub)
-            s = frozenset(i for i in everything if all(j in sub for j in succ[i]))
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[node] = s
-        return s
-
-    return ev(f)
+    return evaluate(
+        f, qf.valuation,
+        lambda name: UnboundVariable(f"variable {name!r} not interpreted in the frame"),
+        lambda value: everything if value else frozenset(),
+        lambda s: everything - s, frozenset.__and__, frozenset.__or__,
+        lambda s: frozenset(i for i in everything if any(j in s for j in succ[i])),
+    )[f]
 
 
 class TruthLemmaFailure(RuntimeError):
@@ -271,16 +198,13 @@ def filtration_pipeline(f: Formula, val: Valuation) -> FiltrationReport:
     base = induced(full(val.dim), [val.vars[name] for name in sorted(val.vars)])
     refined, trace = refine_monotone(base)
     qf = quotient_frame(refined, val.order, val)
-    for sub in subformulas(f):
-        symbolic = truth_region(sub, val)
-        sat = mc_finite(qf, sub)
-        quotient = empty_region(val.dim)
-        for i in sorted(sat):
-            quotient = quotient.union(qf.cells[i])
-        if not symbolic.equal(quotient):
-            raise TruthLemmaFailure(
-                f"quotient disagrees with the frame semantics on {sub}"
-            )
+    subs = subformulas(f)
+    symbolic = [truth_region(sub, val) for sub in subs]
+    grid, owner = refined._owner_on(AtomGrid.for_regions(val.dim, symbolic).cuts)
+    for sub, region in zip(subs, symbolic):
+        quotient = np.isin(owner, sorted(mc_finite(qf, sub)))
+        if not np.array_equal(quotient, grid.region_bool(region).ravel()):
+            raise TruthLemmaFailure(f"quotient disagrees with the frame semantics on {sub}")
     truth = truth_region(f, val)
     return FiltrationReport(
         dim=val.dim,
@@ -291,7 +215,7 @@ def filtration_pipeline(f: Formula, val: Valuation) -> FiltrationReport:
         edge_count=len(qf.edges),
         truth=truth.normalize(),
         globally_true=truth.equal(full(val.dim)),
-        subformula_count=len(subformulas(f)),
+        subformula_count=len(subs),
         trace=trace,
     )
 
@@ -371,24 +295,22 @@ def generate_subalgebra(
         raise TooManyAtoms(
             f"{atoms.size} atoms would give 2**{atoms.size} elements; raise max_atoms to allow"
         )
-    grid = AtomGrid.for_regions(dim, (*atoms.cells, *generators))
-    owner = np.full(grid.size, -1, dtype=np.int32)
-    for i, cell in enumerate(atoms.cells):
-        owner[grid.region_bool(cell).ravel()] = i
-    sizes = np.bincount(owner[owner >= 0], minlength=atoms.size)
+    grid, owner = atoms._owner_on(AtomGrid.for_regions(dim, generators).cuts)
 
-    def decompose(r: Region, what: str) -> frozenset[int]:
-        flat = grid.region_bool(r).ravel()
-        cov = np.bincount(owner[flat & (owner >= 0)], minlength=atoms.size)
-        if ((cov > 0) & (cov < sizes)).any():
+    def decompose(flat: np.ndarray, what: str) -> frozenset[int]:
+        partial, whole = cover(owner, flat, atoms.size)
+        if partial.size:
             raise RuntimeError(f"{what} is not a union of atoms")
-        if int(cov.sum()) != int(np.count_nonzero(flat)):
+        if (flat & (owner < 0)).any():
             raise RuntimeError(f"{what} leaks outside the atom partition")
-        return frozenset(int(i) for i in np.flatnonzero(cov == sizes))
+        return frozenset(int(i) for i in whole)
 
-    generator_atoms = tuple(decompose(g, f"generator {k}") for k, g in enumerate(generators))
+    generator_atoms = tuple(
+        decompose(grid.region_bool(g).ravel(), f"generator {k}") for k, g in enumerate(generators)
+    )
     down_atoms = tuple(
-        decompose(cell.downset(order), f"downset of atom {j}")
-        for j, cell in enumerate(atoms.cells)
+        decompose(bit_column(bits, k), f"downset of atom {j}")
+        for block, bits, _, _ in grid.sees(owner, owner, atoms.size, order)
+        for k, j in enumerate(block)
     )
     return SubalgebraResult(order, atoms, generator_atoms, down_atoms, trace)

@@ -13,7 +13,11 @@ The checkers decide, exactly:
   coordinates never shrinks when moving up along the componentwise order.
 
 Both checks run on the finite atom quotient of the partition (see
-``atomgrid``), which is exact for box-union regions.
+``atomgrid``), which is exact for box-union regions.  A partition builds its
+owner array (the cell of every atom) once, the only place cells become atom
+labels; consumers needing the cuts of a valuation, generators or another
+partition too move it onto the joint grid with ``AtomGrid.regrid``.  Which
+cells see which is one ``AtomGrid.sees`` pass, in blocks of bounded size.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import AtomGrid
+from .atomgrid import AtomGrid, bit_column, first_bit
 from .region import (
     DimensionMismatch,
     OrderKind,
@@ -72,12 +76,11 @@ class Partition:
             owner[self._grid.region_bool(cell).ravel()] = i
         return owner
 
-    @cached_property
-    def _sizes(self) -> np.ndarray:
-        return np.bincount(self._owner[self._owner >= 0], minlength=self.size)
-
-    def _downset_flat(self, j: int, order: OrderKind) -> np.ndarray:
-        return self._grid.region_bool(self.cells[j].downset(order)).ravel()
+    def _owner_on(self, cuts: Sequence[Iterable[int]]) -> tuple[AtomGrid, np.ndarray]:
+        """The grid joining this partition's cuts with ``cuts``, and the owner array on it."""
+        joint = [sorted(set(a).union(b)) for a, b in zip(self._grid.cuts, cuts)]
+        grid, (owner,) = self._grid.regrid(joint, [self._owner.reshape(self._grid.shape)])
+        return grid, owner.ravel()
 
     # -- serialization ----------------------------------------------------------
 
@@ -125,26 +128,20 @@ def make_partition(carrier: Region, cells: Sequence[Region]) -> Partition:
             raise PartitionError("empty_cell", f"cell {i} is empty", witness=c)
     grid = AtomGrid.for_regions(dim, (carrier, *cells))
     claimed = np.zeros(grid.size, dtype=bool)
-    flats = []
     for i, c in enumerate(cells):
         flat = grid.region_bool(c).ravel()
-        overlap = flat & claimed
-        if overlap.any():
-            witness = grid.region_of_bool(overlap.reshape(grid.shape))
-            raise PartitionError(
-                "overlap", f"cell {i} overlaps an earlier cell", witness=witness
-            )
+        if (flat & claimed).any():
+            witness = grid.region_of_bool((flat & claimed).reshape(grid.shape))
+            raise PartitionError("overlap", f"cell {i} overlaps an earlier cell", witness=witness)
         claimed |= flat
-        flats.append(flat)
     car = grid.region_bool(carrier).ravel()
-    excess = claimed & ~car
-    if excess.any():
-        witness = grid.region_of_bool(excess.reshape(grid.shape))
-        raise PartitionError("excess", "cells extend beyond the carrier", witness=witness)
-    gap = car & ~claimed
-    if gap.any():
-        witness = grid.region_of_bool(gap.reshape(grid.shape))
-        raise PartitionError("gap", "cells do not cover the carrier", witness=witness)
+    for kind, message, wrong in (
+        ("excess", "cells extend beyond the carrier", claimed & ~car),
+        ("gap", "cells do not cover the carrier", car & ~claimed),
+    ):
+        if wrong.any():
+            witness = grid.region_of_bool(wrong.reshape(grid.shape))
+            raise PartitionError(kind, message, witness=witness)
     return Partition._trusted(dim, carrier, cells)
 
 
@@ -208,15 +205,12 @@ def refines(fine: Partition, coarse: Partition) -> bool:
         raise DimensionMismatch("partition dimensions differ")
     if not fine.carrier.equal(coarse.carrier):
         raise PartitionError("carrier_mismatch", "partitions have different carriers")
-    grid = AtomGrid.for_regions(fine.dim, (*fine.cells, *coarse.cells))
-    owner = np.full(grid.size, -1, dtype=np.int32)
-    for j, cell in enumerate(coarse.cells):
-        owner[grid.region_bool(cell).ravel()] = j
-    for cell in fine.cells:
-        owners = np.unique(owner[grid.region_bool(cell).ravel()])
-        if owners.size != 1 or owners[0] < 0:
-            return False
-    return True
+    grid, owner = fine._owner_on(coarse._grid.cuts)
+    _, coarse_owner = coarse._owner_on(grid.cuts)
+    owned = owner >= 0
+    # One key per (fine cell, coarse cell) pair that shares an atom.
+    pairs = owner[owned].astype(np.int64) * (coarse.size + 1) + coarse_owner[owned]
+    return np.unique(pairs).size == fine.size and bool((coarse_owner[owned] >= 0).all())
 
 
 def cell_of(p: Partition, point: Point) -> int:
@@ -268,31 +262,38 @@ class MonotoneViolation:
         }
 
 
+def cover(owner: np.ndarray, flat: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of an owner array that a flat atom set holds in part, and those it holds whole."""
+    owned = owner >= 0
+    held = np.bincount(owner[flat & owned], minlength=count)
+    sizes = np.bincount(owner[owned], minlength=count)
+    return np.flatnonzero((held > 0) & (held < sizes)), np.flatnonzero(held == sizes)
+
+
+def _earlier(
+    best: Optional[tuple], block: range, rows: np.ndarray, bits: np.ndarray
+) -> Optional[tuple]:
+    """The earlier of ``best`` and the first pair (source, target, target's downset) in ``rows``."""
+    pair = first_bit(rows)
+    if pair is None or (best is not None and (pair[0], block[pair[1]]) >= best[:2]):
+        return best
+    return pair[0], block[pair[1]], bit_column(bits, pair[1])
+
+
 def tuned_violation(p: Partition, order: OrderKind) -> Optional[TunedViolation]:
     """First violating (source, target) pair in index order, or None if tuned.
 
     The witness is the least point of the source cell that sees no point of
     the target cell.
     """
-    grid = p._grid
-    owner = p._owner
-    owned = owner >= 0
-    sizes = p._sizes
-    best: Optional[tuple[int, int]] = None
-    for j in range(p.size):
-        down = p._downset_flat(j, order)
-        cov = np.bincount(owner[down & owned], minlength=p.size)
-        bad = np.flatnonzero((cov > 0) & (cov < sizes))
-        for i in bad:
-            pair = (int(i), j)
-            if best is None or pair < best:
-                best = pair
+    grid, owner = p._grid, p._owner
+    best = None
+    for block, bits, meets, within in grid.sees(owner, owner, p.size, order):
+        best = _earlier(best, block, meets & ~within, bits)
     if best is None:
         return None
-    i, j = best
-    down = p._downset_flat(j, order)
-    violating = (owner == i) & ~down
-    witness = grid.first_point(violating)
+    i, j, down = best
+    witness = grid.first_point((owner == i) & ~down)
     assert witness is not None
     return TunedViolation(i, j, witness)
 
@@ -308,31 +309,33 @@ def monotone_violation(p: Partition) -> Optional[MonotoneViolation]:
     with a componentwise-related point pair, the varying coordinates of the
     lower cell must be a subset of those of the upper cell.
     """
-    grid = p._grid
-    owner = p._owner
-    owned = owner >= 0
-    for i, cell in enumerate(p.cells):
-        hull = grid.region_bool(cell.hull()).ravel()
-        down = p._downset_flat(i, OrderKind.REFLEXIVE)
-        missing = hull & ~down
-        if missing.any():
-            witness = grid.first_point(missing)
+    grid, owner = p._grid, p._owner
+    varying = [cell.varying_coords() for cell in p.cells]
+    varies = np.array([[c in v for v in varying] for c in range(p.dim)])  # axis x cell
+    # The top atom of a cell's hull: the cell's own atom on its constant
+    # coordinates, the last atom on the others.  The hull lies below it, so
+    # the hull is in the cell's downset exactly when that atom is.
+    own = np.unravel_index(np.unique(owner, return_index=True)[1][-p.size :], grid.shape)
+    last = np.array(grid.shape)[:, None] - 1
+    tops = np.ravel_multi_index(np.where(varies, last, own), grid.shape)
+    masks = (1 << np.arange(p.dim)) @ varies
+    best = None
+    for block, bits, meets, _ in grid.sees(owner, owner, p.size, OrderKind.REFLEXIVE):
+        k = np.arange(len(block))
+        missing = np.flatnonzero((bits[tops[block], k >> 3] >> (k & 7)) & 1 == 0)
+        if missing.size:
+            k = int(missing[0])
+            hull = grid.region_bool(p.cells[block[k]].hull()).ravel()
+            witness = grid.first_point(hull & ~bit_column(bits, k))
             assert witness is not None
-            return MonotoneViolation("hull", i, None, witness)
-    varying = [p.cells[i].varying_coords() for i in range(p.size)]
-    best: Optional[tuple[int, int]] = None
-    for j in range(p.size):
-        down = p._downset_flat(j, OrderKind.REFLEXIVE)
-        sources = np.unique(owner[down & owned])
-        for i in sources:
-            if varying[int(i)] - varying[j]:
-                pair = (int(i), j)
-                if best is None or pair < best:
-                    best = pair
+            return MonotoneViolation("hull", block[k], None, witness)
+        # Source i must not see target j when i varies where j does not.
+        kinds, kind_of = np.unique(masks, return_inverse=True)
+        wider = np.packbits((kinds[:, None] & ~masks[None, block]) != 0, axis=1, bitorder="little")
+        best = _earlier(best, block, meets & wider[kind_of], bits)
     if best is None:
         return None
-    i, j = best
-    down = p._downset_flat(j, OrderKind.REFLEXIVE)
+    i, j, down = best
     witness = grid.first_point((owner == i) & down)
     assert witness is not None
     return MonotoneViolation("varying", i, j, witness)

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import MAX_ATOMS, AtomGrid
+from .atomgrid import MAX_ATOMS, AtomGrid, unpack
 from .partition import (
     Partition,
     PartitionError,
@@ -165,20 +165,18 @@ def cofinal_threshold(p: Partition) -> int:
                 raise RuntimeError("cell with an unbounded box cannot be non-cofinal")
             bound = max(bound, 1 + min(finite_his))
     k0 = bound
-    # The closed form above is checked against the defining property.
-    quadrant = upper_quadrant(n, k0)
-    for cell in p.cells:
-        if not cell.intersect(quadrant).is_empty():
-            if not cell.is_cofinal_in_space():
-                raise RuntimeError("threshold check failed: non-cofinal cell meets the quadrant")
-    if k0 > 0:
-        prev = upper_quadrant(n, k0 - 1)
-        ok = any(
-            not cell.intersect(prev).is_empty() and not cell.is_cofinal_in_space()
-            for cell in p.cells
+
+    def meets_non_cofinal(k: int) -> bool:
+        quadrant = upper_quadrant(n, k)
+        return any(
+            not c.intersect(quadrant).is_empty() and not c.is_cofinal_in_space() for c in p.cells
         )
-        if not ok:
-            raise RuntimeError("threshold is not minimal")
+
+    # The closed form above is checked against the defining property.
+    if meets_non_cofinal(k0):
+        raise RuntimeError("threshold check failed: non-cofinal cell meets the quadrant")
+    if k0 > 0 and not meets_non_cofinal(k0 - 1):
+        raise RuntimeError("threshold is not minimal")
     return k0
 
 
@@ -206,18 +204,6 @@ def _face_index(grid: AtomGrid, coords: tuple[int, ...], s: int) -> tuple:
         bisect.bisect_left(c, s) if i in coords else slice(bisect.bisect_left(c, s + 1), None)
         for i, c in enumerate(grid.cuts)
     )
-
-
-def _regrid(
-    grid: AtomGrid, cuts: Sequence[Sequence[int]], arrays: list[np.ndarray]
-) -> tuple[AtomGrid, list[np.ndarray]]:
-    """The same labellings over a grid with more cuts on some axes."""
-    fine = AtomGrid(grid.dim, cuts)
-    for axis, (old, new) in enumerate(zip(grid.cuts, fine.cuts)):
-        if len(old) != len(new):
-            index = [bisect.bisect_right(old, c) - 1 for c in new]
-            arrays = [np.take(a, index, axis=axis) for a in arrays]
-    return fine, arrays
 
 
 def _compress(grid: AtomGrid, labels: np.ndarray) -> tuple[AtomGrid, np.ndarray]:
@@ -299,8 +285,8 @@ class _Cells:
                 cuts[i] = sorted(need.union(cuts[i]))
                 grown = True
         if grown:
-            self.grid, (self.labels, self.coarse) = _regrid(
-                self.grid, cuts, [self.labels, self.coarse]
+            self.grid, (self.labels, self.coarse) = self.grid.regrid(
+                cuts, [self.labels, self.coarse]
             )
         face = _face_index(self.grid, coords, s)
         index = []  # the sub-atom under each face atom, per free axis
@@ -409,7 +395,7 @@ def _grow(
         raise RuntimeError("restriction to the quadrant lost cofinality")
     _require_atoms((k0 + 1) ** m)
     cuts = [sorted(set(c).union(range(k0 + 1))) for c in grid.cuts]
-    grid, (coarse,) = _regrid(grid, cuts, [coarse])
+    grid, (coarse,) = grid.regrid(cuts, [coarse])
     labels = np.full(grid.shape, -1, dtype=np.int32)
     labels[_quadrant_index(grid, k0)] = 0
     cells = _Cells(grid, labels, 1, {0: quadrant}, coarse, hold_lines)
@@ -457,9 +443,9 @@ def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
         raise PartitionError("not_monotone", "inner partition is not monotone")
     if not refines(inner, restrict(coarse, upper_quadrant(coarse.dim, 1))):
         raise PartitionError("not_refining", "inner partition does not refine the restriction")
-    cuts = [sorted({0, 1}.union(a, b)) for a, b in zip(coarse._grid.cuts, inner._grid.cuts)]
-    grid, (outer,) = _regrid(coarse._grid, cuts, [coarse._owner.reshape(coarse._grid.shape)])
-    _, (labels,) = _regrid(inner._grid, cuts, [inner._owner.reshape(inner._grid.shape)])
+    grid, outer = coarse._owner_on([{0, 1}.union(c) for c in inner._grid.cuts])
+    _, labels = inner._owner_on(grid.cuts)
+    labels, outer = labels.reshape(grid.shape), outer.reshape(grid.shape)
     cells = _Cells(grid, labels, inner.size, dict(enumerate(inner.cells)), outer, hold_lines=True)
     _extend_core(cells, 0)
     return Partition._trusted(coarse.dim, full(coarse.dim), cells.to_regions())
@@ -596,20 +582,11 @@ def _pair_tables(
     pg: Partition, ph: Partition, order: OrderKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """Premise and inclusion tables between the cells of two fiber partitions."""
-    grid = AtomGrid.for_regions(pg.dim, (*pg.cells, *ph.cells))
-    owner = np.full(grid.size, -1, dtype=np.int32)
-    for i, cell in enumerate(pg.cells):
-        owner[grid.region_bool(cell).ravel()] = i
-    sizes = np.bincount(owner[owner >= 0], minlength=pg.size)
-    premise = np.zeros((pg.size, ph.size), dtype=bool)
-    included = np.zeros((pg.size, ph.size), dtype=bool)
-    owned = owner >= 0
-    for j, cell in enumerate(ph.cells):
-        down = grid.region_bool(cell.downset(order)).ravel()
-        cov = np.bincount(owner[down & owned], minlength=pg.size)
-        premise[:, j] = cov > 0
-        included[:, j] = cov == sizes
-    return premise, included
+    grid, source = pg._owner_on(ph._grid.cuts)
+    _, target = ph._owner_on(grid.cuts)
+    blocks = list(grid.sees(source, target, ph.size, order))
+    meets, within = (np.concatenate([b[k] for b in blocks], axis=1) for k in (2, 3))
+    return unpack(meets, ph.size), unpack(within, ph.size)
 
 
 def product_tuned_violation(

@@ -1,14 +1,21 @@
-"""Record the golden outputs of the monotone refiner.
+"""Record the golden outputs of the refiner, the checkers and the quotients.
 
     python3 tests/record_refine_golden.py
 
 Writes ``tests/data/refine_golden.json``: for every case its input and the
 sha256 of the JSON that ``boxmodal refine`` writes for it (the
 ``{"partition", "trace"}`` object), or, for ``extend`` cases, of the
-partition that ``extend_from_quadrant`` returns.  ``test_refine_golden.py``
-requires byte equality with these digests, so run this only at a commit
-whose refiner output is the reference: a change that keeps every output
-byte-identical passes unchanged.
+partition that ``extend_from_quadrant`` returns.  The command kinds
+(``check-tuned``, ``check-monotone``, ``quotient``, ``subalgebra``,
+``product`` and ``mc``) digest the exit code and the JSON that the CLI
+command of that name writes; ``product`` cases also digest the violation
+that ``product_tuned_violation`` finds on the unrefined input.  Each
+command case records its outcome (for example ``hull`` or ``not_tuned``),
+so the test can check that failing inputs are covered.
+
+``test_refine_golden.py`` requires byte equality with these digests, so
+run this only at a commit whose output is the reference: a change that
+keeps every output byte-identical passes unchanged.
 """
 from __future__ import annotations
 
@@ -25,13 +32,16 @@ sys.path.insert(0, str(HERE))
 
 from boxmodal import (  # noqa: E402
     Box,
+    FiberedPartition,
     Interval,
+    OrderKind,
     Partition,
     Region,
     extend_from_quadrant,
     full,
     induced,
     make_partition,
+    product_tuned_violation,
     refine_monotone,
     restrict,
     upper_quadrant,
@@ -43,8 +53,11 @@ from genutil import (  # noqa: E402
     probe_long_line,
     probe_split_axes,
     probe_split_face,
+    random_fibered,
+    random_formula,
     random_partition,
     random_region,
+    random_valuation,
 )
 
 GOLDEN = HERE / "data" / "refine_golden.json"
@@ -71,6 +84,40 @@ def extend_digest(case: dict) -> str:
     inner = Partition.from_json(case["inner"])
     out = extend_from_quadrant(coarse, inner)
     return digest_text(json.dumps(out.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def command_digest(kind: str, case: dict, workdir: str) -> tuple[str, str]:
+    """sha256 of the exit code and the JSON a CLI command writes, and its outcome.
+
+    ``case`` holds the input files by flag name under ``files`` and the
+    other flags under ``args``.
+    """
+    argv = [kind]
+    for flag, obj in sorted(case["files"].items()):
+        path = Path(workdir) / f"{flag}.json"
+        path.write_text(json.dumps(obj))
+        argv += [f"--{flag}", str(path)]
+    for flag, value in sorted(case.get("args", {}).items()):
+        argv += [f"--{flag}", value]
+    out = Path(workdir) / "out.json"
+    out.unlink(missing_ok=True)
+    code = main(argv + ["--out", str(out)])
+    text = out.read_text(encoding="utf-8") if out.exists() else ""
+    payload = json.loads(text) if text else {}
+    if kind == "product":
+        fp = FiberedPartition.from_json(case["files"]["partition"])
+        violation = product_tuned_violation(fp, OrderKind.from_json(case["args"]["order"]))
+        text += json.dumps(violation.to_json() if violation else None, sort_keys=True)
+        outcome = "violation" if violation else "tuned"
+    elif kind == "check-tuned":
+        outcome = "tuned" if payload["tuned"] else "violation"
+    elif kind == "check-monotone":
+        outcome = payload["violation"]["kind"] if payload["violation"] else "monotone"
+    elif kind == "quotient":
+        outcome = payload.get("error", "ok")
+    else:
+        outcome = "ok" if code == 0 else f"exit {code}"
+    return digest_text(f"exit {code}\n{text}"), outcome
 
 
 def square(n: int, c: int) -> Partition:
@@ -142,6 +189,70 @@ def extend_inputs() -> list[tuple[str, dict]]:
     return out
 
 
+def strips(rng: random.Random, n: int) -> Partition:
+    """Membership classes of a few lines and slabs: often cofinal in their hulls."""
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        axis = rng.randrange(n)
+        lo = rng.randint(0, 3)
+        hi = lo if rng.random() < 0.6 else rng.randint(lo, 4)
+        ivs = [Interval(0, None)] * n
+        ivs[axis] = Interval(lo, hi)
+        family.append(Region(n, (Box(tuple(ivs)),)))
+    return induced(full(n), family)
+
+
+def command_inputs() -> list[tuple[str, str, dict]]:
+    """Seeded inputs for every CLI command that reads a checker or a quotient."""
+    rng = random.Random(20261019)
+    out: list[tuple[str, str, dict]] = []
+    partitions = []
+    for n in (1, 2, 3):
+        for i in range(8):
+            p = random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4))
+            partitions.append((f"random_n{n}_{i}", p))
+        for i in range(4):
+            partitions.append((f"strips_n{n}_{i}", strips(rng, n)))
+        for i in range(2):
+            p = random_partition(rng, n, rng.randint(2, 4), rng.randint(1, 3 if n < 3 else 2))
+            partitions.append((f"refined_n{n}_{i}", refine_monotone(p)[0]))
+    for name, p in partitions:
+        for order in ("le", "lt"):
+            case = {"files": {"partition": p.to_json()}, "args": {"order": order}}
+            out.append(("check-tuned", f"{name}_{order}", case))
+        out.append(("check-monotone", name, {"files": {"partition": p.to_json()}}))
+    names = ["p", "q"]
+    for n in (1, 2, 3):
+        for i in range(4):
+            order = (OrderKind.REFLEXIVE, OrderKind.STRICT)[i % 2]
+            val = random_valuation(rng, n, names[: 1 + i % 2], 3 if n < 3 else 2, order)
+            refined = refine_monotone(induced(full(n), list(val.vars.values())))[0]
+            other = random_valuation(rng, n, ["p"], 3, order)
+            raw = random_partition(rng, n, rng.randint(2, 5), 3)
+            for tag, p in (("refined", refined), ("raw", raw)):
+                case = {"files": {"partition": p.to_json(), "valuation": val.to_json()}}
+                out.append(("quotient", f"{tag}_n{n}_{i}", case))
+            case = {"files": {"partition": refined.to_json(), "valuation": other.to_json()}}
+            out.append(("quotient", f"other_n{n}_{i}", case))
+            formula = str(random_formula(rng, names[: 1 + i % 2], 3))
+            case = {"files": {"valuation": val.to_json()}, "args": {"formula": formula}}
+            out.append(("mc", f"n{n}_{i}", case))
+    for n in (1, 2):
+        for i in range(6):
+            gens = [random_region(rng, n, 3, 2) for _ in range(rng.randint(1, 2))]
+            case = {
+                "files": {"generators": {"dim": n, "regions": [g.to_json() for g in gens]}},
+                "args": {"order": ("le", "lt")[i % 2]},
+            }
+            out.append(("subalgebra", f"n{n}_{i}", case))
+    for n in (1, 2):
+        for i in range(6):
+            fp = random_fibered(rng, n, 2 + i % 2)
+            case = {"files": {"partition": fp.to_json()}, "args": {"order": ("le", "lt")[i % 2]}}
+            out.append(("product", f"n{n}_{i}", case))
+    return out
+
+
 def main_record() -> int:
     cases = []
     with tempfile.TemporaryDirectory() as work:
@@ -149,6 +260,10 @@ def main_record() -> int:
             obj = p.to_json()
             digest = refine_digest(obj, work)
             cases.append({"name": name, "kind": "refine", "input": obj, "sha256": digest})
+        for kind, name, obj in command_inputs():
+            digest, outcome = command_digest(kind, obj, work)
+            case = {"name": f"{kind}_{name}", "kind": kind, "input": obj}
+            cases.append({**case, "sha256": digest, "outcome": outcome})
     for name, obj in extend_inputs():
         cases.append({"name": name, "kind": "extend", "input": obj, "sha256": extend_digest(obj)})
     GOLDEN.parent.mkdir(exist_ok=True)

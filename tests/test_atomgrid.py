@@ -1,14 +1,41 @@
 """The finite atom quotient must reproduce regions exactly."""
 from __future__ import annotations
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxmodal import OrderKind, Region, box, full, point_region, region, upper_quadrant
-from boxmodal.atomgrid import AtomGrid
+from boxmodal import (
+    OrderKind,
+    Partition,
+    Region,
+    Valuation,
+    box,
+    full,
+    generate_subalgebra,
+    induced,
+    make_partition,
+    monotone_violation,
+    point_region,
+    quotient_frame,
+    refine_monotone,
+    region,
+    tuned_violation,
+    upper_quadrant,
+)
+from boxmodal import atomgrid
+from boxmodal.atomgrid import AtomGrid, unpack
+from boxmodal.oracle import grid_downset
+from boxmodal.refine import _pair_tables
 
+from genutil import random_partition, random_region
 from test_region import regions
+
+LE = OrderKind.REFLEXIVE
 
 
 def test_roundtrip_simple():
@@ -70,3 +97,89 @@ def test_boolean_ops_on_grid_match(a, b):
     assert grid.region_of_bool(fa & ~fb).equal(a.difference(b))
     car = grid.region_bool(full(2))
     assert grid.region_of_bool(car & ~fa).equal(a.complement())
+
+
+# -- the seeing relation ------------------------------------------------------------
+
+
+def _blocks(grid, sources, targets, count, order):
+    """``sees`` with the blocks joined: per-atom bits, meets and within as booleans."""
+    blocks = list(grid.sees(sources, targets, count, order))
+    joined = [np.concatenate([b[k] for b in blocks], axis=1) for k in (1, 2, 3)]
+    return [unpack(rows, count) for rows in joined]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**30),
+    st.integers(1, 3),
+    st.sampled_from(list(OrderKind)),
+    st.lists(st.integers(0, 9), max_size=4),
+    st.booleans(),
+)
+def test_sees_is_every_cell_downset(seed, n, order, extra, refined):
+    rng = random.Random(seed)
+    p = random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4 if n < 3 else 3))
+    if refined:
+        p = refine_monotone(p)[0]
+    for cuts in (p._grid.cuts, [extra] * n):
+        grid, owner = p._owner_on(cuts)
+        bits, meets, within = _blocks(grid, owner, owner, p.size, order)
+        sizes = np.bincount(owner, minlength=p.size)
+        bound = 3
+        points = list(itertools.product(range(bound + 1), repeat=n))
+        atoms = [np.ravel_multi_index(grid.point_atom(u), grid.shape) for u in points]
+        for j, cell in enumerate(p.cells):
+            down = grid.region_bool(cell.downset(order)).ravel()
+            assert np.array_equal(bits[:, j], down)
+            cover = np.bincount(owner[down], minlength=p.size)
+            assert np.array_equal(meets[:, j], cover > 0)
+            assert np.array_equal(within[:, j], cover == sizes)
+            seen = grid_downset(cell, order, bound)
+            assert {u for u, a in zip(points, atoms) if bits[a, j]} == seen
+
+
+def _merged(p: Partition, a: int, b: int) -> Partition:
+    """The partition with cells a and b made one."""
+    rest = [c for k, c in enumerate(p.cells) if k not in (a, b)]
+    return make_partition(p.carrier, rest + [p.cells[a].union(p.cells[b])])
+
+
+def test_small_block_budget_changes_nothing(monkeypatch):
+    square = region(box((0, 3), (0, 3)))
+    fine = refine_monotone(make_partition(full(2), [square, square.complement()]))[0]
+    rng = random.Random(11)
+    cases = [fine, refine_monotone(random_partition(rng, 3, 6, 2))[0]]
+    cases += [_merged(fine, a, b) for a, b in itertools.combinations(range(8, fine.size), 2)]
+
+    def results(p: Partition) -> list:
+        out: list = [tuned_violation(p, order) for order in OrderKind]
+        out.append(monotone_violation(p))
+        for order in OrderKind:
+            joined = _blocks(p._grid, p._owner, p._owner, p.size, order)
+            out.append([rows.tolist() for rows in joined])
+        return out
+
+    def readers() -> list:
+        """Quotient edges, product tables and subalgebra downsets, which span blocks too."""
+        out: list = []
+        for order in OrderKind:
+            out.append(sorted(quotient_frame(fine, order, Valuation(2, order)).edges))
+            out.append([t.tolist() for t in _pair_tables(cases[5], fine, order)])
+            out.append(generate_subalgebra([point_region(1, 1)], order).down_atoms)
+        return out
+
+    whole = [results(p) for p in cases]
+    read = readers()
+    monkeypatch.setattr(atomgrid, "SEES_BYTES", 1)  # eight target cells per block
+    assert [results(p) for p in cases] == whole
+    assert readers() == read
+    assert generate_subalgebra([point_region(1, 1)], LE).atom_count > 8
+    # Violations past the first block occur for every check and kind.
+    late = set()
+    for r in whole:
+        for check, v in enumerate(r[:3]):
+            if v is not None:
+                pair = (v.source, v.target) if check < 2 else (v.cell, v.other or 0)
+                late.add((check, getattr(v, "kind", None), max(pair) >= 8))
+    assert {(0, None, True), (1, None, True), (2, "hull", True), (2, "varying", True)} <= late

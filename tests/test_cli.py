@@ -196,6 +196,32 @@ class TestOracle:
         code, _ = run(capsys, "oracle", "--bound", "3")
         assert code == 2
 
+    def test_negative_bound_with_formula_is_usage_error(self, capsys, valuation_file):
+        code = main(["oracle", "--formula", "p", "--valuation", valuation_file, "--bound", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--bound" in captured.err
+
+    def test_negative_bound_with_generators_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"dim": 2, "regions": [point_region(1, 1).to_json()]}))
+        code = main(["oracle", "--generators", str(path), "--bound", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--bound" in captured.err
+
+    def test_generators_agreement(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"dim": 2, "regions": [point_region(1, 1).to_json()]}))
+        for order in ("le", "lt"):
+            argv = ["oracle", "--generators", str(path), "--order", order, "--bound", "3"]
+            code, payload = run(capsys, *argv)
+            assert code == 0
+            assert payload["agree"] is True
+            assert payload["cases"] == [{"kind": "downset", "region": 0, "diffs": []}]
+
 
 class TestGen:
     def test_deterministic(self, capsys):

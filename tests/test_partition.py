@@ -194,6 +194,19 @@ class TestRefines:
             p = random_partition(rng, 2, 3, 4)
             assert refines(induced(full(2), list(p.cells)), p)
 
+    def test_matches_cellwise_inclusion(self):
+        rng = random.Random(12)
+        seen = set()
+        for i in range(60):
+            n = 1 + i % 3
+            a = random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4))
+            b = random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4))
+            for fine, coarse in ((a, b), (b, a), (induced(full(n), [*a.cells, *b.cells]), a)):
+                expected = all(any(f.subset(c) for c in coarse.cells) for f in fine.cells)
+                assert refines(fine, coarse) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestCellOf:
     def test_examples(self):
