@@ -121,6 +121,13 @@ class AtomGrid:
         boxes = [Box(ivs) for ivs in self._collect(np.ascontiguousarray(arr), 0, origin)]
         return Region(self.dim, tuple(boxes))
 
+    def box_region(self, lo: Sequence[int], hi: Sequence[int]) -> Region:
+        """The box of atoms lo..hi-1 per axis; ``region_of_bool`` of that block gives the same."""
+        ivs = []
+        for cuts, a, b in zip(self.cuts, lo, hi):
+            ivs.append(Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA))
+        return Region(self.dim, (Box(tuple(ivs)),))
+
     def _collect(
         self, arr: np.ndarray, coord: int, origin: tuple[int, ...]
     ) -> list[tuple[Interval, ...]]:

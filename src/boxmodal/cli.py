@@ -10,6 +10,7 @@ import argparse
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .formulas import parse_formula
@@ -43,8 +44,60 @@ from .region import OrderKind, Region
 from .viz import render_partition_svg
 
 
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+class _Unsupported(Exception):
+    """A value ``_text`` leaves to ``json.dumps``."""
+
+
+def _text(value: object, newline: str) -> str:
+    """Indent-2, sorted-key JSON text of ``value``; ``newline`` ends in its indent."""
+    kind = type(value)
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = []
+        for v in value:
+            scalar = _SCALARS.get(type(v))
+            items.append(_text(v, inner) if scalar is None else scalar(v))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        items = []
+        for k in sorted(value):
+            v = value[k]
+            scalar = _SCALARS.get(type(v))
+            text = _text(v, inner) if scalar is None else scalar(v)
+            items.append(encode_basestring_ascii(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind not in _SCALARS:
+        raise _Unsupported
+    return _SCALARS[kind](value)
+
+
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, written directly where it can be.
+
+    The standard encoder falls back to pure Python whenever it indents.
+    This writer covers dicts with str keys, lists, tuples, str, int, bool and
+    None; any other value sends the whole document to ``json.dumps``.
+    """
+    try:
+        return _text(obj, "\n")
+    except _Unsupported:
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _dump(obj: object, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _json_text(obj) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

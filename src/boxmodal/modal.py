@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import AtomGrid, bit_column, unpack
+from .atomgrid import AtomGrid, bit_column
 from .formulas import Formula, evaluate, subformulas, variables
 from .partition import Partition, TunedViolation, cover, induced, tuned_violation
 from .refine import RefinementTrace, refine_monotone
@@ -122,7 +122,8 @@ def quotient_frame(p: Partition, order: OrderKind, val: Valuation) -> QuotientFr
     World i reaches world j when some point of cell i sees a point of
     cell j; tunedness upgrades that to all points of cell i.
     """
-    violation = tuned_violation(p, order)
+    edges: set[tuple[int, int]] = set()
+    violation = tuned_violation(p, order, edges)
     if violation is not None:
         raise NotTuned(violation)
     grid, owner = p._owner_on(AtomGrid.for_regions(p.dim, val.vars.values()).cuts)
@@ -133,9 +134,6 @@ def quotient_frame(p: Partition, order: OrderKind, val: Valuation) -> QuotientFr
             i = int(partial[0])
             raise NotCompatible(name, i, p.cells[i].intersect(val.vars[name]))
         val_map[name] = frozenset(int(i) for i in whole)
-    edges = set()
-    for block, _, meets, _ in p._grid.sees(p._owner, p._owner, p.size, order):
-        edges.update((int(i), block[j]) for i, j in np.argwhere(unpack(meets, len(block))))
     return QuotientFrame(p.dim, order, tuple(p.cells), frozenset(edges), val_map)
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import AtomGrid, bit_column, first_bit
+from .atomgrid import AtomGrid, bit_column, first_bit, unpack
 from .region import (
     DimensionMismatch,
     OrderKind,
@@ -193,10 +193,46 @@ def induced(
     return Partition._trusted(carrier.dim, carrier, cells)
 
 
+# Largest span of a mixed-radix row key in ``_classes``.
+_KEY_SPAN = 1 << 62
+
+
 def _classes(rows: np.ndarray) -> np.ndarray:
-    """Class index of every row: equal rows share one, numbered from 0."""
-    _, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return inverse.reshape(-1)
+    """Class index of every row: equal rows share one, numbered from 0 in lexicographic order.
+
+    Rows are int (labels from -1 up, below 2^31) or bool.  Each row becomes
+    one int64 key in mixed radix, column by column, so that one 1-D
+    ``np.unique`` numbers them; key order is lexicographic row order.  Where
+    the key would span more than ``_KEY_SPAN``, the key of the columns so far
+    is replaced by its rank first.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if not rows.size:
+        return np.zeros(len(rows), dtype=np.intp)
+    digits = rows - rows.min(axis=0)
+    spans = (digits.max(axis=0) + 1).tolist()
+    key = np.zeros(len(rows), dtype=np.int64)
+    width = 1
+    start = 0
+    for stop, span in enumerate(spans):
+        if width * span > _KEY_SPAN:
+            key = _rank(_extend_key(key, digits[:, start:stop], spans[start:stop]))
+            width, start = int(key.max()) + 1, stop
+        width *= span
+    return _rank(_extend_key(key, digits[:, start:], spans[start:]))
+
+
+def _rank(key: np.ndarray) -> np.ndarray:
+    """Index of every key among the distinct keys in ascending order."""
+    return np.unique(key, return_inverse=True)[1].reshape(-1)
+
+
+def _extend_key(key: np.ndarray, digits: np.ndarray, spans: list[int]) -> np.ndarray:
+    """``key`` followed by the mixed-radix digits of further columns with the given spans."""
+    weights = [1]
+    for span in reversed(spans):
+        weights.append(weights[-1] * span)
+    return key * weights[-1] + digits @ np.array(weights[-2::-1], dtype=np.int64)
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:
@@ -280,16 +316,21 @@ def _earlier(
     return pair[0], block[pair[1]], bit_column(bits, pair[1])
 
 
-def tuned_violation(p: Partition, order: OrderKind) -> Optional[TunedViolation]:
+def tuned_violation(
+    p: Partition, order: OrderKind, edges: Optional[set[tuple[int, int]]] = None
+) -> Optional[TunedViolation]:
     """First violating (source, target) pair in index order, or None if tuned.
 
     The witness is the least point of the source cell that sees no point of
-    the target cell.
+    the target cell.  The same pass adds to ``edges``, when given, every
+    pair (i, j) such that some point of cell i sees a point of cell j.
     """
     grid, owner = p._grid, p._owner
     best = None
     for block, bits, meets, within in grid.sees(owner, owner, p.size, order):
         best = _earlier(best, block, meets & ~within, bits)
+        if edges is not None:
+            edges.update((int(i), block[j]) for i, j in np.argwhere(unpack(meets, len(block))))
     if best is None:
         return None
     i, j, down = best

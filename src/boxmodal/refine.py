@@ -29,6 +29,12 @@ labels.  Regions are built once, at the end, in the canonical form of
 form that ``Region.intersect`` gives it.  A call whose grid would exceed
 ``MAX_ATOMS`` raises ValueError before allocating it.
 
+Lower-dimensional faces repeat: within one top-level call, a sub-problem
+of dimension 2 or more (its compressed grid, labels and cell count) is
+refined once, through every check, and later faces reuse that result.  The
+memo is local to the call, so it holds at most the distinct face
+sub-problems of one refinement.
+
 A trace records the threshold, the per-layer face work, and recursive
 subtraces; identical inputs yield identical traces and outputs.
 """
@@ -309,6 +315,10 @@ class _Cells:
         at = np.unravel_index(where, labels.shape)
         lows = [np.minimum.reduceat(a, starts) for a in at]
         highs = [np.maximum.reduceat(a, starts) + 1 for a in at]
+        # A cell filling its bounding window of atoms is that one box.
+        filled = np.diff(np.r_[starts, ordered.size]) == reduce(
+            np.multiply, [b - a for a, b in zip(lows, highs)], 1
+        )
         regions = []
         for k, start in enumerate(starts):
             label = int(ordered[start])
@@ -316,11 +326,19 @@ class _Cells:
                 regions.append(self.kept[label])
                 continue
             lo = [int(a[k]) for a in lows]
-            window = labels[tuple(slice(a, int(b[k])) for a, b in zip(lo, highs))] == label
+            hi = [int(b[k]) for b in highs]
+            if filled[k]:
+                regions.append(grid.box_region(lo, hi))
+                continue
+            window = labels[tuple(slice(a, b) for a, b in zip(lo, hi))] == label
             regions.append(grid.region_of_bool(window, lo))
         for coords, sub in self.lines:
             regions += [cell.translate(1).insert_coords(coords, 0) for cell in sub.to_regions()]
         return regions
+
+
+# Refined sub-problems of one top-level call, by (cuts, int64 label bytes, count).
+_Memo = dict[tuple, tuple[_Cells, RefinementTrace]]
 
 
 def _face_profiles(
@@ -346,7 +364,7 @@ def _face_profiles(
     return np.column_stack([coarse.reshape(-1), rows[:, first:]])
 
 
-def _extend_core(cells: _Cells, s: int) -> tuple[FaceStep, ...]:
+def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
     """Extend a monotone partition of [s+1, w)^n to [s, w)^n.
 
     ``cells`` covers [s+1, w)^n and refines its ``coarse`` partition there.
@@ -368,10 +386,11 @@ def _extend_core(cells: _Cells, s: int) -> tuple[FaceStep, ...]:
                 face_grid = AtomGrid(n - size, face_cuts)
                 classes = induced(face_grid, _face_profiles(cells, coords, face, coarse))
                 atom_count = int(classes.max()) + 1
-                sub, subtrace = _refine_atoms(*_compress(face_grid, classes), atom_count)
+                sub, subtrace = _refine_atoms(*_compress(face_grid, classes), atom_count, memo)
             else:  # a single point: one class
                 atom_count = 1
-                sub, subtrace = _refine_atoms(AtomGrid(0, []), np.zeros((), dtype=np.int32), 1)
+                point = np.zeros((), dtype=np.int32)
+                sub, subtrace = _refine_atoms(AtomGrid(0, []), point, 1, memo)
             cells.place(coords, s, sub)
             built[coords] = sub.count
             faces.append(FaceStep(coords, family_size, atom_count, sub.count, subtrace))
@@ -384,6 +403,7 @@ def _grow(
     count: int,
     k0: int,
     quadrant: Region,
+    memo: _Memo,
     hold_lines: bool = False,
 ) -> tuple[_Cells, RefinementTrace]:
     """Refine a labelled partition from its quadrant cell outward, one layer per level.
@@ -399,7 +419,10 @@ def _grow(
     labels = np.full(grid.shape, -1, dtype=np.int32)
     labels[_quadrant_index(grid, k0)] = 0
     cells = _Cells(grid, labels, 1, {0: quadrant}, coarse, hold_lines)
-    steps = tuple(LevelStep(level, _extend_core(cells, level - 1)) for level in range(k0, 0, -1))
+    steps = tuple(
+        LevelStep(level, _extend_core(cells, level - 1, memo)) for level in range(k0, 0, -1)
+    )
+    cells.coarse = None  # the memo keeps only what ``place`` reads
     trace = RefinementTrace(m, k0, count, cells.count, steps)
     # Structural bounds on the run: one extension step per quadrant layer,
     # one face per nonempty coordinate set, recursion no deeper than m.
@@ -410,9 +433,14 @@ def _grow(
 
 
 def _refine_atoms(
-    grid: AtomGrid, labels: np.ndarray, count: int
+    grid: AtomGrid, labels: np.ndarray, count: int, memo: _Memo
 ) -> tuple[_Cells, RefinementTrace]:
-    """``refine_monotone`` of a labelled partition of the full grid into ``count`` cells."""
+    """``refine_monotone`` of a labelled partition of the full grid into ``count`` cells.
+
+    ``labels`` carries no cut across which no cell changes (see ``_compress``),
+    so equal sub-problems have equal keys.  From dimension 2 on, the result is
+    looked up in ``memo`` and stored there; callers only read it.
+    """
     m = grid.dim
     if m == 0:
         return _Cells(grid, labels, 1), RefinementTrace(0, None, 1, 1, ())
@@ -425,11 +453,18 @@ def _refine_atoms(
         _require_atoms(k0 + 2)
         line = _Cells(AtomGrid(1, [range(k0 + 2)]), np.arange(k0 + 2, dtype=np.int32), k0 + 2)
         return line, RefinementTrace(1, k0, count, k0 + 2, ())
+    key = (grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)
+    if key in memo:
+        return memo[key]
     k0 = _atom_threshold(grid, labels)
     if not k0:
-        return _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
-    cofinal = grid.region_of_bool(labels == labels[(-1,) * m])
-    return _grow(grid, labels, count, k0, cofinal.intersect(upper_quadrant(m, k0)))
+        result = _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
+    else:
+        cofinal = grid.region_of_bool(labels == labels[(-1,) * m])
+        quadrant = cofinal.intersect(upper_quadrant(m, k0))
+        result = _grow(grid, labels, count, k0, quadrant, memo)
+    memo[key] = result
+    return result
 
 
 def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
@@ -447,7 +482,7 @@ def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
     _, labels = inner._owner_on(grid.cuts)
     labels, outer = labels.reshape(grid.shape), outer.reshape(grid.shape)
     cells = _Cells(grid, labels, inner.size, dict(enumerate(inner.cells)), outer, hold_lines=True)
-    _extend_core(cells, 0)
+    _extend_core(cells, 0, {})
     return Partition._trusted(coarse.dim, full(coarse.dim), cells.to_regions())
 
 
@@ -465,7 +500,7 @@ def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
         return p, RefinementTrace(n, 0, p.size, p.size, ())
     grid, labels = _compress(p._grid, p._owner.reshape(p._grid.shape))
     quadrant = p.cells[labels[(-1,) * n]].intersect(upper_quadrant(n, k0))
-    cells, trace = _grow(grid, labels, p.size, k0, quadrant, hold_lines=True)
+    cells, trace = _grow(grid, labels, p.size, k0, quadrant, {}, hold_lines=True)
     return Partition._trusted(n, full(n), cells.to_regions()), trace
 
 

@@ -73,6 +73,17 @@ def test_first_point_is_lexmin():
     assert grid.first_point(np.zeros(grid.size, dtype=bool)) is None
 
 
+def test_box_region_is_region_of_bool_of_the_block():
+    grid = AtomGrid(2, [[0, 1, 3, 4], [0, 2, 5]])
+    for lo in itertools.product(range(4), range(3)):
+        for hi in itertools.product(*[range(a + 1, s + 1) for a, s in zip(lo, grid.shape)]):
+            block = np.zeros(grid.shape, dtype=bool)
+            block[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+            assert grid.box_region(lo, hi) == grid.region_of_bool(block)
+            window = block[tuple(slice(a, None) for a in lo)]
+            assert grid.box_region(lo, hi) == grid.region_of_bool(window, lo)
+
+
 def test_dim_zero():
     grid = AtomGrid.for_regions(0, [Region(0, ())])
     one = Region(0, (box(),))

@@ -5,9 +5,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxmodal import Partition, full, make_partition, point_region
-from boxmodal.cli import main
+from boxmodal.cli import _dump, _json_text, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -299,3 +301,49 @@ class TestDeterminism:
         assert main(["refine", "--partition", origin_partition_file, "--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# Quotes, backslashes, control characters and non-ASCII need escapes.
+ESCAPED = st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+TEXT = st.text(st.one_of(st.characters(), ESCAPED))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**80), 2**80), TEXT
+)
+# Floats and non-str keys are left to json.dumps, for the whole document.
+FALLBACK = st.one_of(
+    st.floats(allow_nan=False),
+    st.dictionaries(st.integers(), SCALARS, min_size=1, max_size=3),
+)
+
+
+def documents(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.tuples(inner, inner),
+            st.dictionaries(TEXT, inner, max_size=5),
+        ),
+        max_leaves=30,
+    )
+
+
+class TestJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(documents(SCALARS))
+    def test_matches_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(documents(st.one_of(SCALARS, FALLBACK)))
+    def test_matches_json_dumps_with_fallback_values(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_dump_writes_the_json_dumps_text(self, tmp_path):
+        cases = [
+            {}, [], [[]], {"a": {}}, [{}, [], [[1, None]]], {"b": [True], "a": -1}, 1.5, {1: "x"}
+        ]
+        for obj in cases:
+            _dump(obj, str(tmp_path / "out.json"))
+            expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+            assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected

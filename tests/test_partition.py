@@ -4,7 +4,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxmodal import (
     OMEGA,
@@ -28,6 +31,7 @@ from boxmodal import (
     upper_quadrant,
 )
 
+from boxmodal.partition import _classes
 from genutil import random_partition
 
 LE = OrderKind.REFLEXIVE
@@ -163,6 +167,36 @@ class TestInduced:
             other = induced(full(2), fam)
             assert other.size == base.size
             assert all(a.equal(b) for a, b in zip(other.cells, base.cells))
+
+
+@st.composite
+def label_rows(draw):
+    """Int rows as face profiles hold them: cell labels from -1 up."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.one_of(st.just(1), st.integers(1, 8), st.integers(40, 70)))
+    top = draw(st.sampled_from([0, 1, 2, 5, 2**31 - 1]))
+    values = st.integers(-1, top)
+    # Few distinct rows, so that repeats occur.
+    row = st.lists(values, min_size=cols, max_size=cols)
+    distinct = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=rows, max_size=rows))
+    return np.array([distinct[k] for k in picks], dtype=np.int32)
+
+
+class TestClasses:
+    @settings(max_examples=150, deadline=None)
+    @given(label_rows())
+    def test_matches_numpy_unique_rows(self, rows):
+        # Wide columns take the key past 2^62, so its prefix is re-ranked.
+        expected = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+        assert _classes(rows).tolist() == expected.tolist()
+        flags = rows > 0
+        expected = np.unique(flags, axis=0, return_inverse=True)[1].reshape(-1)
+        assert _classes(flags).tolist() == expected.tolist()
+
+    def test_rerank_keeps_lexicographic_order(self):
+        rows = np.array([[2] * 60 + [0], [0] * 60 + [1], [2] * 60 + [-1], [0] * 61], dtype=np.int32)
+        assert _classes(rows).tolist() == [3, 1, 2, 0]
 
 
 class TestRefines:

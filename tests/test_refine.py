@@ -31,6 +31,7 @@ from boxmodal import (
     upper_quadrant,
 )
 
+import boxmodal.refine
 from boxmodal.atomgrid import MAX_ATOMS
 from boxmodal.cli import main
 from boxmodal.refine import _atom_threshold, _compress
@@ -236,6 +237,44 @@ class TestRefine:
         p = make_partition(upper_quadrant(2, 1), [upper_quadrant(2, 1)])
         with pytest.raises(PartitionError):
             refine_monotone(p)
+
+
+def _subtraces(trace):
+    yield trace
+    for step in trace.steps:
+        for face in step.faces:
+            yield from _subtraces(face.sub)
+
+
+class TestSubProblemMemo:
+    """Equal face sub-problems are refined once per top-level call."""
+
+    def test_memo_hits_within_a_call_only(self, monkeypatch, tmp_path):
+        calls = []
+        extend = boxmodal.refine._extend_core
+
+        def spy(cells, s, memo):
+            calls.append(s)
+            return extend(cells, s, memo)
+
+        monkeypatch.setattr(boxmodal.refine, "_extend_core", spy)
+        p = square(3, 6)
+        counts, texts = [], []
+        for _ in range(2):
+            calls.clear()
+            _, trace = refine_monotone(p)
+            counts.append(len(calls))
+            texts.append(json.dumps(trace.to_json(), sort_keys=True))
+        # A memo hit hands back the stored trace object, so the distinct
+        # subtraces are the sub-problems refined; refining every face anew
+        # would make one call per extension step of the whole trace.
+        every = sum(len(t.steps) for t in _subtraces(trace))
+        distinct = {id(t): t for t in _subtraces(trace)}.values()
+        assert counts[0] == counts[1] == sum(len(t.steps) for t in distinct)
+        assert (counts[0], every) == (21, 51)
+        assert texts[0] == texts[1]
+        golden = TestGridSizing.golden["square_n3_c6"]["sha256"]
+        assert refine_digest(p.to_json(), str(tmp_path)) == golden
 
 
 class TestGridSizing:
