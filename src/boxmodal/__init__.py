@@ -97,7 +97,6 @@ from .region import (
     OrderKind,
     Point,
     Region,
-    boundary_face,
     box,
     empty_region,
     full,

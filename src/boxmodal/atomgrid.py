@@ -20,6 +20,7 @@ the target atom also holds the next atom along that axis.  The bitset of
 from __future__ import annotations
 
 import bisect
+from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -127,6 +128,38 @@ class AtomGrid:
         for cuts, a, b in zip(self.cuts, lo, hi):
             ivs.append(Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA))
         return Region(self.dim, (Box(tuple(ivs)),))
+
+    def regions(self, labels: np.ndarray) -> dict[int, Region]:
+        """Every label of an int array in this grid's shape as its Region of atoms.
+
+        Atoms labelled -1 belong to no Region.  Each Region is the canonical
+        form of ``region_of_bool``, read from the label's bounding window of
+        atoms; a label that fills its window is that one box.
+        """
+        flat = labels.ravel()
+        where = np.flatnonzero(flat >= 0)
+        if not where.size:
+            return {}
+        where = where[np.argsort(flat[where], kind="stable")]
+        ordered = flat[where]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        at = np.unravel_index(where, self.shape)
+        lows = [np.minimum.reduceat(a, starts) for a in at]
+        highs = [np.maximum.reduceat(a, starts) + 1 for a in at]
+        filled = np.diff(np.r_[starts, ordered.size]) == reduce(
+            np.multiply, [b - a for a, b in zip(lows, highs)], 1
+        )
+        out = {}
+        for k, start in enumerate(starts):
+            label = int(ordered[start])
+            lo = [int(a[k]) for a in lows]
+            hi = [int(b[k]) for b in highs]
+            if filled[k]:
+                out[label] = self.box_region(lo, hi)
+            else:
+                window = labels[tuple(slice(a, b) for a, b in zip(lo, hi))] == label
+                out[label] = self.region_of_bool(window, lo)
+        return out
 
     def _collect(
         self, arr: np.ndarray, coord: int, origin: tuple[int, ...]

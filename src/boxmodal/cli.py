@@ -111,6 +111,8 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_partition(path: str) -> Partition:

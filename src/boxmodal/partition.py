@@ -184,12 +184,9 @@ def induced(
     car = grid.region_bool(carrier).ravel()
     idx = np.flatnonzero(car)
     profiles = np.stack([grid.region_bool(f).ravel()[idx] for f in family])
-    inverse = _classes(profiles.T)
-    cells = []
-    for label in range(int(inverse.max()) + 1):
-        flat = np.zeros(grid.size, dtype=bool)
-        flat[idx[inverse == label]] = True
-        cells.append(grid.region_of_bool(flat.reshape(grid.shape)))
+    labels = np.full(grid.size, -1, dtype=np.intp)
+    labels[idx] = _classes(profiles.T)
+    cells = grid.regions(labels.reshape(grid.shape)).values()
     return Partition._trusted(carrier.dim, carrier, cells)
 
 

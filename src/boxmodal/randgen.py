@@ -7,12 +7,14 @@ number of cells with a random surjective assignment.
 """
 from __future__ import annotations
 
-import itertools
 import random
+from math import prod
+
+import numpy as np
 
 from .atomgrid import AtomGrid
 from .partition import Partition
-from .region import OMEGA, Box, Interval, Region, full
+from .region import full
 
 
 class InfeasibleParameters(ValueError):
@@ -28,30 +30,21 @@ def gen_random(n: int, cells: int, max_const: int, seed: int) -> Partition:
         raise InfeasibleParameters(f"max constant must be in 0..8, got {max_const}")
     rng = random.Random(seed)
     pool = list(range(1, max(1, max_const) + 1))
-    pieces_per_coord: list[list[Interval]] = []
+    cuts = []  # the lower bounds of each coordinate's pieces
     for _ in range(n):
         count = rng.randint(0, min(3, len(pool)))
-        thresholds = sorted(rng.sample(pool, count))
-        stops = [0] + thresholds
-        pieces = [
-            Interval(stops[i], stops[i + 1] - 1) for i in range(len(stops) - 1)
-        ]
-        pieces.append(Interval(stops[-1], OMEGA))
-        pieces_per_coord.append(pieces)
-    atoms = [Box(ivs) for ivs in itertools.product(*pieces_per_coord)]
-    if len(atoms) < cells:
+        cuts.append([0] + sorted(rng.sample(pool, count)))
+    atoms = prod(len(c) for c in cuts)
+    if atoms < cells:
         raise InfeasibleParameters(
-            f"only {len(atoms)} atoms available for {cells} cells"
+            f"only {atoms} atoms available for {cells} cells"
         )
-    group = [0] * len(atoms)
-    order = rng.sample(range(len(atoms)), len(atoms))
+    group = [0] * atoms
+    order = rng.sample(range(atoms), atoms)
     for g, atom_idx in enumerate(order[:cells]):
         group[atom_idx] = g
     for atom_idx in order[cells:]:
         group[atom_idx] = rng.randrange(cells)
-    grid = AtomGrid.for_regions(n, [Region(n, (a,)) for a in atoms])
-    regions = []
-    for g in range(cells):
-        member = Region(n, tuple(a for a, gg in zip(atoms, group) if gg == g))
-        regions.append(grid.region_of_bool(grid.region_bool(member)))
-    return Partition._trusted(n, full(n), regions)
+    grid = AtomGrid(n, cuts)
+    regions = grid.regions(np.array(group).reshape(grid.shape))
+    return Partition._trusted(n, full(n), regions.values())

@@ -24,10 +24,10 @@ result needs it.  A face is an index slice of that array.  The shadows of
 the built cells on a face are the sets of labels along the fibers above
 it, and ``partition.induced`` groups the face's atoms into membership
 classes.  A face's sub-problem goes down, and its result comes back, as
-labels.  Regions are built once, at the end, in the canonical form of
-``AtomGrid.region_of_bool``; only each call's quadrant cell keeps the box
-form that ``Region.intersect`` gives it.  A call whose grid would exceed
-``MAX_ATOMS`` raises ValueError before allocating it.
+labels.  Regions are built once, at the end, by ``AtomGrid.regions``, the
+one way from labels back to Regions; only each call's quadrant cell keeps
+the box form that ``Region.intersect`` gives it.  A call whose grid would
+exceed ``MAX_ATOMS`` raises ValueError before allocating it.
 
 Lower-dimensional faces repeat: within one top-level call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
@@ -158,7 +158,11 @@ def refine_monotone_1d(p: Partition) -> Partition:
 
 
 def cofinal_threshold(p: Partition) -> int:
-    """Least k such that every cell meeting [k, w)^n is cofinal in the grid."""
+    """Least k such that every cell meeting [k, w)^n is cofinal in the grid.
+
+    The refiner reads the same k from atom labels (``_atom_threshold``); this
+    Region form is the reference that one is tested against.
+    """
     _require_full_carrier(p)
     n = p.dim
     bound = 0
@@ -256,8 +260,8 @@ class _Cells:
 
     Cells are numbered 0..count-1, and -1 marks atoms no cell covers yet.
     A cell in ``kept`` keeps that Region's box form when the partition
-    becomes Regions; every other cell takes the canonical form of
-    ``AtomGrid.region_of_bool``.  While the partition grows, ``coarse``
+    becomes Regions; every other cell takes the canonical form that
+    ``AtomGrid.regions`` gives it.  While the partition grows, ``coarse``
     labels the input partition on the same grid, and ``lines`` holds the
     faces that ``place`` keeps off the grid, with their coordinates.
     """
@@ -306,32 +310,10 @@ class _Cells:
 
     def to_regions(self) -> list[Region]:
         """Every cell as a Region: kept ones as given, the others canonical."""
-        grid, labels = self.grid, self.labels
-        flat = labels.ravel()
-        where = np.flatnonzero(flat >= 0)
-        where = where[np.argsort(flat[where], kind="stable")]
-        ordered = flat[where]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        at = np.unravel_index(where, labels.shape)
-        lows = [np.minimum.reduceat(a, starts) for a in at]
-        highs = [np.maximum.reduceat(a, starts) + 1 for a in at]
-        # A cell filling its bounding window of atoms is that one box.
-        filled = np.diff(np.r_[starts, ordered.size]) == reduce(
-            np.multiply, [b - a for a, b in zip(lows, highs)], 1
-        )
-        regions = []
-        for k, start in enumerate(starts):
-            label = int(ordered[start])
-            if label in self.kept:
-                regions.append(self.kept[label])
-                continue
-            lo = [int(a[k]) for a in lows]
-            hi = [int(b[k]) for b in highs]
-            if filled[k]:
-                regions.append(grid.box_region(lo, hi))
-                continue
-            window = labels[tuple(slice(a, b) for a, b in zip(lo, hi))] == label
-            regions.append(grid.region_of_bool(window, lo))
+        labels = self.labels
+        if self.kept:
+            labels = np.where(np.isin(labels, list(self.kept)), -1, labels)
+        regions = [*self.grid.regions(labels).values(), *self.kept.values()]
         for coords, sub in self.lines:
             regions += [cell.translate(1).insert_coords(coords, 0) for cell in sub.to_regions()]
         return regions
@@ -460,7 +442,7 @@ def _refine_atoms(
     if not k0:
         result = _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
     else:
-        cofinal = grid.region_of_bool(labels == labels[(-1,) * m])
+        cofinal = grid.regions(np.where(labels == labels[(-1,) * m], 0, -1))[0]
         quadrant = cofinal.intersect(upper_quadrant(m, k0))
         result = _grow(grid, labels, count, k0, quadrant, memo)
     memo[key] = result
@@ -495,10 +477,10 @@ def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
     if n == 1:
         refined, k0 = _refine_line(p)
         return refined, RefinementTrace(1, k0, p.size, refined.size, ())
-    k0 = cofinal_threshold(p)
+    grid, labels = _compress(p._grid, p._owner.reshape(p._grid.shape))
+    k0 = _atom_threshold(grid, labels)
     if not k0:
         return p, RefinementTrace(n, 0, p.size, p.size, ())
-    grid, labels = _compress(p._grid, p._owner.reshape(p._grid.shape))
     quadrant = p.cells[labels[(-1,) * n]].intersect(upper_quadrant(n, k0))
     cells, trace = _grow(grid, labels, p.size, k0, quadrant, {}, hold_lines=True)
     return Partition._trusted(n, full(n), cells.to_regions()), trace

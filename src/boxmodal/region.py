@@ -3,8 +3,10 @@
 A Region is a finite union of axis-aligned boxes; each box is a product of
 integer intervals [lo, hi] where hi may be OMEGA (unbounded above).  This
 class of sets is closed under union, intersection, complement, downward
-closure along both product orders, coordinate projection and pinning, and
-translation, which is everything the partition machinery needs.
+closure along both product orders, hulls, translation and the insertion of
+constant coordinates.  The partition machinery needs the Boolean operations
+and downsets; the refiner works on atom labels (see ``atomgrid``) and uses
+translation and insertion only to put cells kept as Regions back in place.
 
 All values are immutable; every operation is a pure function of its inputs.
 The representation is not canonical: semantic equality is decided by mutual
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 # Upper extent marker: an interval with hi == OMEGA is unbounded above.
 OMEGA: Optional[int] = None
@@ -156,20 +158,16 @@ class Box:
         return "x".join(repr(iv) for iv in self.intervals)
 
 
-def _prune(boxes: Iterable[Box]) -> tuple[Box, ...]:
+def _prune(boxes: Sequence[Box]) -> tuple[Box, ...]:
     """Drop duplicate boxes and boxes covered by a single other box."""
-    uniq: list[Box] = []
-    seen = set()
-    for b in boxes:
-        if b not in seen:
-            seen.add(b)
-            uniq.append(b)
-    kept = [
+    if len(boxes) < 2:
+        return tuple(boxes)
+    uniq = list(dict.fromkeys(boxes))
+    return tuple(
         b
         for i, b in enumerate(uniq)
         if not any(j != i and uniq[j].covers(b) for j in range(len(uniq)))
-    ]
-    return tuple(kept)
+    )
 
 
 def _box_difference(d: Box, b: Box) -> list[Box]:
@@ -289,22 +287,11 @@ class Region:
                 out.append(Box(tuple(ivs)))
         return Region(self.dim, _prune(out))
 
-    def is_cofinal_in(self, target: "Region") -> bool:
-        """Every point of target lies below some point of this region."""
-        return target.subset(self.downset(OrderKind.REFLEXIVE))
-
     def is_cofinal_in_space(self) -> bool:
-        return self.is_cofinal_in(full(self.dim))
-
-    def is_cofinal_in_hull(self) -> bool:
-        return self.is_cofinal_in(self.hull())
+        """Every point of the grid lies below some point of this region."""
+        return full(self.dim).subset(self.downset(OrderKind.REFLEXIVE))
 
     # -- coordinate analysis -------------------------------------------------
-
-    def proj(self, coord: int) -> "Region":
-        """Exact image of the region on one coordinate, as a 1-dimensional region."""
-        self._check_coord(coord)
-        return Region(1, _prune(Box((b.intervals[coord],)) for b in self.boxes))
 
     def varying_coords(self) -> frozenset[int]:
         """Coordinates on which the region takes at least two values."""
@@ -318,9 +305,6 @@ class Region:
             elif len({iv.lo for iv in ivs}) > 1:
                 out.add(i)
         return frozenset(out)
-
-    def constant_coords(self) -> frozenset[int]:
-        return frozenset(range(self.dim)) - self.varying_coords()
 
     def hull(self) -> "Region":
         """The box pinning each constant coordinate and freeing the rest."""
@@ -361,32 +345,6 @@ class Region:
             tuple(Box(tuple(iv.shifted(delta) for iv in b.intervals)) for b in self.boxes),
         )
 
-    def pin_coords(self, coords: Iterable[int], value: int) -> "Region":
-        """Image under the map sending every listed coordinate to the given value."""
-        pins = self._coord_set(coords)
-        _check_nat(value, "pinned value")
-        out = []
-        for b in self.boxes:
-            ivs = tuple(
-                Interval(value, value) if i in pins else iv
-                for i, iv in enumerate(b.intervals)
-            )
-            out.append(Box(ivs))
-        return Region(self.dim, _prune(out))
-
-    def drop_coords(self, coords: Iterable[int]) -> "Region":
-        """Remove coordinates that are constant across the region."""
-        drops = self._coord_set(coords)
-        for i in sorted(drops):
-            vals = {b.intervals[i] for b in self.boxes}
-            if any(iv.hi is OMEGA or iv.hi != iv.lo for iv in vals) or len(vals) > 1:
-                raise ValueError(f"coordinate {i} is not constant; cannot drop it")
-        out = tuple(
-            Box(tuple(iv for i, iv in enumerate(b.intervals) if i not in drops))
-            for b in self.boxes
-        )
-        return Region(self.dim - len(drops), out)
-
     def insert_coords(self, coords: Iterable[int], value: int) -> "Region":
         """Insert constant coordinates; positions refer to the result's indexing."""
         _check_nat(value, "inserted value")
@@ -402,16 +360,6 @@ class Region:
             )
             out.append(Box(ivs))
         return Region(new_dim, tuple(out))
-
-    def _check_coord(self, i: int) -> None:
-        if not 0 <= i < self.dim:
-            raise ValueError(f"coordinate {i} out of range for dimension {self.dim}")
-
-    def _coord_set(self, coords: Iterable[int]) -> frozenset[int]:
-        s = frozenset(coords)
-        for i in s:
-            self._check_coord(i)
-        return s
 
     # -- serialization ---------------------------------------------------------
 
@@ -493,15 +441,3 @@ def upper_quadrant(dim: int, k: int) -> Region:
     _check_nat(k, "quadrant offset")
     return Region(dim, (Box(tuple(Interval(k, OMEGA) for _ in range(dim))),))
 
-
-def boundary_face(dim: int, zero_coords: Iterable[int]) -> Region:
-    """Points whose coordinates are zero exactly on the given nonempty set."""
-    zeros = frozenset(zero_coords)
-    if not zeros:
-        raise ValueError("boundary_face requires a nonempty coordinate set")
-    if any(i < 0 or i >= dim for i in zeros):
-        raise ValueError(f"coordinates {sorted(zeros)} out of range for dimension {dim}")
-    ivs = tuple(
-        Interval(0, 0) if i in zeros else Interval(1, OMEGA) for i in range(dim)
-    )
-    return Region(dim, (Box(ivs),))

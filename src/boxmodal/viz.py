@@ -1,7 +1,8 @@
 """Deterministic SVG rendering of two-dimensional partitions.
 
 The square [0, K]^2 with K = max constant + 2 is drawn as colored unit
-cells; columns and rows that continue unbounded get arrow-annotated bands.
+cells, at most ``MAX_SIDE`` per side; columns and rows that continue
+unbounded get arrow-annotated bands.
 Colors are fixed by cell index, so re-rendering the same partition produces
 identical bytes.
 """
@@ -25,6 +26,8 @@ PALETTE = (
 )
 
 CELL_PX = 26
+# Widest drawing, in unit squares per side (the square holds MAX_SIDE^2).
+MAX_SIDE = 256
 MARGIN = 34
 BAND_GAP = 6
 
@@ -38,6 +41,8 @@ def render_partition_svg(p: Partition) -> str:
         raise ValueError(f"only dimension 2 can be drawn, got dimension {p.dim}")
     span = max([p.carrier.max_constant()] + [c.max_constant() for c in p.cells]) + 2
     side = span + 1
+    if side > MAX_SIDE:
+        raise ValueError(f"drawing too wide: {side} squares per side, the limit is {MAX_SIDE}")
     grid_px = side * CELL_PX
     band_px = CELL_PX
     legend_h = 18 * p.size + 12

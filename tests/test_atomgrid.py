@@ -84,6 +84,44 @@ def test_box_region_is_region_of_bool_of_the_block():
             assert grid.box_region(lo, hi) == grid.region_of_bool(window, lo)
 
 
+@st.composite
+def labelled_grids(draw):
+    """A grid of 1-3 axes and labels from -1 up, some painted as blocks that fill their window."""
+    n = draw(st.integers(1, 3))
+    shape = [draw(st.integers(1, 4)) for _ in range(n)]
+    steps = [draw(st.lists(st.integers(1, 3), min_size=s - 1, max_size=s - 1)) for s in shape]
+    grid = AtomGrid(n, [list(itertools.accumulate([0] + d)) for d in steps])
+    size = int(np.prod(shape))
+    flat = draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+    labels = np.array(flat, dtype=np.int32).reshape(shape)
+    for label in range(4, 4 + draw(st.integers(0, 3))):
+        lo = [draw(st.integers(0, s - 1)) for s in shape]
+        hi = [draw(st.integers(a + 1, s)) for a, s in zip(lo, shape)]
+        labels[tuple(slice(a, b) for a, b in zip(lo, hi))] = label
+    return grid, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_grids())
+def test_regions_are_region_of_bool_per_label(case):
+    grid, labels = case
+    out = grid.regions(labels)
+    assert sorted(out) == sorted(set(labels[labels >= 0].tolist()))
+    for label, r in out.items():
+        assert r.boxes == grid.region_of_bool(labels == label).boxes
+
+
+def test_regions_of_filled_unfilled_and_missing_labels():
+    grid = AtomGrid(2, [[0, 1, 3], [0, 2, 5]])
+    labels = np.array([[0, 0, -1], [1, 2, 1], [1, 2, 2]], dtype=np.int32)
+    out = grid.regions(labels)
+    assert out[0] == grid.box_region([0, 0], [1, 2])  # fills its window
+    assert len(out[1].boxes) == 3 and len(out[2].boxes) == 2  # do not
+    for label in range(3):
+        assert out[label].boxes == grid.region_of_bool(labels == label).boxes
+    assert grid.regions(np.full(grid.shape, -1, dtype=np.int32)) == {}
+
+
 def test_dim_zero():
     grid = AtomGrid.for_regions(0, [Region(0, ())])
     one = Region(0, (box(),))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from boxmodal import Partition, full, make_partition, point_region
 from boxmodal.cli import _dump, _json_text, main
+from boxmodal.viz import MAX_SIDE
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,6 +94,24 @@ class TestCheckCommands:
         code, payload = run(capsys, "check-monotone", "--partition", bad_partition_file)
         assert code == 1
         assert payload["violation"]["kind"] == "hull"
+
+
+class TestDeepJson:
+    """JSON nested past the parser's recursion limit is malformed input, not a failed property."""
+
+    @pytest.fixture
+    def deep_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        return str(path)
+
+    def test_check_tuned(self, capsys, deep_file):
+        assert main(["check-tuned", "--partition", deep_file]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_mc(self, capsys, deep_file):
+        assert main(["mc", "--formula", "p", "--valuation", deep_file]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 class TestMc:
@@ -282,6 +302,18 @@ class TestViz:
         rendered = out.read_text()
         pinned = (DATA / "four_cell.svg").read_text()
         assert rendered == pinned
+
+    def test_too_wide_rejected_up_front(self, capsys, tmp_path):
+        far = point_region(10**9, 0)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(make_partition(full(2), [far, far.complement()]).to_json()))
+        out = tmp_path / "far.svg"
+        start = time.perf_counter()
+        code = main(["viz", "--partition", str(path), "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"the limit is {MAX_SIDE}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_cell_svg(self, capsys, tmp_path):
         p = make_partition(full(2), [full(2)])

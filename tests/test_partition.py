@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -31,8 +32,9 @@ from boxmodal import (
     upper_quadrant,
 )
 
+from boxmodal.atomgrid import AtomGrid
 from boxmodal.partition import _classes
-from genutil import random_partition
+from genutil import random_partition, random_region
 
 LE = OrderKind.REFLEXIVE
 LT = OrderKind.STRICT
@@ -167,6 +169,35 @@ class TestInduced:
             other = induced(full(2), fam)
             assert other.size == base.size
             assert all(a.equal(b) for a, b in zip(other.cells, base.cells))
+
+    def test_matches_one_region_of_bool_per_class(self):
+        # The former construction, kept as the reference: one full-grid mask
+        # and one ``region_of_bool`` per membership class.
+        def reference(carrier, family):
+            grid = AtomGrid.for_regions(carrier.dim, (carrier, *family))
+            idx = np.flatnonzero(grid.region_bool(carrier).ravel())
+            rows = np.stack([grid.region_bool(f).ravel()[idx] for f in family]).T
+            inverse = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+            cells = []
+            for label in range(int(inverse.max()) + 1):
+                flat = np.zeros(grid.size, dtype=bool)
+                flat[idx[inverse == label]] = True
+                cells.append(grid.region_of_bool(flat.reshape(grid.shape)))
+            return Partition._trusted(carrier.dim, carrier, cells)
+
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            carrier = random_region(rng, n, 6, 2) if rng.random() < 0.3 else full(n)
+            family = [random_region(rng, n, 6) for _ in range(rng.randint(1, 4))]
+            if carrier.is_empty():
+                continue
+            new, old = induced(carrier, family), reference(carrier, family)
+            assert [c.boxes for c in new.cells] == [c.boxes for c in old.cells]
+            assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+            checked += 1
+        assert checked > 200
 
 
 @st.composite

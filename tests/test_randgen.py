@@ -1,12 +1,42 @@
 """The seeded partition generator: pinned regressions and parameter policy."""
 from __future__ import annotations
 
+import itertools
 import json
+import random
 
 import pytest
 
-from boxmodal import OMEGA, full
+from boxmodal import OMEGA, Box, Interval, Partition, Region, full
+from boxmodal.atomgrid import AtomGrid
 from boxmodal.randgen import InfeasibleParameters, gen_random
+
+
+def reference_gen_random(n: int, cells: int, max_const: int, seed: int) -> Partition:
+    """The former construction: per-group Regions of threshold boxes, canonicalised on a grid."""
+    rng = random.Random(seed)
+    pool = list(range(1, max(1, max_const) + 1))
+    pieces_per_coord = []
+    for _ in range(n):
+        count = rng.randint(0, min(3, len(pool)))
+        stops = [0] + sorted(rng.sample(pool, count))
+        pieces = [Interval(stops[i], stops[i + 1] - 1) for i in range(len(stops) - 1)]
+        pieces_per_coord.append(pieces + [Interval(stops[-1], OMEGA)])
+    atoms = [Box(ivs) for ivs in itertools.product(*pieces_per_coord)]
+    if len(atoms) < cells:
+        raise InfeasibleParameters("too few atoms")
+    group = [0] * len(atoms)
+    order = rng.sample(range(len(atoms)), len(atoms))
+    for g, atom_idx in enumerate(order[:cells]):
+        group[atom_idx] = g
+    for atom_idx in order[cells:]:
+        group[atom_idx] = rng.randrange(cells)
+    grid = AtomGrid.for_regions(n, [Region(n, (a,)) for a in atoms])
+    regions = []
+    for g in range(cells):
+        member = Region(n, tuple(a for a, gg in zip(atoms, group) if gg == g))
+        regions.append(grid.region_of_bool(grid.region_bool(member)))
+    return Partition._trusted(n, full(n), regions)
 
 
 def test_pinned_line_case():
@@ -71,3 +101,20 @@ def test_outputs_are_valid_partitions():
             continue
         # Rebuild through full validation.
         Partition.from_json(p.to_json())
+
+
+def test_matches_the_per_group_construction():
+    built = 0
+    for n, cells, max_const in itertools.product((1, 2, 3), range(1, 9), range(9)):
+        for seed in range(5):
+            try:
+                old = reference_gen_random(n, cells, max_const, seed)
+            except InfeasibleParameters:
+                with pytest.raises(InfeasibleParameters):
+                    gen_random(n, cells, max_const, seed)
+                continue
+            new = gen_random(n, cells, max_const, seed)
+            assert [c.boxes for c in new.cells] == [c.boxes for c in old.cells]
+            assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+            built += 1
+    assert built > 400
