@@ -16,11 +16,12 @@ is exact although a finite atom [l, h] with l < h does not see itself from
 h: h is not a cut, every finite upper bound of a box is, so the box holding
 the target atom also holds the next atom along that axis.  The bitset of
 ``sees`` stays within ``SEES_BYTES``; more targets are processed in blocks.
+Its closure and reductions run on words of up to 8 bytes, and only source
+cells of more than one atom are reduced.
 """
 from __future__ import annotations
 
 import bisect
-from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ from .region import OMEGA, Box, Interval, OrderKind, Point, Region
 MAX_ATOMS = 1 << 22
 # Bytes of the per-atom bitset of one ``sees`` block (32 targets at MAX_ATOMS).
 SEES_BYTES = 4 * MAX_ATOMS
+# The unsigned word of 2**k bytes.
+_WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 class AtomGrid:
@@ -100,14 +103,15 @@ class AtomGrid:
             )
         return a, b
 
+    def box_slices(self, b: Box) -> tuple[slice, ...]:
+        """The atoms of a box as one slice per axis; requires the box to align with the cuts."""
+        return tuple(slice(*self._span(i, iv)) for i, iv in enumerate(b.intervals))
+
     def region_bool(self, r: Region) -> np.ndarray:
         """Boolean array over atoms; requires the region to align with the cuts."""
         arr = np.zeros(self.shape, dtype=bool)
         for b in r.boxes:
-            sel = tuple(
-                slice(*self._span(i, iv)) for i, iv in enumerate(b.intervals)
-            )
-            arr[sel] = True
+            arr[self.box_slices(b)] = True
         return arr
 
     def region_of_bool(self, arr: np.ndarray, origin: Optional[Sequence[int]] = None) -> Region:
@@ -122,43 +126,65 @@ class AtomGrid:
         boxes = [Box(ivs) for ivs in self._collect(np.ascontiguousarray(arr), 0, origin)]
         return Region(self.dim, tuple(boxes))
 
+    def _interval(self, axis: int, a: int, b: int) -> Interval:
+        """The values of atoms a..b-1 on an axis."""
+        cuts = self.cuts[axis]
+        return Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA)
+
     def box_region(self, lo: Sequence[int], hi: Sequence[int]) -> Region:
         """The box of atoms lo..hi-1 per axis; ``region_of_bool`` of that block gives the same."""
-        ivs = []
-        for cuts, a, b in zip(self.cuts, lo, hi):
-            ivs.append(Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA))
-        return Region(self.dim, (Box(tuple(ivs)),))
+        ivs = tuple(self._interval(axis, a, b) for axis, (a, b) in enumerate(zip(lo, hi)))
+        return Region(self.dim, (Box(ivs),))
+
+    def windows(self, flat: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+        """The atoms of every label of a flat int array, grouped: each label's bounding window.
+
+        Atoms labelled -1 are left out.  Returns the labels in ascending
+        order, the number of atoms of each, and per axis (rows) and label
+        (columns) the lowest atom index and one past the highest.
+        """
+        where = (flat >= 0).nonzero()[0]
+        if not where.size:
+            return [], [], np.zeros((self.dim, 0), np.intp), np.zeros((self.dim, 0), np.intp)
+        where = where[flat[where].argsort(kind="stable")]
+        ordered = flat[where]
+        change = np.empty(ordered.size, dtype=bool)
+        change[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+        starts = change.nonzero()[0]
+        at = np.unravel_index(where, self.shape)
+        shape = (self.dim, starts.size)
+        lows = np.array([np.minimum.reduceat(a, starts) for a in at], np.intp).reshape(shape)
+        highs = np.array([np.maximum.reduceat(a, starts) + 1 for a in at], np.intp).reshape(shape)
+        counts = np.diff(starts, append=ordered.size)
+        return ordered[starts].tolist(), counts.tolist(), lows, highs
 
     def regions(self, labels: np.ndarray) -> dict[int, Region]:
         """Every label of an int array in this grid's shape as its Region of atoms.
 
         Atoms labelled -1 belong to no Region.  Each Region is the canonical
         form of ``region_of_bool``, read from the label's bounding window of
-        atoms; a label that fills its window is that one box.
+        atoms; a label that fills its window is that one box.  Boxes share
+        one ``Interval`` per distinct run of atoms on an axis.
         """
-        flat = labels.ravel()
-        where = np.flatnonzero(flat >= 0)
-        if not where.size:
-            return {}
-        where = where[np.argsort(flat[where], kind="stable")]
-        ordered = flat[where]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        at = np.unravel_index(where, self.shape)
-        lows = [np.minimum.reduceat(a, starts) for a in at]
-        highs = [np.maximum.reduceat(a, starts) + 1 for a in at]
-        filled = np.diff(np.r_[starts, ordered.size]) == reduce(
-            np.multiply, [b - a for a, b in zip(lows, highs)], 1
-        )
+        names, counts, lows, highs = self.windows(labels.ravel())
+        volumes = np.prod(highs - lows, axis=0).tolist()
+        made: dict[tuple[int, int, int], Interval] = {}
         out = {}
-        for k, start in enumerate(starts):
-            label = int(ordered[start])
-            lo = [int(a[k]) for a in lows]
-            hi = [int(b[k]) for b in highs]
-            if filled[k]:
-                out[label] = self.box_region(lo, hi)
-            else:
+        for label, count, volume, lo, hi in zip(
+            names, counts, volumes, lows.T.tolist(), highs.T.tolist()
+        ):
+            if count != volume:
                 window = labels[tuple(slice(a, b) for a, b in zip(lo, hi))] == label
                 out[label] = self.region_of_bool(window, lo)
+                continue
+            ivs = []
+            for key in zip(range(self.dim), lo, hi):
+                iv = made.get(key)
+                if iv is None:
+                    iv = made[key] = self._interval(*key)
+                ivs.append(iv)
+            out[label] = Region(self.dim, (Box(tuple(ivs)),))
         return out
 
     def _collect(
@@ -197,6 +223,19 @@ class AtomGrid:
 
     # -- the seeing relation between cells -----------------------------------------
 
+    def downsets(self, cube: np.ndarray, order: OrderKind) -> np.ndarray:
+        """The atoms that see each atom set, for sets stacked along a trailing axis.
+
+        ``cube`` has this grid's shape plus one axis and holds booleans or
+        packed bits; OR acts bit by bit, so both give the same sets.
+        """
+        for axis in range(self.dim):
+            rev = (slice(None),) * axis + (slice(None, None, -1),)  # reversed along the axis
+            cube = np.bitwise_or.accumulate(cube[rev], axis)[rev]
+            if order is OrderKind.STRICT:  # all but the unbounded last atom see strictly above
+                cube[rev[:-1] + (slice(-1),)] = cube[rev[:-1] + (slice(1, None),)]
+        return cube
+
     def sees(
         self, sources: np.ndarray, targets: np.ndarray, count: int, order: OrderKind
     ) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
@@ -208,28 +247,46 @@ class AtomGrid:
         packed little-endian, bit k for target block[k].  ``bits`` has a row
         per atom, its column k the target's downset; ``meets``/``within`` a
         row per source: some atom of it sees the target / every atom does.
+
+        Rows are padded to whole words of up to 8 bytes while the closure
+        and the reductions run, and yielded without the padding.  A source
+        of one atom has that atom's row as its ``meets`` and ``within``; only
+        the sources of several atoms are reduced.
         """
-        by_source = np.argsort(sources, kind="stable")
+        by_source = sources.argsort(kind="stable")
         by_source = by_source[sources[by_source] >= 0]
-        labels = sources[by_source]
-        starts = np.searchsorted(labels, np.arange(labels[-1] + 1))
-        width = 8 * max(1, SEES_BYTES // self.size)
+        sizes = np.bincount(sources[by_source])
+        starts = sizes.cumsum() - sizes
+        several = sizes > 1
+        rows = several.nonzero()[0]  # the sources to reduce
+        mixed = 0 < rows.size < sizes.size
+        if mixed:
+            own = by_source[starts]
+            by_source = by_source[several.repeat(sizes)]
+            starts = sizes[rows].cumsum() - sizes[rows]
+        row = max(1, SEES_BYTES // self.size)
+        word = min(3, row.bit_length() - 1)  # log2 of the widest word of at most 8 bytes that fits
+        width = 8 * (row >> word << word)
         for first in range(0, count, width):
             block = range(first, min(count, first + width))
+            used = (len(block) + 7) // 8
             k = targets - first
             hit = np.flatnonzero((k >= 0) & (k < width))
-            bits = np.zeros((self.size, (len(block) + 7) // 8), dtype=np.uint8)
+            bits = np.zeros((self.size, -(-used >> word) << word), dtype=np.uint8)
             bits[hit, k[hit] >> 3] = np.left_shift(1, k[hit] & 7)
-            cube = bits.reshape(*self.shape, -1)
-            for axis in range(self.dim):
-                rev = (slice(None),) * axis + (slice(None, None, -1),)  # reversed along the axis
-                cube = np.bitwise_or.accumulate(cube[rev], axis)[rev]
-                if order is OrderKind.STRICT:  # all but the unbounded last atom see strictly above
-                    cube[rev[:-1] + (slice(-1),)] = cube[rev[:-1] + (slice(1, None),)]
-            bits = np.ascontiguousarray(cube).reshape(self.size, -1)
-            grouped = bits[by_source]
-            meets = np.bitwise_or.reduceat(grouped, starts)
-            yield block, bits, meets, np.bitwise_and.reduceat(grouped, starts)
+            cube = self.downsets(bits.view(_WORDS[word]).reshape(*self.shape, -1), order)
+            words = np.ascontiguousarray(cube).reshape(self.size, -1)
+            if not rows.size:  # every source is one atom
+                meets = within = words[by_source]
+            else:
+                grouped = words[by_source]
+                meets = np.bitwise_or.reduceat(grouped, starts)
+                within = np.bitwise_and.reduceat(grouped, starts)
+                if mixed:  # the other sources keep their one atom's row
+                    some, every = meets, within
+                    meets, within = words[own], words[own]
+                    meets[rows], within[rows] = some, every
+            yield block, *(a.view(np.uint8)[:, :used] for a in (words, meets, within))
 
 
 def unpack(rows: np.ndarray, count: int) -> np.ndarray:

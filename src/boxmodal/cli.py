@@ -128,7 +128,7 @@ def _load_regions(path: str) -> tuple[int, list[Region]]:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object with 'dim' and 'regions'")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError(f"{path}: field 'dim' must be a positive integer")
     raw = obj.get("regions")
     if not isinstance(raw, list):

@@ -71,7 +71,7 @@ class Valuation:
         if not isinstance(obj, dict):
             raise ValueError("valuation must be a JSON object")
         dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError(f"valuation field 'dim' must be a positive integer, got {dim!r}")
         order = OrderKind.from_json(obj.get("order", "le"))
         raw = obj.get("vars", {})

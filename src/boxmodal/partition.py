@@ -14,10 +14,13 @@ The checkers decide, exactly:
 
 Both checks run on the finite atom quotient of the partition (see
 ``atomgrid``), which is exact for box-union regions.  A partition builds its
-owner array (the cell of every atom) once, the only place cells become atom
-labels; consumers needing the cuts of a valuation, generators or another
-partition too move it onto the joint grid with ``AtomGrid.regrid``.  Which
-cells see which is one ``AtomGrid.sees`` pass, in blocks of bounded size.
+owner array (the cell of every atom) once, by painting each box's slice of
+atoms, the only place cells become atom labels; consumers needing the cuts
+of a valuation, generators or another partition too move it onto the joint
+grid with ``AtomGrid.regrid``.  Which cells see which is one
+``AtomGrid.sees`` pass, in blocks of bounded size.  The monotone check reads
+every cell's varying axes and hull from the owner array and checks hull
+cofinality with one gather before that pass.
 """
 from __future__ import annotations
 
@@ -71,10 +74,11 @@ class Partition:
     @cached_property
     def _owner(self) -> np.ndarray:
         """Flat int32 array mapping each atom to its cell index (-1 outside)."""
-        owner = np.full(self._grid.size, -1, dtype=np.int32)
+        owner = np.full(self._grid.shape, -1, dtype=np.int32)
         for i, cell in enumerate(self.cells):
-            owner[self._grid.region_bool(cell).ravel()] = i
-        return owner
+            for b in cell.boxes:
+                owner[self._grid.box_slices(b)] = i
+        return owner.ravel()
 
     def _owner_on(self, cuts: Sequence[Iterable[int]]) -> tuple[AtomGrid, np.ndarray]:
         """The grid joining this partition's cuts with ``cuts``, and the owner array on it."""
@@ -97,7 +101,7 @@ class Partition:
         if not isinstance(obj, dict):
             raise ValueError("partition must be a JSON object")
         dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError(f"partition field 'dim' must be a positive integer, got {dim!r}")
         raw_carrier = obj.get("carrier", "full")
         carrier = full(dim) if raw_carrier == "full" else Region.from_json(raw_carrier)
@@ -127,21 +131,26 @@ def make_partition(carrier: Region, cells: Sequence[Region]) -> Partition:
         if c.is_empty():
             raise PartitionError("empty_cell", f"cell {i} is empty", witness=c)
     grid = AtomGrid.for_regions(dim, (carrier, *cells))
-    claimed = np.zeros(grid.size, dtype=bool)
+    # Paint cell by cell: a box finding an earlier cell's index overlaps that
+    # cell.  Read unsigned, -1 (no cell yet) is above every index.
+    owner = np.full(grid.shape, -1, dtype=np.int32)
     for i, c in enumerate(cells):
-        flat = grid.region_bool(c).ravel()
-        if (flat & claimed).any():
-            witness = grid.region_of_bool((flat & claimed).reshape(grid.shape))
-            raise PartitionError("overlap", f"cell {i} overlaps an earlier cell", witness=witness)
-        claimed |= flat
-    car = grid.region_bool(carrier).ravel()
+        for b in c.boxes:
+            atoms = owner[grid.box_slices(b)]
+            if i and atoms.view(np.uint32).min() < i:
+                earlier = (owner >= 0) & (owner < i)
+                witness = grid.region_of_bool(grid.region_bool(c) & earlier)
+                message = f"cell {i} overlaps an earlier cell"
+                raise PartitionError("overlap", message, witness=witness)
+            atoms[...] = i
+    claimed = owner >= 0
+    car = grid.region_bool(carrier)
     for kind, message, wrong in (
         ("excess", "cells extend beyond the carrier", claimed & ~car),
         ("gap", "cells do not cover the carrier", car & ~claimed),
     ):
         if wrong.any():
-            witness = grid.region_of_bool(wrong.reshape(grid.shape))
-            raise PartitionError(kind, message, witness=witness)
+            raise PartitionError(kind, message, witness=grid.region_of_bool(wrong))
     return Partition._trusted(dim, carrier, cells)
 
 
@@ -340,35 +349,52 @@ def is_tuned(p: Partition, order: OrderKind) -> bool:
     return tuned_violation(p, order) is None
 
 
+def _hulls(p: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every cell's varying axes and hull, read from the owner array.
+
+    Per axis (rows) and cell (columns): whether the cell varies there, and
+    the hull as a window of atoms, from its first index to one past its
+    last.  A cell varies on an axis where it spans two atoms, or one atom
+    holding more than one value: a wide finite atom or the unbounded last
+    one.  The hull pins the cell's own atom on the other axes.
+    """
+    grid = p._grid
+    _, _, lo, hi = grid.windows(p._owner)  # every cell owns an atom
+    wide = [np.array([b - a > 1 for a, b in zip(c, c[1:])] + [True]) for c in grid.cuts]
+    varies = (hi - lo > 1) | np.array([w[a] for w, a in zip(wide, lo)]).reshape(lo.shape)
+    shape = np.array(grid.shape)[:, None]
+    return varies, np.where(varies, 0, lo), np.where(varies, shape, lo + 1)
+
+
 def monotone_violation(p: Partition) -> Optional[MonotoneViolation]:
     """First violation of the monotonicity conditions, or None.
 
-    Hull cofinality is checked cell by cell first; then, for every cell pair
-    with a componentwise-related point pair, the varying coordinates of the
-    lower cell must be a subset of those of the upper cell.
+    Hull cofinality is checked for every cell first, on the owner array
+    alone; then, for every cell pair with a componentwise-related point
+    pair, the varying coordinates of the lower cell must be a subset of
+    those of the upper cell.
     """
     grid, owner = p._grid, p._owner
-    varying = [cell.varying_coords() for cell in p.cells]
-    varies = np.array([[c in v for v in varying] for c in range(p.dim)])  # axis x cell
-    # The top atom of a cell's hull: the cell's own atom on its constant
-    # coordinates, the last atom on the others.  The hull lies below it, so
-    # the hull is in the cell's downset exactly when that atom is.
-    own = np.unravel_index(np.unique(owner, return_index=True)[1][-p.size :], grid.shape)
-    last = np.array(grid.shape)[:, None] - 1
-    tops = np.ravel_multi_index(np.where(varies, last, own), grid.shape)
+    varies, start, stop = _hulls(p)
+    # The hull lies below its top atom, which is last on every varying axis
+    # and the cell's own atom on the others, so the only atom of the cell it
+    # sees is itself: the hull is in the cell's downset exactly when the
+    # cell owns its top atom.
+    tops = np.ravel_multi_index(stop - 1, grid.shape)
+    missing = np.flatnonzero(owner[tops] != np.arange(p.size))
+    if missing.size:
+        i = int(missing[0])
+        hull = np.zeros(grid.shape, dtype=bool)
+        hull[tuple(slice(a, b) for a, b in zip(start[:, i].tolist(), stop[:, i].tolist()))] = True
+        down = grid.downsets((owner == i).reshape(*grid.shape, 1), OrderKind.REFLEXIVE)
+        witness = grid.first_point(hull.ravel() & ~down.ravel())
+        assert witness is not None
+        return MonotoneViolation("hull", i, None, witness)
+    # Source i must not see target j when i varies where j does not.
     masks = (1 << np.arange(p.dim)) @ varies
+    kinds, kind_of = np.unique(masks, return_inverse=True)
     best = None
     for block, bits, meets, _ in grid.sees(owner, owner, p.size, OrderKind.REFLEXIVE):
-        k = np.arange(len(block))
-        missing = np.flatnonzero((bits[tops[block], k >> 3] >> (k & 7)) & 1 == 0)
-        if missing.size:
-            k = int(missing[0])
-            hull = grid.region_bool(p.cells[block[k]].hull()).ravel()
-            witness = grid.first_point(hull & ~bit_column(bits, k))
-            assert witness is not None
-            return MonotoneViolation("hull", block[k], None, witness)
-        # Source i must not see target j when i varies where j does not.
-        kinds, kind_of = np.unique(masks, return_inverse=True)
         wider = np.packbits((kinds[:, None] & ~masks[None, block]) != 0, axis=1, bitorder="little")
         best = _earlier(best, block, meets & wider[kind_of], bits)
     if best is None:

@@ -364,7 +364,7 @@ class Region:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        norm = self.normalize()
+        norm = self.normalize() if len(self.boxes) > 1 else self
         return {
             "dim": norm.dim,
             "boxes": [
@@ -377,7 +377,7 @@ class Region:
         if not isinstance(obj, dict):
             raise ValueError("region must be a JSON object")
         dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError(f"region field 'dim' must be a positive integer, got {dim!r}")
         raw = obj.get("boxes")
         if not isinstance(raw, list):

@@ -4,14 +4,18 @@
 
 Writes ``tests/data/refine_golden.json``: for every case its input and the
 sha256 of the JSON that ``boxmodal refine`` writes for it (the
-``{"partition", "trace"}`` object), or, for ``extend`` cases, of the
+``{"partition", "trace"}`` object, with ``"checks"`` for the cases marked
+``verify``, which run ``refine --verify``), or, for ``extend`` cases, of the
 partition that ``extend_from_quadrant`` returns.  The command kinds
 (``check-tuned``, ``check-monotone``, ``quotient``, ``subalgebra``,
 ``product`` and ``mc``) digest the exit code and the JSON that the CLI
 command of that name writes; ``product`` cases also digest the violation
 that ``product_tuned_violation`` finds on the unrefined input.  Each
 command case records its outcome (for example ``hull`` or ``not_tuned``),
-so the test can check that failing inputs are covered.
+so the test can check that failing inputs are covered.  A command case
+marked ``refined`` stores a small partition and runs the command on what
+``refine_monotone`` makes of it, so that the checkers are pinned at
+thousands of cells without storing those cells.
 
 ``test_refine_golden.py`` requires byte equality with these digests, so
 run this only at a commit whose output is the reference: a change that
@@ -62,18 +66,21 @@ from genutil import (  # noqa: E402
 
 GOLDEN = HERE / "data" / "refine_golden.json"
 SQUARES = {2: range(8, 33), 3: range(4, 9), 4: range(3, 5)}
+# Squares large enough that the per-cell steps after the refiner dominate.
+VERIFY_SQUARES = ((2, 64), (3, 16))
 
 
 def digest_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def refine_digest(partition: dict, workdir: str) -> str:
-    """sha256 of what ``boxmodal refine`` writes for a partition (JSON object)."""
+def refine_digest(partition: dict, workdir: str, verify: bool = False) -> str:
+    """sha256 of what ``boxmodal refine [--verify]`` writes for a partition (JSON object)."""
     src = Path(workdir) / "in.json"
     out = Path(workdir) / "out.json"
     src.write_text(json.dumps(partition))
-    if main(["refine", "--partition", str(src), "--out", str(out)]) != 0:
+    flags = ["--verify"] if verify else []
+    if main(["refine", "--partition", str(src), "--out", str(out), *flags]) != 0:
         raise RuntimeError("refine failed")
     return digest_text(out.read_text(encoding="utf-8"))
 
@@ -90,10 +97,14 @@ def command_digest(kind: str, case: dict, workdir: str) -> tuple[str, str]:
     """sha256 of the exit code and the JSON a CLI command writes, and its outcome.
 
     ``case`` holds the input files by flag name under ``files`` and the
-    other flags under ``args``.
+    other flags under ``args``; with ``refined`` set, the partition file is
+    the refiner's output for the stored partition.
     """
+    files = dict(case["files"])
+    if case.get("refined"):
+        files["partition"] = refine_monotone(Partition.from_json(files["partition"]))[0].to_json()
     argv = [kind]
-    for flag, obj in sorted(case["files"].items()):
+    for flag, obj in sorted(files.items()):
         path = Path(workdir) / f"{flag}.json"
         path.write_text(json.dumps(obj))
         argv += [f"--{flag}", str(path)]
@@ -245,6 +256,12 @@ def command_inputs() -> list[tuple[str, str, dict]]:
                 "args": {"order": ("le", "lt")[i % 2]},
             }
             out.append(("subalgebra", f"n{n}_{i}", case))
+    for n, c in VERIFY_SQUARES:
+        name = f"square_n{n}_c{c}_refined"
+        obj = {"files": {"partition": square(n, c).to_json()}, "refined": True}
+        for order in ("le", "lt"):
+            out.append(("check-tuned", f"{name}_{order}", {**obj, "args": {"order": order}}))
+        out.append(("check-monotone", name, obj))
     for n in (1, 2):
         for i in range(6):
             fp = random_fibered(rng, n, 2 + i % 2)
@@ -260,6 +277,11 @@ def main_record() -> int:
             obj = p.to_json()
             digest = refine_digest(obj, work)
             cases.append({"name": name, "kind": "refine", "input": obj, "sha256": digest})
+        for n, c in VERIFY_SQUARES:
+            obj = square(n, c).to_json()
+            digest = refine_digest(obj, work, verify=True)
+            case = {"name": f"verify_square_n{n}_c{c}", "kind": "refine", "input": obj}
+            cases.append({**case, "verify": True, "sha256": digest})
         for kind, name, obj in command_inputs():
             digest, outcome = command_digest(kind, obj, work)
             case = {"name": f"{kind}_{name}", "kind": kind, "input": obj}

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,6 +187,59 @@ def test_sees_is_every_cell_downset(seed, n, order, extra, refined):
             assert np.array_equal(within[:, j], cover == sizes)
             seen = grid_downset(cell, order, bound)
             assert {u for u, a in zip(points, atoms) if bits[a, j]} == seen
+
+
+def reference_sees(grid, sources, targets, count, order):
+    """Per-atom bits, meets and within as booleans, from atom indices pair by pair.
+
+    Under <= an atom sees another when its index is at most the other's on
+    every axis; under < when it is smaller on every axis, or both are the
+    unbounded last atom of that axis.
+    """
+    at = np.array(np.unravel_index(np.arange(grid.size), grid.shape)).T[:, None, :]
+    to = at.transpose(1, 0, 2)
+    if order is OrderKind.REFLEXIVE:
+        rel = (at <= to).all(axis=2)
+    else:
+        last = np.array(grid.shape) - 1
+        rel = ((at < to) | ((at == last) & (to == last))).all(axis=2)
+    hits = targets[:, None] == np.arange(count)[None, :]
+    bits = (rel.astype(np.int64) @ hits.astype(np.int64)) > 0
+    groups = [bits[sources == i] for i in range(int(sources.max()) + 1)]
+    meets = np.array([g.any(axis=0) for g in groups])
+    return bits, meets, np.array([g.all(axis=0) for g in groups])
+
+
+@st.composite
+def sees_inputs(draw):
+    """A grid of 1-3 axes, sources of one atom and of several, targets up to 140 cells."""
+    n = draw(st.integers(1, 3))
+    shape = [draw(st.integers(1, 5)) for _ in range(n)]
+    steps = [draw(st.lists(st.integers(1, 3), min_size=s - 1, max_size=s - 1)) for s in shape]
+    grid = AtomGrid(n, [list(itertools.accumulate([0] + d)) for d in steps])
+    order = draw(st.permutations(range(grid.size)))
+    owners = draw(st.integers(1, grid.size))
+    per_atom = dict(min_size=grid.size, max_size=grid.size)
+    sources = np.array(draw(st.lists(st.integers(-1, owners - 1), **per_atom)))
+    sources[order[:owners]] = np.arange(owners)  # every source owns an atom
+    count = draw(st.integers(1, 140))
+    targets = np.array(draw(st.lists(st.integers(-1, count - 1), **per_atom)))
+    return grid, sources, targets, count
+
+
+@settings(max_examples=120, deadline=None)
+@given(sees_inputs(), st.sampled_from(list(OrderKind)), st.sampled_from([None, 1, 3, 5, 9]))
+def test_sees_matches_atom_pairs_for_every_word(case, order, row_bytes):
+    """Rows of one byte, and words of 2, 4 and 8 bytes, give the same sets."""
+    grid, sources, targets, count = case
+    budget = atomgrid.SEES_BYTES if row_bytes is None else row_bytes * grid.size
+    with mock.patch.object(atomgrid, "SEES_BYTES", budget):
+        blocks = list(grid.sees(sources, targets, count, order))
+        joined = _blocks(grid, sources, targets, count, order)
+    width = {1: 8, 3: 16, 5: 32, 9: 64}.get(row_bytes, count)
+    assert [len(b[0]) for b in blocks[:-1]] == [width] * (len(blocks) - 1)
+    for got, want in zip(joined, reference_sees(grid, sources, targets, count, order)):
+        assert np.array_equal(got, want)
 
 
 def _merged(p: Partition, a: int, b: int) -> Partition:

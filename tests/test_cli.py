@@ -283,6 +283,32 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    LINE = {"dim": 1, "boxes": [[[0, None]]]}
+    POINT = {"dim": 1, "boxes": [[[0, 0]]]}
+    TRUE_DIM = {"dim": True, "boxes": [[[0, 0]]]}
+
+    @pytest.mark.parametrize(
+        "command, flag, obj",
+        [
+            ("refine", "--partition", {"dim": True, "cells": [LINE]}),
+            ("refine", "--partition", {"dim": 1, "cells": [{**LINE, "dim": True}]}),
+            ("refine", "--partition", {"dim": 1, "carrier": TRUE_DIM, "cells": [POINT]}),
+            ("mc", "--valuation", {"dim": True, "order": "le", "vars": {"p": POINT}}),
+            ("mc", "--valuation", {"dim": 1, "order": "le", "vars": {"p": TRUE_DIM}}),
+            ("subalgebra", "--generators", {"dim": True, "regions": [POINT]}),
+            ("subalgebra", "--generators", {"dim": 1, "regions": [TRUE_DIM]}),
+        ],
+    )
+    def test_boolean_dim_rejected(self, capsys, tmp_path, command, flag, obj):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        extra = ["--formula", "p"] if command == "mc" else []
+        code = main([command, flag, str(path), *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "'dim'" in captured.err
+
 
 class TestViz:
     def test_dim3_rejected(self, capsys, tmp_path):

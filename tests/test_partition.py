@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 
 from boxmodal import (
     OMEGA,
+    Box,
+    Interval,
     OrderKind,
     Partition,
     PartitionError,
+    Region,
     box,
     cell_of,
     empty_region,
@@ -33,7 +37,7 @@ from boxmodal import (
 )
 
 from boxmodal.atomgrid import AtomGrid
-from boxmodal.partition import _classes
+from boxmodal.partition import MonotoneViolation, _classes, _hulls
 from genutil import random_partition, random_region
 
 LE = OrderKind.REFLEXIVE
@@ -96,6 +100,116 @@ class TestMakePartition:
         mins = [c.min_point() for c in p.cells]
         assert mins == sorted(mins)
         assert mins[0] == (0, 0)
+
+
+def overlapping(rng: random.Random, cell: Region) -> Region:
+    """The same set, each box that can be cut as two overlapping boxes; some boxes repeated."""
+    boxes = []
+    for b in cell.boxes:
+        axis = rng.randrange(cell.dim)
+        iv = b.intervals[axis]
+        top = iv.lo + 3 if iv.hi is OMEGA else iv.hi
+        if top > iv.lo:
+            below_top = rng.randint(iv.lo, top - 1)
+            above_lo = rng.randint(iv.lo, below_top)
+            for part in (Interval(iv.lo, below_top), Interval(above_lo, iv.hi)):
+                boxes.append(Box(b.intervals[:axis] + (part,) + b.intervals[axis + 1 :]))
+        else:
+            boxes.append(b)
+        if rng.random() < 0.2:
+            boxes.append(b)
+    return Region(cell.dim, tuple(boxes))
+
+
+def painted_partition(seed: int, n: int, subcarrier: bool) -> Partition:
+    """A random partition with multi-box cells whose boxes overlap, on a full or smaller carrier."""
+    rng = random.Random(seed)
+    p = random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4 if n < 3 else 3))
+    if subcarrier:
+        v = random_region(rng, n, 4, 3).union(upper_quadrant(n, rng.randint(0, 3)))
+        p = restrict(p, v)
+    return make_partition(p.carrier, [overlapping(rng, c) for c in p.cells])
+
+
+class TestOwner:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(1, 3), st.booleans())
+    def test_matches_one_mask_per_cell(self, seed, n, subcarrier):
+        p = painted_partition(seed, n, subcarrier)
+        grid = p._grid
+        # The former construction, kept as the reference: one full-grid mask per cell.
+        reference = np.full(grid.size, -1, dtype=np.int32)
+        for i, cell in enumerate(p.cells):
+            reference[grid.region_bool(cell).ravel()] = i
+        assert p._owner.dtype == np.int32
+        assert np.array_equal(p._owner, reference)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(1, 3), st.booleans())
+    def test_hulls_match_regions(self, seed, n, subcarrier):
+        p = painted_partition(seed, n, subcarrier)
+        grid = p._grid
+        varies, start, stop = _hulls(p)
+        for i, cell in enumerate(p.cells):
+            assert {a for a in range(n) if varies[a, i]} == cell.varying_coords()
+            hull = cell.hull()
+            assert grid.box_region(start[:, i], stop[:, i]) == hull
+            top = np.flatnonzero(grid.region_bool(hull).ravel())[-1]
+            assert top == np.ravel_multi_index(stop[:, i] - 1, grid.shape)
+
+
+def reference_make_partition(carrier: Region, cells: list[Region]) -> Partition:
+    """The former validation, kept as the reference: one full-grid mask per cell."""
+    grid = AtomGrid.for_regions(carrier.dim, (carrier, *cells))
+    claimed = np.zeros(grid.size, dtype=bool)
+    for i, c in enumerate(cells):
+        flat = grid.region_bool(c).ravel()
+        if (flat & claimed).any():
+            witness = grid.region_of_bool((flat & claimed).reshape(grid.shape))
+            raise PartitionError("overlap", f"cell {i} overlaps an earlier cell", witness=witness)
+        claimed |= flat
+    car = grid.region_bool(carrier).ravel()
+    for kind, message, wrong in (
+        ("excess", "cells extend beyond the carrier", claimed & ~car),
+        ("gap", "cells do not cover the carrier", car & ~claimed),
+    ):
+        if wrong.any():
+            witness = grid.region_of_bool(wrong.reshape(grid.shape))
+            raise PartitionError(kind, message, witness=witness)
+    return Partition._trusted(carrier.dim, carrier, cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**30),
+    st.integers(1, 3),
+    st.sampled_from(["valid", "drop", "add", "shrink", "random"]),
+)
+def test_make_partition_matches_former_validation(seed, n, change):
+    rng = random.Random(seed)
+    p = painted_partition(seed, n, rng.random() < 0.3)
+    carrier, cells = p.carrier, list(p.cells)
+    rng.shuffle(cells)
+    if change == "drop" and len(cells) > 1:
+        cells.pop(rng.randrange(len(cells)))
+    elif change == "add":
+        cells.insert(rng.randint(0, len(cells)), random_region(rng, n, 4, 3))
+    elif change == "shrink":
+        carrier = carrier.intersect(random_region(rng, n, 4, 3).union(upper_quadrant(n, 2)))
+    elif change == "random":
+        cells = [random_region(rng, n, 4, 3) for _ in range(rng.randint(1, 4))]
+    cells = [c for c in cells if not c.is_empty()]
+    if not cells:
+        return
+
+    def outcome(build):
+        try:
+            q = build(carrier, cells)
+        except PartitionError as exc:
+            return exc.kind, str(exc), exc.witness.boxes
+        return q.cells
+
+    assert outcome(make_partition) == outcome(reference_make_partition)
 
 
 class TestRestrict:
@@ -350,6 +464,66 @@ class TestMonotone:
         assert v is not None and v.kind == "varying"
         assert (v.cell, v.other) == (0, 1)
         assert v.witness == (0, 0)
+
+
+def reference_monotone(p: Partition):
+    """The cell-by-cell monotone check on Regions, kept as the reference."""
+    downs = [c.downset(LE) for c in p.cells]
+    for i, cell in enumerate(p.cells):
+        missing = cell.hull().difference(downs[i])
+        if not missing.is_empty():
+            return MonotoneViolation("hull", i, None, missing.min_point())
+    varying = [c.varying_coords() for c in p.cells]
+    for i, cell in enumerate(p.cells):
+        for j, down in enumerate(downs):
+            meet = cell.intersect(down)
+            if not meet.is_empty() and not varying[i] <= varying[j]:
+                return MonotoneViolation("varying", i, j, meet.min_point())
+    return None
+
+
+@contextmanager
+def counting_sees():
+    """Record the arguments of every ``AtomGrid.sees`` call inside the block."""
+    calls = []
+    sees = AtomGrid.sees
+
+    def spy(self, *args):
+        calls.append(args)
+        return sees(self, *args)
+
+    AtomGrid.sees = spy
+    try:
+        yield calls
+    finally:
+        AtomGrid.sees = sees
+
+
+class TestMonotoneOnOwner:
+    def test_hull_failure_needs_no_sees_pass(self):
+        a = point_region(0, 0).union(point_region(1, 1))
+        p = make_partition(full(2), [a, a.complement()])
+        with counting_sees() as calls:
+            assert monotone_violation(p) == MonotoneViolation("hull", 0, None, (0, 2))
+            assert calls == []
+            assert monotone_violation(four_cell()) is None
+            assert len(calls) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(1, 3), st.booleans())
+    def test_matches_cell_by_cell_reference(self, seed, n, subcarrier):
+        p = painted_partition(seed, n, subcarrier)
+        with counting_sees() as calls:
+            v = monotone_violation(p)
+        assert v == reference_monotone(p)
+        assert len(calls) == (0 if v is not None and v.kind == "hull" else 1)
+
+    def test_reference_sees_both_kinds(self):
+        kinds = set()
+        for seed in range(60):
+            v = reference_monotone(painted_partition(seed, 1 + seed % 3, seed % 2 == 0))
+            kinds.add(v.kind if v else None)
+        assert kinds == {"hull", "varying", None}
 
 
 class TestMonotoneImpliesTuned:

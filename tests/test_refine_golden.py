@@ -21,6 +21,8 @@ def test_golden_covers_every_kind():
     assert {"square", "random", "split", "induced", "probe", "extend"} <= names
     assert len(CASES) >= 140
     assert len([c for c in CASES if c["kind"] == "refine"]) >= 137
+    assert len([c for c in CASES if c.get("verify")]) >= 2
+    assert len([c for c in CASES if c["input"].get("refined")]) >= 6
     outcomes = {(c["kind"], c.get("outcome")) for c in CASES}
     assert {
         ("check-tuned", "tuned"),
@@ -42,7 +44,8 @@ def test_golden_covers_every_kind():
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_output_matches_golden(case, tmp_path: Path):
     if case["kind"] == "refine":
-        assert refine_digest(case["input"], str(tmp_path)) == case["sha256"]
+        digest = refine_digest(case["input"], str(tmp_path), case.get("verify", False))
+        assert digest == case["sha256"]
     elif case["kind"] == "extend":
         assert extend_digest(case["input"]) == case["sha256"]
     else:
