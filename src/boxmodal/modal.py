@@ -5,7 +5,9 @@ is downward closure under the chosen order, box its dual.  A partition that
 is tuned for the order and compatible with the valuation induces a finite
 quotient frame on which finite model checking agrees with the symbolic
 semantics cell by cell; ``filtration_pipeline`` builds that quotient via the
-monotone refiner and verifies the agreement for every subformula.
+monotone refiner and verifies the agreement for every subformula.  It folds
+the formula once per side, in the Region algebra and in sets of worlds, and
+reads every subformula's truth set from the two folds.
 
 ``generate_subalgebra`` exhibits the finite family of region unions closed
 under complement, intersection, and downward closure that contains a given
@@ -19,10 +21,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .atomgrid import AtomGrid, bit_column
-from .formulas import Formula, evaluate, subformulas, variables
-from .partition import Partition, TunedViolation, cover, induced, tuned_violation
+from .formulas import Formula, evaluate, variables
+from .partition import Partition, TunedViolation, _tuned_pass, cover, induced
 from .refine import RefinementTrace, refine_monotone
-from .region import OrderKind, Region, empty_region, full
+from .region import DimensionMismatch, OrderKind, Region, empty_region, full
 
 
 class UnboundVariable(ValueError):
@@ -81,14 +83,19 @@ class Valuation:
         return cls(dim, order, regions)
 
 
-def truth_region(f: Formula, val: Valuation) -> Region:
-    """Exact truth set of a formula on the infinite frame."""
+def _region_fold(f: Formula, val: Valuation) -> dict[Formula, Region]:
+    """Exact truth set of every subformula on the infinite frame, in post-order."""
     return evaluate(
         f, val.vars, lambda name: UnboundVariable(f"variable {name!r} has no region"),
         lambda value: full(val.dim) if value else empty_region(val.dim),
         lambda r: r.complement(), lambda a, b: a.intersect(b), lambda a, b: a.union(b),
         lambda r: r.downset(val.order),
-    )[f]
+    )
+
+
+def truth_region(f: Formula, val: Valuation) -> Region:
+    """Exact truth set of a formula on the infinite frame."""
+    return _region_fold(f, val)[f]
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,10 @@ def quotient_frame(p: Partition, order: OrderKind, val: Valuation) -> QuotientFr
     World i reaches world j when some point of cell i sees a point of
     cell j; tunedness upgrades that to all points of cell i.
     """
+    if val.dim != p.dim:
+        raise DimensionMismatch(f"valuation of dimension {val.dim}, partition {p.dim}")
     edges: set[tuple[int, int]] = set()
-    violation = tuned_violation(p, order, edges)
+    violation = _tuned_pass(p._grid, p._owner, p._owner, p.size, order, edges)
     if violation is not None:
         raise NotTuned(violation)
     grid, owner = p._owner_on(AtomGrid.for_regions(p.dim, val.vars.values()).cuts)
@@ -137,8 +146,8 @@ def quotient_frame(p: Partition, order: OrderKind, val: Valuation) -> QuotientFr
     return QuotientFrame(p.dim, order, tuple(p.cells), frozenset(edges), val_map)
 
 
-def mc_finite(qf: QuotientFrame, f: Formula) -> frozenset[int]:
-    """Worlds of the quotient frame satisfying the formula."""
+def _world_fold(qf: QuotientFrame, f: Formula) -> dict[Formula, frozenset[int]]:
+    """Worlds of the quotient frame satisfying every subformula, in post-order."""
     succ: list[list[int]] = [[] for _ in range(qf.world_count)]
     for i, j in sorted(qf.edges):
         succ[i].append(j)
@@ -149,7 +158,12 @@ def mc_finite(qf: QuotientFrame, f: Formula) -> frozenset[int]:
         lambda value: everything if value else frozenset(),
         lambda s: everything - s, frozenset.__and__, frozenset.__or__,
         lambda s: frozenset(i for i in everything if any(j in s for j in succ[i])),
-    )[f]
+    )
+
+
+def mc_finite(qf: QuotientFrame, f: Formula) -> frozenset[int]:
+    """Worlds of the quotient frame satisfying the formula."""
+    return _world_fold(qf, f)[f]
 
 
 class TruthLemmaFailure(RuntimeError):
@@ -196,14 +210,14 @@ def filtration_pipeline(f: Formula, val: Valuation) -> FiltrationReport:
     base = induced(full(val.dim), [val.vars[name] for name in sorted(val.vars)])
     refined, trace = refine_monotone(base)
     qf = quotient_frame(refined, val.order, val)
-    subs = subformulas(f)
-    symbolic = [truth_region(sub, val) for sub in subs]
-    grid, owner = refined._owner_on(AtomGrid.for_regions(val.dim, symbolic).cuts)
-    for sub, region in zip(subs, symbolic):
-        quotient = np.isin(owner, sorted(mc_finite(qf, sub)))
+    regions = _region_fold(f, val)
+    worlds = _world_fold(qf, f)
+    grid, owner = refined._owner_on(AtomGrid.for_regions(val.dim, regions.values()).cuts)
+    for sub, region in regions.items():
+        quotient = np.isin(owner, sorted(worlds[sub]))
         if not np.array_equal(quotient, grid.region_bool(region).ravel()):
             raise TruthLemmaFailure(f"quotient disagrees with the frame semantics on {sub}")
-    truth = truth_region(f, val)
+    truth = regions[f]
     return FiltrationReport(
         dim=val.dim,
         order=val.order,
@@ -213,7 +227,7 @@ def filtration_pipeline(f: Formula, val: Valuation) -> FiltrationReport:
         edge_count=len(qf.edges),
         truth=truth.normalize(),
         globally_true=truth.equal(full(val.dim)),
-        subformula_count=len(subs),
+        subformula_count=len(regions),
         trace=trace,
     )
 
@@ -291,7 +305,8 @@ def generate_subalgebra(
     atoms, trace = refine_monotone(base)
     if atoms.size > max_atoms:
         raise TooManyAtoms(
-            f"{atoms.size} atoms would give 2**{atoms.size} elements; raise max_atoms to allow"
+            f"{atoms.size} atoms would give 2**{atoms.size} elements; "
+            f"the limit is {max_atoms} atoms"
         )
     grid, owner = atoms._owner_on(AtomGrid.for_regions(dim, generators).cuts)
 

@@ -322,27 +322,35 @@ def _earlier(
     return pair[0], block[pair[1]], bit_column(bits, pair[1])
 
 
-def tuned_violation(
-    p: Partition, order: OrderKind, edges: Optional[set[tuple[int, int]]] = None
+def _tuned_pass(
+    grid: AtomGrid, sources: np.ndarray, targets: np.ndarray, count: int, order: OrderKind,
+    edges: Optional[set[tuple[int, int]]] = None,
 ) -> Optional[TunedViolation]:
-    """First violating (source, target) pair in index order, or None if tuned.
+    """``tuned_violation`` of source against target cells, both owner arrays on ``grid``.
 
-    The witness is the least point of the source cell that sees no point of
-    the target cell.  The same pass adds to ``edges``, when given, every
-    pair (i, j) such that some point of cell i sees a point of cell j.
+    The same pass adds to ``edges``, when given, every pair (i, j) such that
+    some point of source cell i sees a point of target cell j.
     """
-    grid, owner = p._grid, p._owner
     best = None
-    for block, bits, meets, within in grid.sees(owner, owner, p.size, order):
+    for block, bits, meets, within in grid.sees(sources, targets, count, order):
         best = _earlier(best, block, meets & ~within, bits)
         if edges is not None:
             edges.update((int(i), block[j]) for i, j in np.argwhere(unpack(meets, len(block))))
     if best is None:
         return None
     i, j, down = best
-    witness = grid.first_point((owner == i) & ~down)
+    witness = grid.first_point((sources == i) & ~down)
     assert witness is not None
     return TunedViolation(i, j, witness)
+
+
+def tuned_violation(p: Partition, order: OrderKind) -> Optional[TunedViolation]:
+    """First violating (source, target) pair in index order, or None if tuned.
+
+    The witness is the least point of the source cell that sees no point of
+    the target cell.
+    """
+    return _tuned_pass(p._grid, p._owner, p._owner, p.size, order)
 
 
 def is_tuned(p: Partition, order: OrderKind) -> bool:

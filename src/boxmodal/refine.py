@@ -48,10 +48,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import MAX_ATOMS, AtomGrid, unpack
+from .atomgrid import MAX_ATOMS, AtomGrid
 from .partition import (
     Partition,
     PartitionError,
+    _tuned_pass,
     induced,
     is_monotone,
     refines,
@@ -595,33 +596,23 @@ class ProductTunedViolation:
         }
 
 
-def _pair_tables(
-    pg: Partition, ph: Partition, order: OrderKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """Premise and inclusion tables between the cells of two fiber partitions."""
-    grid, source = pg._owner_on(ph._grid.cuts)
-    _, target = ph._owner_on(grid.cuts)
-    blocks = list(grid.sees(source, target, ph.size, order))
-    meets, within = (np.concatenate([b[k] for b in blocks], axis=1) for k in (2, 3))
-    return unpack(meets, ph.size), unpack(within, ph.size)
-
-
 def product_tuned_violation(
     fp: FiberedPartition, order: OrderKind
 ) -> Optional[ProductTunedViolation]:
-    """Tuned check on the product frame: cells are (world, fiber cell) pairs."""
-    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    """Tuned check on the product frame: cells are (world, fiber cell) pairs.
+
+    Each edge (g, h) is one tuned pass of g's fiber cells against h's on their joint grid.
+    """
+    checked: set[tuple[int, int]] = set()
     for g, h in fp.edges:
         pg, ph = fp.fiber(g), fp.fiber(h)
-        key = (id(pg), id(ph))
-        if key not in cache:
-            cache[key] = _pair_tables(pg, ph, order)
-        premise, included = cache[key]
-        bad = premise & ~included
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            missing = pg.cells[i].difference(ph.cells[j].downset(order))
-            return ProductTunedViolation(g, i, h, j, missing.min_point())
+        if (id(pg), id(ph)) not in checked:
+            checked.add((id(pg), id(ph)))
+            grid, source = pg._owner_on(ph._grid.cuts)
+            _, target = ph._owner_on(grid.cuts)
+            v = _tuned_pass(grid, source, target, ph.size, order)
+            if v is not None:
+                return ProductTunedViolation(g, v.source, h, v.target, v.witness)
     return None
 
 

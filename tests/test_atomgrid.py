@@ -19,9 +19,11 @@ from boxmodal import (
     full,
     generate_subalgebra,
     induced,
+    make_fibered,
     make_partition,
     monotone_violation,
     point_region,
+    product_tuned_violation,
     quotient_frame,
     refine_monotone,
     region,
@@ -31,7 +33,7 @@ from boxmodal import (
 from boxmodal import atomgrid
 from boxmodal.atomgrid import AtomGrid, unpack
 from boxmodal.oracle import grid_downset
-from boxmodal.refine import _pair_tables
+from boxmodal.refine import ProductTunedViolation
 
 from genutil import random_partition, random_region
 from test_region import regions
@@ -242,6 +244,46 @@ def test_sees_matches_atom_pairs_for_every_word(case, order, row_bytes):
         assert np.array_equal(got, want)
 
 
+def reference_product_violation(fp, order):
+    """The former product check: full premise and inclusion tables per fiber pair, in
+    row-major order, and the witness from the Region algebra."""
+    for g, h in fp.edges:
+        pg, ph = fp.fiber(g), fp.fiber(h)
+        grid, source = pg._owner_on(ph._grid.cuts)
+        _, target = ph._owner_on(grid.cuts)
+        _, premise, included = _blocks(grid, source, target, ph.size, order)
+        bad = premise & ~included
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            missing = pg.cells[i].difference(ph.cells[j].downset(order))
+            return ProductTunedViolation(g, i, h, j, missing.min_point())
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**30),
+    st.integers(1, 3),
+    st.sampled_from(list(OrderKind)),
+    st.sampled_from([None, 1]),
+)
+def test_product_tuned_violation_matches_the_tables(seed, n, order, budget):
+    """Unrefined fibers; some are the common refinement of two, so that more than eight
+    target cells exist and a budget of one byte splits them into blocks."""
+    rng = random.Random(seed)
+    worlds = ["a", "b", "c"][: rng.randint(1, 3)]
+    edges = [(g, h) for g in worlds for h in worlds if rng.random() < 0.5]
+
+    def fiber() -> Partition:
+        return random_partition(rng, n, rng.randint(1, 8), rng.randint(0, 4 if n < 3 else 3))
+
+    fibers = [fiber() for _ in worlds]
+    fibers = [f if rng.random() < 0.5 else induced(full(n), f.cells + fiber().cells) for f in fibers]
+    fp = make_fibered(worlds, edges, fibers)
+    with mock.patch.object(atomgrid, "SEES_BYTES", budget or atomgrid.SEES_BYTES):
+        assert product_tuned_violation(fp, order) == reference_product_violation(fp, order)
+
+
 def _merged(p: Partition, a: int, b: int) -> Partition:
     """The partition with cells a and b made one."""
     rest = [c for k, c in enumerate(p.cells) if k not in (a, b)]
@@ -264,11 +306,13 @@ def test_small_block_budget_changes_nothing(monkeypatch):
         return out
 
     def readers() -> list:
-        """Quotient edges, product tables and subalgebra downsets, which span blocks too."""
+        """Quotient edges, product violations and subalgebra downsets, which span blocks too."""
         out: list = []
         for order in OrderKind:
             out.append(sorted(quotient_frame(fine, order, Valuation(2, order)).edges))
-            out.append([t.tolist() for t in _pair_tables(cases[5], fine, order)])
+            for edge in (("a", "b"), ("b", "a")):
+                pair = make_fibered(["a", "b"], [edge], [cases[5], fine])
+                out.append(product_tuned_violation(pair, order))
             out.append(generate_subalgebra([point_region(1, 1)], order).down_atoms)
         return out
 

@@ -166,6 +166,15 @@ class TestQuotient:
         assert code == 1
         assert payload["error"] == "not_tuned"
 
+    def test_valuation_of_another_dimension_is_usage_error(
+        self, capsys, origin_partition_file, tmp_path
+    ):
+        val = tmp_path / "v1.json"
+        val.write_text(json.dumps({"dim": 1, "vars": {"p": {"dim": 1, "boxes": [[[0, 0]]]}}}))
+        argv = ["quotient", "--partition", origin_partition_file, "--valuation", str(val)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: valuation of dimension 1, partition 2\n"
+
 
 class TestSubalgebra:
     def test_origin(self, capsys, tmp_path):
@@ -177,6 +186,14 @@ class TestSubalgebra:
         assert code == 0
         assert payload["atom_count"] == 4
         assert payload["element_count"] == 16
+
+    def test_more_than_16_atoms_is_usage_error(self, capsys, tmp_path):
+        gens = tmp_path / "gens.json"
+        boxes = [[[0, 0], [0, 0]]], [[[1, 1], [0, 3]]], [[[0, 4], [2, 2]]]
+        gens.write_text(json.dumps({"dim": 2, "regions": [{"dim": 2, "boxes": b} for b in boxes]}))
+        assert main(["subalgebra", "--generators", str(gens)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 24 atoms would give 2**24 elements; the limit is 16 atoms\n"
 
 
 class TestProduct:

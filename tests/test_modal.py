@@ -7,6 +7,7 @@ import pytest
 
 from boxmodal import (
     OMEGA,
+    DimensionMismatch,
     NotCompatible,
     NotTuned,
     OrderKind,
@@ -26,6 +27,9 @@ from boxmodal import (
     truth_region,
     upper_quadrant,
 )
+from boxmodal import modal
+from boxmodal.formulas import subformulas
+from boxmodal.modal import TruthLemmaFailure
 
 from genutil import random_formula, random_valuation
 
@@ -135,6 +139,10 @@ class TestQuotientFrame:
         with pytest.raises(NotCompatible):
             quotient_frame(four_cell(), LE, val_le(p=point_region(5, 5)))
 
+    def test_rejects_valuation_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch, match="valuation of dimension 1, partition 2"):
+            quotient_frame(four_cell(), LE, Valuation(1, LE, {}))
+
     def test_valuation_stability(self):
         # Moving a variable region across unions of the same cells keeps edges.
         p = four_cell()
@@ -192,6 +200,35 @@ class TestPipeline:
             f = random_formula(rng, ["p", "q"], 3)
             rep = filtration_pipeline(f, v)  # raises on any subformula mismatch
             assert rep.world_count >= 1
+
+    @pytest.mark.parametrize("seed", [None, 2, 5])
+    def test_one_fold_per_side(self, monkeypatch, seed):
+        """Every subformula's truth set comes from one Region fold and one world-set fold."""
+        if seed is None:
+            f, v = parse_formula("~" * 200 + "p"), val_le(p=point_region(0, 0))
+        else:
+            rng = random.Random(seed)
+            v = random_valuation(rng, 2, ["p", "q"], 3, rng.choice([LE, LT]))
+            f = random_formula(rng, ["p", "q"], 5)
+        folded = []
+        real = modal.evaluate
+        monkeypatch.setattr(modal, "evaluate", lambda g, *rest: folded.append(g) or real(g, *rest))
+        rep = filtration_pipeline(f, v)
+        assert folded == [f, f]
+        assert rep.subformula_count == len(subformulas(f)) > 1
+
+    def test_every_subformula_is_checked(self, monkeypatch):
+        """A wrong world set for an inner subformula fails the truth lemma."""
+        real = modal._world_fold
+
+        def wrong(qf, f):
+            out = real(qf, f)
+            out[parse_formula("p")] = frozenset()
+            return out
+
+        monkeypatch.setattr(modal, "_world_fold", wrong)
+        with pytest.raises(TruthLemmaFailure, match="semantics on p$"):
+            filtration_pipeline(parse_formula("<>p | ~p"), val_le(p=point_region(0, 0)))
 
 
 class TestSubalgebra:
