@@ -230,7 +230,14 @@ def _classes(rows: np.ndarray) -> np.ndarray:
 
 def _rank(key: np.ndarray) -> np.ndarray:
     """Index of every key among the distinct keys in ascending order."""
-    return np.unique(key, return_inverse=True)[1].reshape(-1)
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    new = np.empty(key.size, dtype=np.intp)  # 1 where a sorted key differs from the one before
+    new[:1] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty_like(new)
+    rank[order] = new.cumsum()
+    return rank
 
 
 def _extend_key(key: np.ndarray, digits: np.ndarray, spans: list[int]) -> np.ndarray:

@@ -33,7 +33,9 @@ Lower-dimensional faces repeat: within one top-level call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
 refined once, through every check, and later faces reuse that result.  The
 memo is local to the call, so it holds at most the distinct face
-sub-problems of one refinement.
+sub-problems of one refinement.  Lines and points skip both compression and
+the memo: a line face is refined on its own grid, and a point face is one
+new cell, labelled in place.
 
 A trace records the threshold, the per-layer face work, and recursive
 subtraces; identical inputs yield identical traces and outputs.
@@ -300,11 +302,13 @@ class _Cells:
                 cuts, [self.labels, self.coarse]
             )
         face = _face_index(self.grid, coords, s)
-        index = []  # the sub-atom under each face atom, per free axis
-        for i, sub_cuts in zip(free, sub.grid.cuts):
+        labels = sub.labels
+        for axis, (i, sub_cuts) in enumerate(zip(free, sub.grid.cuts)):
             ends = self.grid.cuts[i][face[i].start :]
-            index.append([bisect.bisect_right(sub_cuts, c - s - 1) - 1 for c in ends])
-        self.labels[face] = (sub.labels[np.ix_(*index)] if index else sub.labels) + self.count
+            if len(ends) > len(sub_cuts):  # else each face atom is one sub-atom
+                index = [bisect.bisect_right(sub_cuts, c - s - 1) - 1 for c in ends]
+                labels = labels.take(index, axis=axis)
+        self.labels[face] = labels + self.count
         for label, cell in sub.kept.items():
             self.kept[label + self.count] = cell.translate(s + 1).insert_coords(coords, s)
         self.count += sub.count
@@ -322,6 +326,8 @@ class _Cells:
 
 # Refined sub-problems of one top-level call, by (cuts, int64 label bytes, count).
 _Memo = dict[tuple, tuple[_Cells, RefinementTrace]]
+# The trace of every point face.
+_POINT = RefinementTrace(0, None, 1, 1, ())
 
 
 def _face_profiles(
@@ -338,13 +344,14 @@ def _face_profiles(
     block = cells.labels[
         tuple(slice(face[i], None) if i in coords else face[i] for i in range(n))
     ]
-    k = len(coords)
-    fibers = np.moveaxis(block, coords, range(n - k, n)).reshape(coarse.size, -1)
-    rows = np.sort(fibers[:, 1:], axis=1)  # column 0 is the face atom itself
+    free = tuple(i for i in range(n) if i not in coords)
+    fibers = block.transpose(free + coords).reshape(coarse.size, -1)
+    rows = fibers[:, 1:].copy()  # column 0 is the face atom itself
+    rows.sort(axis=1)
     rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
     rows.sort(axis=1)
-    first = int(np.argmax((rows >= 0).any(axis=0)))
-    return np.column_stack([coarse.reshape(-1), rows[:, first:]])
+    first = int((rows >= 0).any(axis=0).argmax())
+    return np.concatenate((coarse.reshape(-1, 1), rows[:, first:]), axis=1)
 
 
 def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
@@ -369,14 +376,15 @@ def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
                 face_grid = AtomGrid(n - size, face_cuts)
                 classes = induced(face_grid, _face_profiles(cells, coords, face, coarse))
                 atom_count = int(classes.max()) + 1
-                sub, subtrace = _refine_atoms(*_compress(face_grid, classes), atom_count, memo)
-            else:  # a single point: one class
-                atom_count = 1
-                point = np.zeros((), dtype=np.int32)
-                sub, subtrace = _refine_atoms(AtomGrid(0, []), point, 1, memo)
-            cells.place(coords, s, sub)
-            built[coords] = sub.count
-            faces.append(FaceStep(coords, family_size, atom_count, sub.count, subtrace))
+                sub, subtrace = _refine_atoms(face_grid, classes, atom_count, memo)
+                cells.place(coords, s, sub)
+                cell_count = sub.count
+            else:  # a single point: one new cell, labelled in place
+                cells.labels[face] = cells.count
+                cells.count += 1
+                atom_count, cell_count, subtrace = 1, 1, _POINT
+            built[coords] = cell_count
+            faces.append(FaceStep(coords, family_size, atom_count, cell_count, subtrace))
     return tuple(faces)
 
 
@@ -409,9 +417,12 @@ def _grow(
     trace = RefinementTrace(m, k0, count, cells.count, steps)
     # Structural bounds on the run: one extension step per quadrant layer,
     # one face per nonempty coordinate set, recursion no deeper than m.
-    assert len(trace.steps) == k0
-    assert all(len(step.faces) == 2**m - 1 for step in trace.steps)
-    assert trace.depth() <= m
+    if len(trace.steps) != k0:
+        raise RuntimeError("structural bound failed: one extension step per layer")
+    if any(len(step.faces) != 2**m - 1 for step in trace.steps):
+        raise RuntimeError("structural bound failed: one face per nonempty coordinate set")
+    if trace.depth() > m:
+        raise RuntimeError("structural bound failed: recursion deeper than the dimension")
     return cells, trace
 
 
@@ -420,22 +431,23 @@ def _refine_atoms(
 ) -> tuple[_Cells, RefinementTrace]:
     """``refine_monotone`` of a labelled partition of the full grid into ``count`` cells.
 
-    ``labels`` carries no cut across which no cell changes (see ``_compress``),
-    so equal sub-problems have equal keys.  From dimension 2 on, the result is
-    looked up in ``memo`` and stored there; callers only read it.
+    From dimension 2 on, the grid is first stripped of every cut across which
+    no cell changes (see ``_compress``), so that equal sub-problems have equal
+    keys, and the result is looked up in ``memo`` and stored there; callers
+    only read it.  A line is refined directly: the atom after its last finite
+    one starts a run of the top cell with or without the redundant cuts.
     """
     m = grid.dim
-    if m == 0:
-        return _Cells(grid, labels, 1), RefinementTrace(0, None, 1, 1, ())
     if m == 1:
         top = labels[-1]
-        finite = np.flatnonzero(labels != top)
+        finite = (labels != top).nonzero()[0]
         if not finite.size:
             return _Cells(grid, labels, count), RefinementTrace(1, None, count, count, ())
         k0 = grid.cuts[0][finite[-1] + 1] - 1
         _require_atoms(k0 + 2)
         line = _Cells(AtomGrid(1, [range(k0 + 2)]), np.arange(k0 + 2, dtype=np.int32), k0 + 2)
         return line, RefinementTrace(1, k0, count, k0 + 2, ())
+    grid, labels = _compress(grid, labels)
     key = (grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)
     if key in memo:
         return memo[key]

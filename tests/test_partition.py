@@ -37,7 +37,7 @@ from boxmodal import (
 )
 
 from boxmodal.atomgrid import AtomGrid
-from boxmodal.partition import MonotoneViolation, _classes, _hulls
+from boxmodal.partition import MonotoneViolation, _classes, _hulls, _rank
 from genutil import random_partition, random_region
 
 LE = OrderKind.REFLEXIVE
@@ -342,6 +342,37 @@ class TestClasses:
     def test_rerank_keeps_lexicographic_order(self):
         rows = np.array([[2] * 60 + [0], [0] * 60 + [1], [2] * 60 + [-1], [0] * 61], dtype=np.int32)
         assert _classes(rows).tolist() == [3, 1, 2, 0]
+
+
+# Small keys, negative ones, and keys near +-2^62, where mixed-radix keys end.
+_KEYS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**62) - 3, -(2**62) + 3),
+    st.integers(2**62 - 3, 2**62 + 3),
+)
+
+
+class TestRank:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_KEYS, max_size=30), st.booleans())
+    def test_matches_numpy_unique_inverse(self, keys, all_equal):
+        if all_equal:
+            keys = keys[:1] * len(keys)
+        key = np.array(keys, dtype=np.int64)
+        assert _rank(key).tolist() == np.unique(key, return_inverse=True)[1].tolist()
+
+    @pytest.mark.parametrize(
+        "keys, expected",
+        [
+            ([], []),
+            ([7], [0]),
+            ([5, 5, 5], [0, 0, 0]),
+            ([-1, -(2**62), 3, -1], [1, 0, 2, 1]),
+            ([2**62 + 1, 2**62, 2**62 + 1, 0], [2, 1, 2, 0]),
+        ],
+    )
+    def test_edge_cases(self, keys, expected):
+        assert _rank(np.array(keys, dtype=np.int64)).tolist() == expected
 
 
 class TestRefines:

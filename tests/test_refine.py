@@ -1,11 +1,18 @@
 """The monotone refiner: pinned traces, soundness, determinism, products."""
 from __future__ import annotations
 
+import itertools
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxmodal import (
     OMEGA,
@@ -32,9 +39,9 @@ from boxmodal import (
 )
 
 import boxmodal.refine
-from boxmodal.atomgrid import MAX_ATOMS
+from boxmodal.atomgrid import MAX_ATOMS, AtomGrid
 from boxmodal.cli import main
-from boxmodal.refine import _atom_threshold, _compress
+from boxmodal.refine import _atom_threshold, _compress, _refine_atoms
 from genutil import (
     probe_far_cut,
     probe_long_line,
@@ -275,6 +282,108 @@ class TestSubProblemMemo:
         assert texts[0] == texts[1]
         golden = TestGridSizing.golden["square_n3_c6"]["sha256"]
         assert refine_digest(p.to_json(), str(tmp_path)) == golden
+
+
+    def test_lines_and_points_skip_compression_and_the_memo(self, monkeypatch, tmp_path):
+        compress, refine_atoms = boxmodal.refine._compress, boxmodal.refine._refine_atoms
+        compressed, dims = [], []
+
+        def spy_compress(grid, labels):
+            compressed.append(grid.dim)
+            return compress(grid, labels)
+
+        def spy_refine_atoms(grid, labels, count, memo):
+            dims.append(grid.dim)
+            return refine_atoms(grid, labels, count, memo)
+
+        monkeypatch.setattr(boxmodal.refine, "_compress", spy_compress)
+        monkeypatch.setattr(boxmodal.refine, "_refine_atoms", spy_refine_atoms)
+        p = square(3, 6)
+        _, trace = refine_monotone(p)
+        # Point faces are labelled in place; every other face of a refined
+        # sub-problem makes one call, and only lookups of dimension >= 2
+        # (plus the top-level call) compress.
+        distinct = {id(t): t for t in _subtraces(trace)}.values()
+        faces = [f for t in distinct for step in t.steps for f in step.faces]
+        assert 0 not in dims
+        assert len(dims) == sum(f.sub.dim > 0 for f in faces)
+        assert len(compressed) == 1 + sum(d >= 2 for d in dims)
+        assert (len(compressed), len(dims)) == (19, 66)
+        golden = TestGridSizing.golden["square_n3_c6"]["sha256"]
+        assert refine_digest(p.to_json(), str(tmp_path)) == golden
+
+
+@st.composite
+def labelled_lines(draw):
+    """A labelled partition of the line: grid with gaps between cuts, labels, cell count.
+
+    The labels end in a run of the top cell.  ``equal`` puts every atom in
+    it, and ``top_below`` repeats the top label below the last finite atom.
+    """
+    kind = draw(st.sampled_from(["equal", "top_below", "any"]))
+    top = draw(st.integers(0, 3))
+    body = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    if kind == "equal":
+        body = [top] * len(body)
+    elif kind == "top_below":
+        body = [top] + body + [(top + 1) % 4]
+    raw = body + [top] * draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=len(raw) - 1, max_size=len(raw) - 1))
+    cuts = list(itertools.accumulate([0] + gaps))
+    labels = np.unique(raw, return_inverse=True)[1].reshape(-1).astype(np.int32)
+    return AtomGrid(1, [cuts]), labels, int(labels.max()) + 1
+
+
+class TestLineFaces:
+    """A line face is refined on its uncompressed grid."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_lines())
+    def test_uncompressed_line_refines_like_the_compressed_one(self, line):
+        grid, labels, count = line
+        cells, trace = _refine_atoms(grid, labels, count, {})
+        small, small_trace = _refine_atoms(*_compress(grid, labels), count, {})
+        assert cells.count == small.count
+        assert cells.to_regions() == small.to_regions()
+        assert json.dumps(trace.to_json()) == json.dumps(small_trace.to_json())
+
+
+class TestStructuralBounds:
+    """The bounds checked at the end of each layer-by-layer growth fail loudly."""
+
+    SCRIPT = """
+import boxmodal.refine
+from boxmodal import box, full, make_partition, region
+
+extend = boxmodal.refine._extend_core
+boxmodal.refine._extend_core = lambda cells, s, memo: extend(cells, s, memo)[1:]
+square = region(box((0, 2), (0, 2)))
+try:
+    boxmodal.refine.refine_monotone(make_partition(full(2), [square, square.complement()]))
+except RuntimeError as exc:
+    print(__debug__, exc)
+"""
+
+    def test_a_dropped_face_raises(self, monkeypatch):
+        extend = boxmodal.refine._extend_core
+        monkeypatch.setattr(
+            boxmodal.refine, "_extend_core", lambda cells, s, memo: extend(cells, s, memo)[1:]
+        )
+        with pytest.raises(RuntimeError, match="one face per nonempty coordinate set"):
+            refine_monotone(square(2, 3))
+
+    def test_a_dropped_face_raises_under_python_O(self):
+        src = str(Path(boxmodal.refine.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        expected = "False structural bound failed: one face per nonempty coordinate set"
+        assert result.stdout.strip() == expected
 
 
 class TestGridSizing:
