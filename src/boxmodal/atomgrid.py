@@ -131,11 +131,6 @@ class AtomGrid:
         cuts = self.cuts[axis]
         return Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA)
 
-    def box_region(self, lo: Sequence[int], hi: Sequence[int]) -> Region:
-        """The box of atoms lo..hi-1 per axis; ``region_of_bool`` of that block gives the same."""
-        ivs = tuple(self._interval(axis, a, b) for axis, (a, b) in enumerate(zip(lo, hi)))
-        return Region(self.dim, (Box(ivs),))
-
     def windows(self, flat: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
         """The atoms of every label of a flat int array, grouped: each label's bounding window.
 

@@ -214,9 +214,8 @@ def cmd_subalgebra(args: argparse.Namespace) -> int:
 
 def cmd_product(args: argparse.Namespace) -> int:
     fp = FiberedPartition.from_json(_load_json(args.partition))
-    order = _order(args)
-    refined, trace = refine_product_finite(fp, order)
-    violation = product_tuned_violation(refined, order)
+    refined, trace = refine_product_finite(fp)
+    violation = product_tuned_violation(refined, _order(args))
     payload = {
         "fibered": refined.to_json(),
         "trace": trace.to_json(),

@@ -17,19 +17,23 @@ orders.  The construction here is recursive in the dimension:
   to s) of every cell built so far, and is itself refined recursively in
   the lower dimension.
 
-The construction runs on the atom quotient (see ``atomgrid``).  Each
-recursive call holds its partition as one int label per atom of one grid,
-cut where some input cell changes, at 0..k0, and wherever a sub-call's
-result needs it.  A face is an index slice of that array.  The shadows of
-the built cells on a face are the sets of labels along the fibers above
-it, and ``partition.induced`` groups the face's atoms into membership
-classes.  A face's sub-problem goes down, and its result comes back, as
-labels.  Regions are built once, at the end, by ``AtomGrid.regions``, the
-one way from labels back to Regions; only each call's quadrant cell keeps
-the box form that ``Region.intersect`` gives it.  A call whose grid would
-exceed ``MAX_ATOMS`` raises ValueError before allocating it.
+The construction runs on the atom quotient (see ``atomgrid``), and
+``_refine_atoms`` is the one refiner at every depth.  Each call holds its
+partition as one int label per atom of one grid, cut where some input cell
+changes, at 0..k0, and wherever a sub-call's result needs it.  A face is an
+index slice of that array.  The shadows of the built cells on a face are
+the sets of labels along the fibers above it, and ``partition.induced``
+groups the face's atoms into membership classes.  A face's sub-problem
+goes down, and its result comes back, as labels.  Regions are built once,
+at the end, by ``AtomGrid.regions``, the one way from labels back to
+Regions; only each call's quadrant cell keeps the box form that
+``Region.intersect`` gives it.  ``refine_monotone`` makes the outermost
+call, the only one given the input's cofinal cell: its quadrant cell (on a
+line, the tail above k0) keeps the input's boxes, and the line faces of its
+last layer stay on their own grids.  A call whose grid would exceed
+``MAX_ATOMS`` raises ValueError before allocating it.
 
-Lower-dimensional faces repeat: within one top-level call, a sub-problem
+Lower-dimensional faces repeat: within one outermost call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
 refined once, through every check, and later faces reuse that result.  The
 memo is local to the call, so it holds at most the distinct face
@@ -66,7 +70,6 @@ from .region import (
     Point,
     Region,
     full,
-    point_region,
     upper_quadrant,
 )
 
@@ -134,19 +137,6 @@ def _require_atoms(size: int) -> None:
         raise ValueError(f"atom grid too large: the refinement needs at least {size} atoms")
 
 
-def _refine_line(p: Partition) -> tuple[Partition, Optional[int]]:
-    """Refinement over the line and its threshold (None if no cell is finite)."""
-    finite = [c for c in p.cells if all(b.intervals[0].bounded for b in c.boxes)]
-    if not finite:
-        return p, None
-    k0 = max(c.max_constant() for c in finite)
-    _require_atoms(k0 + 2)
-    tail = upper_quadrant(1, k0 + 1)
-    cells = [point_region(k) for k in range(k0 + 1)]
-    cells += [c.intersect(tail) for c in p.cells if c not in finite]
-    return Partition._trusted(1, full(1), cells), k0
-
-
 def refine_monotone_1d(p: Partition) -> Partition:
     """Monotone refinement over the line.
 
@@ -156,8 +146,7 @@ def refine_monotone_1d(p: Partition) -> Partition:
     """
     if p.dim != 1:
         raise ValueError("refine_monotone_1d expects dimension 1")
-    _require_full_carrier(p)
-    return _refine_line(p)[0]
+    return refine_monotone(p)[0]
 
 
 def cofinal_threshold(p: Partition) -> int:
@@ -388,28 +377,52 @@ def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
     return tuple(faces)
 
 
-def _grow(
-    grid: AtomGrid,
-    coarse: np.ndarray,
-    count: int,
-    k0: int,
-    quadrant: Region,
-    memo: _Memo,
-    hold_lines: bool = False,
+def _refine_atoms(
+    grid: AtomGrid, labels: np.ndarray, count: int, memo: _Memo, cofinal: Optional[Region] = None
 ) -> tuple[_Cells, RefinementTrace]:
-    """Refine a labelled partition from its quadrant cell outward, one layer per level.
+    """``refine_monotone`` of a labelled partition of the full grid into ``count`` cells.
 
-    ``quadrant`` is the partition's cofinal cell restricted to [k0, w)^m.
+    From dimension 2 on, the grid is first stripped of every cut across which
+    no cell changes (see ``_compress``), so that equal sub-problems have equal
+    keys, and the result is looked up in ``memo`` and stored there; callers
+    only read it.  A line is refined directly: the atom after its last finite
+    one starts a run of the top cell with or without the redundant cuts.
+    ``cofinal``, the input's cofinal cell, marks the outermost call; nested
+    calls read that cell from their labels.
     """
     m = grid.dim
+    if m == 1:
+        top = labels[-1]
+        finite = (labels != top).nonzero()[0]
+        if not finite.size:
+            return _Cells(grid, labels, count), RefinementTrace(1, None, count, count, ())
+        k0 = grid.cuts[0][finite[-1] + 1] - 1
+        _require_atoms(k0 + 2)
+        line = _Cells(AtomGrid(1, [range(k0 + 2)]), np.arange(k0 + 2, dtype=np.int32), k0 + 2)
+        if cofinal is not None:
+            line.kept[k0 + 1] = cofinal.intersect(upper_quadrant(1, k0 + 1))
+        return line, RefinementTrace(1, k0, count, k0 + 2, ())
+    grid, labels = _compress(grid, labels)
+    key = (grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)
+    if key in memo:
+        return memo[key]
+    k0 = _atom_threshold(grid, labels)
+    if not k0:
+        memo[key] = _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
+        return memo[key]
+    outermost = cofinal is not None
+    if not outermost:
+        cofinal = grid.regions(np.where(labels == labels[(-1,) * m], 0, -1))[0]
+    quadrant = cofinal.intersect(upper_quadrant(m, k0))
     if not quadrant.is_cofinal_in_space():
         raise RuntimeError("restriction to the quadrant lost cofinality")
+    # Grow the partition from its quadrant cell outward, one layer per level.
     _require_atoms((k0 + 1) ** m)
     cuts = [sorted(set(c).union(range(k0 + 1))) for c in grid.cuts]
-    grid, (coarse,) = grid.regrid(cuts, [coarse])
-    labels = np.full(grid.shape, -1, dtype=np.int32)
-    labels[_quadrant_index(grid, k0)] = 0
-    cells = _Cells(grid, labels, 1, {0: quadrant}, coarse, hold_lines)
+    fine, (coarse,) = grid.regrid(cuts, [labels])
+    inner = np.full(fine.shape, -1, dtype=np.int32)
+    inner[_quadrant_index(fine, k0)] = 0
+    cells = _Cells(fine, inner, 1, {0: quadrant}, coarse, hold_lines=outermost)
     steps = tuple(
         LevelStep(level, _extend_core(cells, level - 1, memo)) for level in range(k0, 0, -1)
     )
@@ -423,43 +436,8 @@ def _grow(
         raise RuntimeError("structural bound failed: one face per nonempty coordinate set")
     if trace.depth() > m:
         raise RuntimeError("structural bound failed: recursion deeper than the dimension")
-    return cells, trace
-
-
-def _refine_atoms(
-    grid: AtomGrid, labels: np.ndarray, count: int, memo: _Memo
-) -> tuple[_Cells, RefinementTrace]:
-    """``refine_monotone`` of a labelled partition of the full grid into ``count`` cells.
-
-    From dimension 2 on, the grid is first stripped of every cut across which
-    no cell changes (see ``_compress``), so that equal sub-problems have equal
-    keys, and the result is looked up in ``memo`` and stored there; callers
-    only read it.  A line is refined directly: the atom after its last finite
-    one starts a run of the top cell with or without the redundant cuts.
-    """
-    m = grid.dim
-    if m == 1:
-        top = labels[-1]
-        finite = (labels != top).nonzero()[0]
-        if not finite.size:
-            return _Cells(grid, labels, count), RefinementTrace(1, None, count, count, ())
-        k0 = grid.cuts[0][finite[-1] + 1] - 1
-        _require_atoms(k0 + 2)
-        line = _Cells(AtomGrid(1, [range(k0 + 2)]), np.arange(k0 + 2, dtype=np.int32), k0 + 2)
-        return line, RefinementTrace(1, k0, count, k0 + 2, ())
-    grid, labels = _compress(grid, labels)
-    key = (grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)
-    if key in memo:
-        return memo[key]
-    k0 = _atom_threshold(grid, labels)
-    if not k0:
-        result = _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
-    else:
-        cofinal = grid.regions(np.where(labels == labels[(-1,) * m], 0, -1))[0]
-        quadrant = cofinal.intersect(upper_quadrant(m, k0))
-        result = _grow(grid, labels, count, k0, quadrant, memo)
-    memo[key] = result
-    return result
+    memo[key] = cells, trace
+    return memo[key]
 
 
 def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
@@ -483,20 +461,14 @@ def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
 
 def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
     """Finite monotone refinement of a partition of the full grid."""
-    n = p.dim
     _require_full_carrier(p)
-    if n == 0:
+    if p.dim == 0:
         return p, RefinementTrace(0, None, p.size, p.size, ())
-    if n == 1:
-        refined, k0 = _refine_line(p)
-        return refined, RefinementTrace(1, k0, p.size, refined.size, ())
-    grid, labels = _compress(p._grid, p._owner.reshape(p._grid.shape))
-    k0 = _atom_threshold(grid, labels)
-    if not k0:
-        return p, RefinementTrace(n, 0, p.size, p.size, ())
-    quadrant = p.cells[labels[(-1,) * n]].intersect(upper_quadrant(n, k0))
-    cells, trace = _grow(grid, labels, p.size, k0, quadrant, {}, hold_lines=True)
-    return Partition._trusted(n, full(n), cells.to_regions()), trace
+    owner = p._owner.reshape(p._grid.shape)
+    cells, trace = _refine_atoms(p._grid, owner, p.size, {}, p.cells[p._owner[-1]])
+    if not trace.k0:
+        return p, trace
+    return Partition._trusted(p.dim, full(p.dim), cells.to_regions()), trace
 
 
 # -- products with a finite frame ---------------------------------------------------
@@ -531,16 +503,14 @@ class FiberedPartition:
         raw_edges = obj.get("edges", [])
         if not isinstance(raw_edges, list):
             raise ValueError("field 'edges' must be a list of [source, target] pairs")
-        edges = []
         for e in raw_edges:
-            if not isinstance(e, list) or len(e) != 2 or e[0] not in worlds or e[1] not in worlds:
-                raise ValueError(f"edge {e!r} does not join two listed worlds")
-            edges.append((e[0], e[1]))
+            if not isinstance(e, list) or len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a [source, target] pair")
         raw_fibers = obj.get("fibers")
         if not isinstance(raw_fibers, dict) or set(raw_fibers) != set(worlds):
             raise ValueError("field 'fibers' must map every world to a partition")
         fibers = tuple(Partition.from_json(raw_fibers[w]) for w in worlds)
-        return make_fibered(worlds, edges, fibers)
+        return make_fibered(worlds, raw_edges, fibers)
 
 
 def make_fibered(
@@ -572,14 +542,12 @@ def make_fibered(
     return FiberedPartition(dim, worlds, tuple(ordered), tuple(fibers))
 
 
-def refine_product_finite(
-    fp: FiberedPartition, order: OrderKind
-) -> tuple[FiberedPartition, RefinementTrace]:
+def refine_product_finite(fp: FiberedPartition) -> tuple[FiberedPartition, RefinementTrace]:
     """Tuned refinement of a partition of grid x finite frame.
 
     All fibers are refined jointly: the common refinement of every fiber
     cell is made monotone once, and every world receives that partition.
-    The result is tuned in the product frame for the given base order.
+    The result is tuned in the product frame for both base orders.
     """
     splitters = [cell for f in fp.fibers for cell in f.cells]
     base = induced(full(fp.dim), splitters)

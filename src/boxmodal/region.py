@@ -77,10 +77,6 @@ class Interval:
             if self.hi < self.lo:
                 raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    @property
-    def bounded(self) -> bool:
-        return self.hi is not OMEGA
-
     def contains(self, k: int) -> bool:
         return k >= self.lo and (self.hi is OMEGA or k <= self.hi)
 
@@ -106,11 +102,6 @@ class Interval:
 
     def shifted(self, delta: int) -> "Interval":
         return Interval(self.lo + delta, OMEGA if self.hi is OMEGA else self.hi + delta)
-
-    def _sort_key(self) -> tuple[int, int, int]:
-        if self.hi is OMEGA:
-            return (self.lo, 1, 0)
-        return (self.lo, 0, self.hi)
 
     def __repr__(self) -> str:
         top = "w" if self.hi is OMEGA else str(self.hi)

@@ -437,7 +437,7 @@ def test_criterion_8_product_construction():
     for case in range(50):
         fp = random_fibered(rng, rng.choice([1, 2]), rng.randint(2, 3))
         order = rng.choice([LE, LT])
-        out, _ = refine_product_finite(fp, order)
+        out, _ = refine_product_finite(fp)
         assert product_refines(out, fp), f"product case {case}"
         assert product_tuned(out, order), f"product case {case}"
     elapsed = time.perf_counter() - start

@@ -76,17 +76,6 @@ def test_first_point_is_lexmin():
     assert grid.first_point(np.zeros(grid.size, dtype=bool)) is None
 
 
-def test_box_region_is_region_of_bool_of_the_block():
-    grid = AtomGrid(2, [[0, 1, 3, 4], [0, 2, 5]])
-    for lo in itertools.product(range(4), range(3)):
-        for hi in itertools.product(*[range(a + 1, s + 1) for a, s in zip(lo, grid.shape)]):
-            block = np.zeros(grid.shape, dtype=bool)
-            block[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
-            assert grid.box_region(lo, hi) == grid.region_of_bool(block)
-            window = block[tuple(slice(a, None) for a in lo)]
-            assert grid.box_region(lo, hi) == grid.region_of_bool(window, lo)
-
-
 @st.composite
 def labelled_grids(draw):
     """A grid of 1-3 axes and labels from -1 up, some painted as blocks that fill their window."""
@@ -118,7 +107,10 @@ def test_regions_of_filled_unfilled_and_missing_labels():
     grid = AtomGrid(2, [[0, 1, 3], [0, 2, 5]])
     labels = np.array([[0, 0, -1], [1, 2, 1], [1, 2, 2]], dtype=np.int32)
     out = grid.regions(labels)
-    assert out[0] == grid.box_region([0, 0], [1, 2])  # fills its window
+    block = np.zeros(grid.shape, dtype=bool)
+    block[:1, :2] = True
+    assert out[0] == grid.region_of_bool(block)  # fills its window
+    assert len(out[0].boxes) == 1
     assert len(out[1].boxes) == 3 and len(out[2].boxes) == 2  # do not
     for label in range(3):
         assert out[label].boxes == grid.region_of_bool(labels == label).boxes

@@ -213,6 +213,19 @@ class TestProduct:
         assert payload["tuned"] is True and payload["refines"] is True
         assert len(payload["fibered"]["fibers"]["a"]["cells"]) == 4
 
+    @pytest.mark.parametrize("edge", [["a", "z"], ["a", "b", "a"]])
+    def test_bad_edge_is_usage_error(self, capsys, tmp_path, edge):
+        fiber = make_partition(full(1), [full(1)]).to_json()
+        fp = {"worlds": ["a", "b"], "edges": [edge], "fibers": {"a": fiber, "b": fiber}}
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(fp))
+        assert main(["product", "--partition", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: edge ")
+        assert "Traceback" not in captured.err
+
 
 class TestOracle:
     def test_partition_agreement(self, capsys, origin_partition_file):

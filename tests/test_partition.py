@@ -153,7 +153,9 @@ class TestOwner:
         for i, cell in enumerate(p.cells):
             assert {a for a in range(n) if varies[a, i]} == cell.varying_coords()
             hull = cell.hull()
-            assert grid.box_region(start[:, i], stop[:, i]) == hull
+            block = np.zeros(grid.shape, dtype=bool)
+            block[tuple(slice(a, b) for a, b in zip(start[:, i], stop[:, i]))] = True
+            assert grid.region_of_bool(block) == hull
             top = np.flatnonzero(grid.region_bool(hull).ravel())[-1]
             assert top == np.ravel_multi_index(stop[:, i] - 1, grid.shape)
 

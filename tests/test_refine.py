@@ -89,6 +89,16 @@ class TestLine:
             [point_region(k) for k in range(6)] + [upper_quadrant(1, 6)],
         )
 
+    def test_outermost_tail_keeps_its_boxes(self):
+        tail = region(box(0), box((2, 4)), box((5, OMEGA)))
+        p = make_partition(full(1), [point_region(1), tail])
+        assert [c.boxes for c in p.cells] == [tail.boxes, point_region(1).boxes]
+        q = refine_monotone_1d(p)
+        assert q.cells[:2] == (point_region(0), point_region(1))
+        # The tail above k0 = 1 is the input cell's trace there, not [2, w).
+        assert q.cells[2].boxes == (box((2, 4)), box((5, OMEGA)))
+        assert q.size == 3 and q.cells[2].equal(upper_quadrant(1, 2))
+
     def test_output_tuned_both_orders(self):
         p = make_partition(
             full(1), [region(box(0), box(2)), point_region(1), upper_quadrant(1, 3)]
@@ -292,25 +302,42 @@ class TestSubProblemMemo:
             compressed.append(grid.dim)
             return compress(grid, labels)
 
-        def spy_refine_atoms(grid, labels, count, memo):
+        def spy_refine_atoms(grid, labels, count, memo, *args):
             dims.append(grid.dim)
-            return refine_atoms(grid, labels, count, memo)
+            return refine_atoms(grid, labels, count, memo, *args)
 
         monkeypatch.setattr(boxmodal.refine, "_compress", spy_compress)
         monkeypatch.setattr(boxmodal.refine, "_refine_atoms", spy_refine_atoms)
         p = square(3, 6)
         _, trace = refine_monotone(p)
-        # Point faces are labelled in place; every other face of a refined
-        # sub-problem makes one call, and only lookups of dimension >= 2
-        # (plus the top-level call) compress.
+        # Point faces are labelled in place; the top-level call and every
+        # other face of a refined sub-problem make one call each, and only
+        # calls of dimension >= 2 compress.
         distinct = {id(t): t for t in _subtraces(trace)}.values()
         faces = [f for t in distinct for step in t.steps for f in step.faces]
         assert 0 not in dims
-        assert len(dims) == sum(f.sub.dim > 0 for f in faces)
-        assert len(compressed) == 1 + sum(d >= 2 for d in dims)
-        assert (len(compressed), len(dims)) == (19, 66)
+        assert len(dims) == 1 + sum(f.sub.dim > 0 for f in faces)
+        assert len(compressed) == sum(d >= 2 for d in dims)
+        assert (len(compressed), len(dims)) == (19, 67)
         golden = TestGridSizing.golden["square_n3_c6"]["sha256"]
         assert refine_digest(p.to_json(), str(tmp_path)) == golden
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_only_the_outermost_call_gets_the_cofinal_cell(self, monkeypatch, n):
+        refine_atoms = boxmodal.refine._refine_atoms
+        cofinals = []
+
+        def spy_refine_atoms(grid, labels, count, memo, cofinal=None):
+            cofinals.append(cofinal)
+            return refine_atoms(grid, labels, count, memo, cofinal)
+
+        monkeypatch.setattr(boxmodal.refine, "_refine_atoms", spy_refine_atoms)
+        p = square(n, 3)
+        refine_monotone(p)
+        assert n == 1 or len(cofinals) > 1  # nested calls ran
+        assert cofinals[0] is p.cells[-1]  # the cofinal cell
+        assert sum(c is not None for c in cofinals) == 1
 
 
 @st.composite
@@ -447,7 +474,7 @@ class TestProduct:
             full(1), [region(box(0), box(2)), point_region(1), upper_quadrant(1, 3)]
         )
         fp = make_fibered(["a", "b"], [("a", "b")], [fib_a, fib_b])
-        out, _ = refine_product_finite(fp, LE)
+        out, _ = refine_product_finite(fp)
         assert out.fibers[0].size == 4
         assert sum(f.size for f in out.fibers) == 8
         cells_equal(
@@ -459,7 +486,7 @@ class TestProduct:
 
     def test_single_world_no_edges(self):
         fp = make_fibered(["a"], [], [make_partition(full(2), [full(2)])])
-        out, _ = refine_product_finite(fp, LE)
+        out, _ = refine_product_finite(fp)
         assert out.fibers[0].size == 1
         assert product_tuned(out, LE)
 
@@ -467,7 +494,7 @@ class TestProduct:
         origin = point_region(0, 0)
         p = make_partition(full(2), [origin, origin.complement()])
         fp = make_fibered(["a"], [("a", "a")], [p])
-        out, _ = refine_product_finite(fp, LE)
+        out, _ = refine_product_finite(fp)
         q, _ = refine_monotone(p)
         assert out.fibers[0].size == q.size
         assert all(a.equal(b) for a, b in zip(out.fibers[0].cells, q.cells))
@@ -477,10 +504,9 @@ class TestProduct:
         rng = random.Random(77)
         for _ in range(5):
             fp = random_fibered(rng, rng.randint(1, 2), rng.randint(2, 3))
-            for order in (LE, LT):
-                out, _ = refine_product_finite(fp, order)
-                assert product_refines(out, fp)
-                assert product_tuned(out, order)
+            out, _ = refine_product_finite(fp)
+            assert product_refines(out, fp)
+            assert product_tuned(out, LE) and product_tuned(out, LT)
 
     def test_json_roundtrip(self):
         rng = random.Random(13)
