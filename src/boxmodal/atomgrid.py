@@ -6,7 +6,9 @@ cells ("atoms") tile the whole grid, and every region of the family is a
 union of atoms.  Downward closures and hulls of such regions are unions of
 atoms as well, because the cut set contains 0, every lower bound, and both
 hi and hi + 1 for every finite upper bound.  This turns the partition
-checkers into boolean-array arithmetic while staying exact.
+checkers into boolean-array arithmetic, on arrays in the grid's shape (only
+``sees``, ``windows`` and ``first_point`` flatten one), while staying exact.
+``regrid`` is the one way onto a finer grid.
 
 ``sees`` gives every cell's downward closure at once.  Under <= an atom
 sees an atom of a cell exactly when its index is at most the other's on
@@ -70,14 +72,18 @@ class AtomGrid:
         return cls(dim, [sorted(c) for c in cuts])
 
     def regrid(
-        self, cuts: Sequence[Sequence[int]], arrays: list[np.ndarray]
+        self, cuts: Sequence[Iterable[int]], arrays: list[np.ndarray]
     ) -> tuple["AtomGrid", list[np.ndarray]]:
-        """The same labellings (arrays in this grid's shape) over a grid with more cuts."""
-        fine = AtomGrid(self.dim, cuts)
-        for axis, (old, new) in enumerate(zip(self.cuts, fine.cuts)):
-            if len(old) != len(new):
-                index = [bisect.bisect_right(old, c) - 1 for c in new]
-                arrays = [np.take(a, index, axis=axis) for a in arrays]
+        """The grid joining ``cuts`` with this one's, and the arrays (in this grid's shape)
+        on it; when no cut is new, this grid and the arrays themselves."""
+        if all([set(own).issuperset(more) for own, more in zip(self.cuts, cuts) if more]):
+            return self, arrays
+        joint = [sorted(set(own).union(more)) for own, more in zip(self.cuts, cuts)]
+        fine = AtomGrid(self.dim, joint)
+        for axis, (old, grown) in enumerate(zip(self.cuts, fine.cuts)):
+            if len(old) != len(grown):
+                index = [bisect.bisect_right(old, c) - 1 for c in grown]
+                arrays = [a.take(index, axis=axis) for a in arrays]
         return fine, arrays
 
     # -- atoms ------------------------------------------------------------------
@@ -131,13 +137,14 @@ class AtomGrid:
         cuts = self.cuts[axis]
         return Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA)
 
-    def windows(self, flat: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
-        """The atoms of every label of a flat int array, grouped: each label's bounding window.
+    def windows(self, labels: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+        """The atoms of every label of an int array in this grid's shape: each label's window.
 
         Atoms labelled -1 are left out.  Returns the labels in ascending
         order, the number of atoms of each, and per axis (rows) and label
         (columns) the lowest atom index and one past the highest.
         """
+        flat = labels.ravel()
         where = (flat >= 0).nonzero()[0]
         if not where.size:
             return [], [], np.zeros((self.dim, 0), np.intp), np.zeros((self.dim, 0), np.intp)
@@ -162,7 +169,7 @@ class AtomGrid:
         atoms; a label that fills its window is that one box.  Boxes share
         one ``Interval`` per distinct run of atoms on an axis.
         """
-        names, counts, lows, highs = self.windows(labels.ravel())
+        names, counts, lows, highs = self.windows(labels)
         volumes = np.prod(highs - lows, axis=0).tolist()
         made: dict[tuple[int, int, int], Interval] = {}
         out = {}
@@ -208,9 +215,9 @@ class AtomGrid:
             start = end + 1
         return out
 
-    def first_point(self, flat: np.ndarray) -> Optional[Point]:
-        """Lexicographically least point of a flat atom set: its first atom's lower corner."""
-        idx = np.flatnonzero(flat)
+    def first_point(self, atoms: np.ndarray) -> Optional[Point]:
+        """Lexicographically least point of an atom set: its first atom's lower corner."""
+        idx = np.flatnonzero(atoms)
         if idx.size == 0:
             return None
         at = np.unravel_index(int(idx[0]), self.shape) if self.dim else ()
@@ -236,18 +243,19 @@ class AtomGrid:
     ) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
         """Which target cells every atom and every source cell sees, by blocks of targets.
 
-        ``sources``/``targets`` give every atom (flat) a source/target cell or
-        -1; targets are below ``count``, sources from 0, each owning an atom.
+        ``sources``/``targets`` give every atom a source/target cell or -1;
+        targets are below ``count``, sources from 0, each owning an atom.
         Yields ``(block, bits, meets, within)`` per range of targets, rows
         packed little-endian, bit k for target block[k].  ``bits`` has a row
-        per atom, its column k the target's downset; ``meets``/``within`` a
-        row per source: some atom of it sees the target / every atom does.
+        per atom in the grid's shape, its column k the target's downset; ``meets``
+        and ``within`` a row per source: some atom sees the target / every one does.
 
         Rows are padded to whole words of up to 8 bytes while the closure
         and the reductions run, and yielded without the padding.  A source
         of one atom has that atom's row as its ``meets`` and ``within``; only
         the sources of several atoms are reduced.
         """
+        sources, targets = sources.ravel(), targets.ravel()
         by_source = sources.argsort(kind="stable")
         by_source = by_source[sources[by_source] >= 0]
         sizes = np.bincount(sources[by_source])
@@ -281,17 +289,17 @@ class AtomGrid:
                     some, every = meets, within
                     meets, within = words[own], words[own]
                     meets[rows], within[rows] = some, every
-            yield block, *(a.view(np.uint8)[:, :used] for a in (words, meets, within))
+            yield block, *(a.view(np.uint8)[..., :used] for a in (cube, meets, within))
 
 
 def unpack(rows: np.ndarray, count: int) -> np.ndarray:
-    """Boolean matrix of packed rows (as ``AtomGrid.sees`` gives them), ``count`` columns."""
-    return np.unpackbits(rows, axis=1, count=count, bitorder="little").view(bool)
+    """Boolean array of packed rows (as ``AtomGrid.sees`` gives them), ``count`` columns."""
+    return np.unpackbits(rows, axis=-1, count=count, bitorder="little").view(bool)
 
 
 def bit_column(rows: np.ndarray, k: int) -> np.ndarray:
-    """Bit k of every packed row, as a boolean array."""
-    return (rows[:, k >> 3] >> (k & 7)) & 1 != 0
+    """Bit k of every packed row, as a boolean array in the rows' shape."""
+    return (rows[..., k >> 3] >> (k & 7)) & 1 != 0
 
 
 def first_bit(rows: np.ndarray) -> Optional[tuple[int, int]]:

@@ -2,8 +2,8 @@
 
 Grammar (tightest first): unary ``~`` ``<>`` ``[]``, then ``&``, then ``|``,
 then right-associative ``->``.  Variables match [a-zA-Z][a-zA-Z0-9_]*;
-``true`` and ``false`` are constants.  Formulas nested deeper than
-``MAX_DEPTH`` levels (operators and parentheses) are rejected.
+``true`` and ``false`` are constants.  ``MAX_DEPTH`` bounds unary operators
+plus parentheses along a parse path and, apart, the syntax tree's height.
 """
 from __future__ import annotations
 
@@ -92,9 +92,9 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     yield "end", "", len(text)
 
 
-# Deepest nesting a formula may have, counting operators and parentheses.
-# Parsing and evaluation recurse along the nesting, so deeper input is
-# rejected as malformed instead of exhausting the interpreter's stack.
+# Deepest nesting of unary operators plus parentheses, and apart from it the
+# highest syntax tree.  Parsing and evaluation recurse along both, so deeper
+# input is rejected as malformed instead of exhausting the interpreter's stack.
 MAX_DEPTH = 200
 
 # Binary operators: token value, binding strength, node type.

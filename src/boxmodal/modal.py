@@ -135,10 +135,10 @@ def quotient_frame(p: Partition, order: OrderKind, val: Valuation) -> QuotientFr
     violation = _tuned_pass(p._grid, p._owner, p._owner, p.size, order, edges)
     if violation is not None:
         raise NotTuned(violation)
-    grid, owner = p._owner_on(AtomGrid.for_regions(p.dim, val.vars.values()).cuts)
+    grid, (owner,) = p._grid.regrid(AtomGrid.for_regions(p.dim, val.vars.values()).cuts, [p._owner])
     val_map: dict[str, frozenset[int]] = {}
     for name in sorted(val.vars):
-        partial, whole = cover(owner, grid.region_bool(val.vars[name]).ravel(), p.size)
+        partial, whole = cover(owner, grid.region_bool(val.vars[name]), p.size)
         if partial.size:
             i = int(partial[0])
             raise NotCompatible(name, i, p.cells[i].intersect(val.vars[name]))
@@ -212,10 +212,11 @@ def filtration_pipeline(f: Formula, val: Valuation) -> FiltrationReport:
     qf = quotient_frame(refined, val.order, val)
     regions = _region_fold(f, val)
     worlds = _world_fold(qf, f)
-    grid, owner = refined._owner_on(AtomGrid.for_regions(val.dim, regions.values()).cuts)
+    cuts = AtomGrid.for_regions(val.dim, regions.values()).cuts
+    grid, (owner,) = refined._grid.regrid(cuts, [refined._owner])
     for sub, region in regions.items():
         quotient = np.isin(owner, sorted(worlds[sub]))
-        if not np.array_equal(quotient, grid.region_bool(region).ravel()):
+        if not np.array_equal(quotient, grid.region_bool(region)):
             raise TruthLemmaFailure(f"quotient disagrees with the frame semantics on {sub}")
     truth = regions[f]
     return FiltrationReport(
@@ -308,18 +309,18 @@ def generate_subalgebra(
             f"{atoms.size} atoms would give 2**{atoms.size} elements; "
             f"the limit is {max_atoms} atoms"
         )
-    grid, owner = atoms._owner_on(AtomGrid.for_regions(dim, generators).cuts)
+    grid, (owner,) = atoms._grid.regrid(AtomGrid.for_regions(dim, generators).cuts, [atoms._owner])
 
-    def decompose(flat: np.ndarray, what: str) -> frozenset[int]:
-        partial, whole = cover(owner, flat, atoms.size)
+    def decompose(held: np.ndarray, what: str) -> frozenset[int]:
+        partial, whole = cover(owner, held, atoms.size)
         if partial.size:
             raise RuntimeError(f"{what} is not a union of atoms")
-        if (flat & (owner < 0)).any():
+        if (held & (owner < 0)).any():
             raise RuntimeError(f"{what} leaks outside the atom partition")
         return frozenset(int(i) for i in whole)
 
     generator_atoms = tuple(
-        decompose(grid.region_bool(g).ravel(), f"generator {k}") for k, g in enumerate(generators)
+        decompose(grid.region_bool(g), f"generator {k}") for k, g in enumerate(generators)
     )
     down_atoms = tuple(
         decompose(bit_column(bits, k), f"downset of atom {j}")

@@ -47,9 +47,9 @@ def witness_bound(bound: int, max_constant: int) -> int:
     return max(bound, max_constant) + 1
 
 
-def _check_cap(dim: int, bound: int, cap: int) -> None:
-    if (bound + 1) ** max(dim, 1) > cap:
-        raise GridTooLarge(f"grid [0, {bound}]^{dim} exceeds the point cap {cap}")
+def _check_cap(dim: int, bound: int) -> None:
+    if (bound + 1) ** max(dim, 1) > GRID_CAP:
+        raise GridTooLarge(f"grid [0, {bound}]^{dim} exceeds the point cap {GRID_CAP}")
 
 
 def _points(dim: int, bound: int) -> Iterable[Point]:
@@ -62,12 +62,10 @@ def _dominates(order: OrderKind) -> Callable[[Point, Point], bool]:
     return lambda u, v: all(a < b for a, b in zip(u, v))
 
 
-def grid_downset(
-    v: Region, order: OrderKind, bound: int, cap: int = GRID_CAP
-) -> set[Point]:
+def grid_downset(v: Region, order: OrderKind, bound: int) -> set[Point]:
     """Points of [0, bound]^n seeing some point of v, by exhaustive search."""
     m = witness_bound(bound, v.max_constant())
-    _check_cap(v.dim, m, cap)
+    _check_cap(v.dim, m)
     sees = _dominates(order)
     targets = [p for p in _points(v.dim, m) if v.member(p)]
     return {
@@ -76,7 +74,7 @@ def grid_downset(
 
 
 def grid_tuned(
-    p: Partition, order: OrderKind, bound: int, cap: int = GRID_CAP
+    p: Partition, order: OrderKind, bound: int
 ) -> tuple[bool, Optional[tuple[int, int, Point]]]:
     """Tuned check by enumeration; sound for bound >= max constant + 1."""
     max_const = max(
@@ -87,7 +85,7 @@ def grid_tuned(
             f"bound {bound} below the sound bound {max_const + 1} for this partition"
         )
     m = witness_bound(bound, max_const)
-    _check_cap(p.dim, m, cap)
+    _check_cap(p.dim, m)
     sees = _dominates(order)
     sources = [
         [u for u in _points(p.dim, bound) if cell.member(u)] for cell in p.cells
@@ -118,7 +116,6 @@ def grid_truth(
     f: Formula,
     val: Valuation,
     bound: int,
-    cap: int = GRID_CAP,
     witness_cap: Optional[int] = None,
 ) -> set[Point]:
     """Pointwise model checking on [0, bound]^n with clamped witness search.
@@ -134,7 +131,7 @@ def grid_truth(
         raise BoundTooSmall(
             f"witness cap {witness_cap} below the required bound {need}"
         )
-    _check_cap(val.dim, need, cap)
+    _check_cap(val.dim, need)
     sees = _dominates(val.order)
     memo: dict[tuple[Formula, int], set[Point]] = {}
 

@@ -14,10 +14,10 @@ The checkers decide, exactly:
 
 Both checks run on the finite atom quotient of the partition (see
 ``atomgrid``), which is exact for box-union regions.  A partition builds its
-owner array (the cell of every atom) once, by painting each box's slice of
-atoms, the only place cells become atom labels; consumers needing the cuts
-of a valuation, generators or another partition too move it onto the joint
-grid with ``AtomGrid.regrid``.  Which cells see which is one
+owner array (each atom's cell, in the grid's shape) once, by painting each
+box's slice of atoms, the only place cells become atom labels; consumers
+needing the cuts of a valuation, generators or another partition too join
+them to its grid with ``AtomGrid.regrid``.  Which cells see which is one
 ``AtomGrid.sees`` pass, in blocks of bounded size.  The monotone check reads
 every cell's varying axes and hull from the owner array and checks hull
 cofinality with one gather before that pass.
@@ -73,18 +73,12 @@ class Partition:
 
     @cached_property
     def _owner(self) -> np.ndarray:
-        """Flat int32 array mapping each atom to its cell index (-1 outside)."""
+        """Int32 array in the grid's shape mapping each atom to its cell index (-1 outside)."""
         owner = np.full(self._grid.shape, -1, dtype=np.int32)
         for i, cell in enumerate(self.cells):
             for b in cell.boxes:
                 owner[self._grid.box_slices(b)] = i
-        return owner.ravel()
-
-    def _owner_on(self, cuts: Sequence[Iterable[int]]) -> tuple[AtomGrid, np.ndarray]:
-        """The grid joining this partition's cuts with ``cuts``, and the owner array on it."""
-        joint = [sorted(set(a).union(b)) for a, b in zip(self._grid.cuts, cuts)]
-        grid, (owner,) = self._grid.regrid(joint, [self._owner.reshape(self._grid.shape)])
-        return grid, owner.ravel()
+        return owner
 
     # -- serialization ----------------------------------------------------------
 
@@ -175,12 +169,12 @@ def induced(
 
     With a Region carrier and a sequence of Regions this returns the
     Partition.  With an AtomGrid carrier (the whole grid) the family is
-    given per atom instead: one int row per atom in row-major order, rows
-    equal exactly when the atoms lie in the same members.  The result is
-    then the class of every atom, numbered from 0, in the grid's shape.
+    given per atom instead: int rows along a last axis after the grid's
+    shape, equal exactly when the atoms lie in the same members.  The
+    result is then the class of every atom, numbered from 0, in that shape.
     """
     if isinstance(carrier, AtomGrid):
-        return _classes(family).reshape(carrier.shape)
+        return _classes(family)
     if carrier.is_empty():
         raise PartitionError("empty_carrier", "cannot partition an empty carrier")
     family = list(family)
@@ -190,12 +184,11 @@ def induced(
     if not family:
         return Partition._trusted(carrier.dim, carrier, [carrier])
     grid = AtomGrid.for_regions(carrier.dim, (carrier, *family))
-    car = grid.region_bool(carrier).ravel()
-    idx = np.flatnonzero(car)
-    profiles = np.stack([grid.region_bool(f).ravel()[idx] for f in family])
-    labels = np.full(grid.size, -1, dtype=np.intp)
-    labels[idx] = _classes(profiles.T)
-    cells = grid.regions(labels.reshape(grid.shape)).values()
+    car = grid.region_bool(carrier)
+    profiles = np.stack([grid.region_bool(f)[car] for f in family], axis=-1)
+    labels = np.full(grid.shape, -1, dtype=np.intp)
+    labels[car] = _classes(profiles)
+    cells = grid.regions(labels).values()
     return Partition._trusted(carrier.dim, carrier, cells)
 
 
@@ -206,37 +199,38 @@ _KEY_SPAN = 1 << 62
 def _classes(rows: np.ndarray) -> np.ndarray:
     """Class index of every row: equal rows share one, numbered from 0 in lexicographic order.
 
-    Rows are int (labels from -1 up, below 2^31) or bool.  Each row becomes
-    one int64 key in mixed radix, column by column, so that one 1-D
-    ``np.unique`` numbers them; key order is lexicographic row order.  Where
-    the key would span more than ``_KEY_SPAN``, the key of the columns so far
-    is replaced by its rank first.
+    Rows, along the last axis, are int (labels from -1 up, below 2^31) or
+    bool.  Each becomes one int64 key in mixed radix, column by column, so
+    that one sort numbers them in the shape of the other axes; key order is
+    lexicographic row order.  Where the key would span more than
+    ``_KEY_SPAN``, the key of the columns so far is replaced by its rank first.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if not rows.size:
-        return np.zeros(len(rows), dtype=np.intp)
-    digits = rows - rows.min(axis=0)
-    spans = (digits.max(axis=0) + 1).tolist()
-    key = np.zeros(len(rows), dtype=np.int64)
+        return np.zeros(rows.shape[:-1], dtype=np.intp)
+    each = tuple(range(rows.ndim - 1))
+    digits = rows - rows.min(axis=each)
+    spans = (digits.max(axis=each) + 1).tolist()
+    key = np.zeros(rows.shape[:-1], dtype=np.int64)
     width = 1
     start = 0
     for stop, span in enumerate(spans):
         if width * span > _KEY_SPAN:
-            key = _rank(_extend_key(key, digits[:, start:stop], spans[start:stop]))
+            key = _rank(_extend_key(key, digits[..., start:stop], spans[start:stop]))
             width, start = int(key.max()) + 1, stop
         width *= span
-    return _rank(_extend_key(key, digits[:, start:], spans[start:]))
+    return _rank(_extend_key(key, digits[..., start:], spans[start:]))
 
 
 def _rank(key: np.ndarray) -> np.ndarray:
-    """Index of every key among the distinct keys in ascending order."""
-    order = key.argsort(kind="stable")
-    ordered = key[order]
+    """Index of every key among the distinct keys in ascending order, in the keys' shape."""
+    order = key.argsort(axis=None, kind="stable")
+    ordered = key.take(order)
     new = np.empty(key.size, dtype=np.intp)  # 1 where a sorted key differs from the one before
     new[:1] = 0
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.empty_like(new)
-    rank[order] = new.cumsum()
+    rank = np.empty(key.shape, dtype=np.intp)
+    rank.put(order, new.cumsum())
     return rank
 
 
@@ -254,8 +248,8 @@ def refines(fine: Partition, coarse: Partition) -> bool:
         raise DimensionMismatch("partition dimensions differ")
     if not fine.carrier.equal(coarse.carrier):
         raise PartitionError("carrier_mismatch", "partitions have different carriers")
-    grid, owner = fine._owner_on(coarse._grid.cuts)
-    _, coarse_owner = coarse._owner_on(grid.cuts)
+    grid, (owner,) = fine._grid.regrid(coarse._grid.cuts, [fine._owner])
+    _, (coarse_owner,) = coarse._grid.regrid(grid.cuts, [coarse._owner])
     owned = owner >= 0
     # One key per (fine cell, coarse cell) pair that shares an atom.
     pairs = owner[owned].astype(np.int64) * (coarse.size + 1) + coarse_owner[owned]
@@ -266,9 +260,7 @@ def cell_of(p: Partition, point: Point) -> int:
     """Index of the cell containing the point; the point must be in the carrier."""
     if len(point) != p.dim:
         raise DimensionMismatch(f"point of dimension {len(point)}, partition {p.dim}")
-    atom = p._grid.point_atom(point)
-    flat = int(np.ravel_multi_index(atom, p._grid.shape)) if p.dim else 0
-    idx = int(p._owner[flat])
+    idx = int(p._owner[p._grid.point_atom(point)])
     if idx < 0:
         raise ValueError(f"point {point} lies outside the carrier")
     return idx
@@ -311,10 +303,10 @@ class MonotoneViolation:
         }
 
 
-def cover(owner: np.ndarray, flat: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of an owner array that a flat atom set holds in part, and those it holds whole."""
+def cover(owner: np.ndarray, atoms: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of an owner array that an atom set holds in part, and those it holds whole."""
     owned = owner >= 0
-    held = np.bincount(owner[flat & owned], minlength=count)
+    held = np.bincount(owner[atoms & owned], minlength=count)
     sizes = np.bincount(owner[owned], minlength=count)
     return np.flatnonzero((held > 0) & (held < sizes)), np.flatnonzero(held == sizes)
 
@@ -395,14 +387,13 @@ def monotone_violation(p: Partition) -> Optional[MonotoneViolation]:
     # and the cell's own atom on the others, so the only atom of the cell it
     # sees is itself: the hull is in the cell's downset exactly when the
     # cell owns its top atom.
-    tops = np.ravel_multi_index(stop - 1, grid.shape)
-    missing = np.flatnonzero(owner[tops] != np.arange(p.size))
+    missing = np.flatnonzero(owner[tuple(stop - 1)] != np.arange(p.size))
     if missing.size:
         i = int(missing[0])
         hull = np.zeros(grid.shape, dtype=bool)
         hull[tuple(slice(a, b) for a, b in zip(start[:, i].tolist(), stop[:, i].tolist()))] = True
-        down = grid.downsets((owner == i).reshape(*grid.shape, 1), OrderKind.REFLEXIVE)
-        witness = grid.first_point(hull.ravel() & ~down.ravel())
+        down = grid.downsets((owner == i)[..., None], OrderKind.REFLEXIVE)
+        witness = grid.first_point(hull & ~down[..., 0])
         assert witness is not None
         return MonotoneViolation("hull", i, None, witness)
     # Source i must not see target j when i varies where j does not.

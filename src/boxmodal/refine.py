@@ -20,18 +20,18 @@ orders.  The construction here is recursive in the dimension:
 The construction runs on the atom quotient (see ``atomgrid``), and
 ``_refine_atoms`` is the one refiner at every depth.  Each call holds its
 partition as one int label per atom of one grid, cut where some input cell
-changes, at 0..k0, and wherever a sub-call's result needs it.  A face is an
-index slice of that array.  The shadows of the built cells on a face are
-the sets of labels along the fibers above it, and ``partition.induced``
-groups the face's atoms into membership classes.  A face's sub-problem
-goes down, and its result comes back, as labels.  Regions are built once,
-at the end, by ``AtomGrid.regions``, the one way from labels back to
-Regions; only each call's quadrant cell keeps the box form that
-``Region.intersect`` gives it.  ``refine_monotone`` makes the outermost
-call, the only one given the input's cofinal cell: its quadrant cell (on a
-line, the tail above k0) keeps the input's boxes, and the line faces of its
-last layer stay on their own grids.  A call whose grid would exceed
-``MAX_ATOMS`` raises ValueError before allocating it.
+changes, at 0..k0, and wherever a sub-call's result needs it, all added by
+``AtomGrid.regrid``.  A face is an index slice of that array.  The shadows
+of the built cells on a face are the sets of labels along the fibers above
+it, and ``partition.induced`` groups the face's atoms into membership
+classes.  A face's sub-problem goes down, and its result comes back, as
+labels.  Regions are built once, at the end, by ``AtomGrid.regions``, the
+one way from labels back to Regions; only each call's quadrant cell keeps
+the box form that ``Region.intersect`` gives it.  ``refine_monotone`` makes
+the outermost call, the only one given the input's cofinal cell: its
+quadrant cell (on a line, the tail above k0) keeps the input's boxes, and
+the line faces of its last layer become kept Regions, off its grid.  A
+call whose grid would exceed ``MAX_ATOMS`` raises ValueError up front.
 
 Lower-dimensional faces repeat: within one outermost call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
@@ -110,6 +110,12 @@ class RefinementTrace:
     cells_in: int
     cells_out: int
     steps: tuple[LevelStep, ...]
+    # 1 plus the deepest face's depth, stored so that a shared subtrace is walked once.
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        depth = 1 + max((f.sub.depth for s in self.steps for f in s.faces), default=0)
+        object.__setattr__(self, "depth", depth)
 
     def to_json(self) -> dict:
         return {
@@ -119,12 +125,6 @@ class RefinementTrace:
             "cells_out": self.cells_out,
             "steps": [s.to_json() for s in self.steps],
         }
-
-    def depth(self) -> int:
-        sub = [
-            f.sub.depth() for s in self.steps for f in s.faces
-        ]
-        return 1 + max(sub, default=0)
 
 
 def _require_full_carrier(p: Partition) -> None:
@@ -208,6 +208,11 @@ def _face_index(grid: AtomGrid, coords: tuple[int, ...], s: int) -> tuple:
     )
 
 
+def _face_cuts(grid: AtomGrid, free: list[int], face: tuple, s: int) -> list[list[int]]:
+    """The cuts of a face's free axes, in the face's coordinates (shifted down by s + 1)."""
+    return [[c - s - 1 for c in grid.cuts[i][face[i].start :]] for i in free]
+
+
 def _compress(grid: AtomGrid, labels: np.ndarray) -> tuple[AtomGrid, np.ndarray]:
     """Drop the cuts across which no cell changes."""
     cuts = []
@@ -215,7 +220,7 @@ def _compress(grid: AtomGrid, labels: np.ndarray) -> tuple[AtomGrid, np.ndarray]
         change = np.ones(len(c), dtype=bool)
         if len(c) > 1:
             moved = np.moveaxis(labels, axis, 0)
-            change[1:] = (moved[1:] != moved[:-1]).reshape(len(c) - 1, -1).any(axis=1)
+            change[1:] = (moved[1:] != moved[:-1]).any(axis=tuple(range(1, moved.ndim)))
         keep = np.flatnonzero(change)
         if keep.size < len(c):
             labels = np.take(labels, keep, axis=axis)
@@ -253,9 +258,9 @@ class _Cells:
     Cells are numbered 0..count-1, and -1 marks atoms no cell covers yet.
     A cell in ``kept`` keeps that Region's box form when the partition
     becomes Regions; every other cell takes the canonical form that
-    ``AtomGrid.regions`` gives it.  While the partition grows, ``coarse``
-    labels the input partition on the same grid, and ``lines`` holds the
-    faces that ``place`` keeps off the grid, with their coordinates.
+    ``AtomGrid.regions`` gives it.  A kept cell need not be on the grid.
+    While the partition grows, ``coarse`` labels the input partition on the
+    same grid.
     """
 
     grid: AtomGrid
@@ -264,39 +269,30 @@ class _Cells:
     kept: dict[int, Region] = field(default_factory=dict)
     coarse: Optional[np.ndarray] = None
     hold_lines: bool = False
-    lines: list[tuple[tuple[int, ...], "_Cells"]] = field(default_factory=list)
 
     def place(self, coords: tuple[int, ...], s: int, sub: "_Cells") -> None:
         """Put a face's refined partition where the coordinates in ``coords`` equal s.
 
         ``sub`` is in the face's own coordinates: the others, shifted down by
         s + 1.  With ``hold_lines``, a face with one free coordinate on the
-        last layer (s = 0) stays on its own grid: no later face projects it,
-        and on this grid its cuts would multiply with those of the other axes.
+        last layer (s = 0) becomes kept Regions off the grid: no later face
+        projects it, and on this grid its cuts would multiply with others.
         """
-        free = [i for i in range(self.grid.dim) if i not in coords]
-        if self.hold_lines and s == 0 and len(free) == 1:
-            self.lines.append((coords, sub))
+        if self.hold_lines and s == 0 and len(coords) == self.grid.dim - 1:
+            lines = (cell.translate(1).insert_coords(coords, 0) for cell in sub.to_regions())
+            self.kept.update(enumerate(lines, self.count))
             self.count += sub.count
             return
-        cuts = list(self.grid.cuts)
-        grown = False
+        free = [i for i in range(self.grid.dim) if i not in coords]
+        shifted: list[Sequence[int]] = [()] * self.grid.dim
         for i, sub_cuts in zip(free, sub.grid.cuts):
-            need = {c + s + 1 for c in sub_cuts}
-            if not need.issubset(cuts[i]):
-                cuts[i] = sorted(need.union(cuts[i]))
-                grown = True
-        if grown:
-            self.grid, (self.labels, self.coarse) = self.grid.regrid(
-                cuts, [self.labels, self.coarse]
-            )
+            shifted[i] = [c + s + 1 for c in sub_cuts]
+        arrays = [self.labels, self.coarse]
+        self.grid, (self.labels, self.coarse) = self.grid.regrid(shifted, arrays)
         face = _face_index(self.grid, coords, s)
         labels = sub.labels
-        for axis, (i, sub_cuts) in enumerate(zip(free, sub.grid.cuts)):
-            ends = self.grid.cuts[i][face[i].start :]
-            if len(ends) > len(sub_cuts):  # else each face atom is one sub-atom
-                index = [bisect.bisect_right(sub_cuts, c - s - 1) - 1 for c in ends]
-                labels = labels.take(index, axis=axis)
+        if labels.shape != self.labels[face].shape:  # the face has cuts the sub lacks
+            _, (labels,) = sub.grid.regrid(_face_cuts(self.grid, free, face, s), [labels])
         self.labels[face] = labels + self.count
         for label, cell in sub.kept.items():
             self.kept[label + self.count] = cell.translate(s + 1).insert_coords(coords, s)
@@ -307,10 +303,7 @@ class _Cells:
         labels = self.labels
         if self.kept:
             labels = np.where(np.isin(labels, list(self.kept)), -1, labels)
-        regions = [*self.grid.regions(labels).values(), *self.kept.values()]
-        for coords, sub in self.lines:
-            regions += [cell.translate(1).insert_coords(coords, 0) for cell in sub.to_regions()]
-        return regions
+        return [*self.grid.regions(labels).values(), *self.kept.values()]
 
 
 # Refined sub-problems of one top-level call, by (cuts, int64 label bytes, count).
@@ -324,23 +317,23 @@ def _face_profiles(
 ) -> np.ndarray:
     """Membership rows of a face's atoms, one per atom in row-major order.
 
-    A row holds the atom's coarse cell, then the set of built cells whose
-    shadow contains the atom: the labels along the fiber of built atoms
-    that setting the coordinates in ``coords`` to s maps onto it, sorted,
-    with repeats replaced by -1 in front.
+    A row, along a last axis after the face's shape, holds the atom's coarse
+    cell, then the set of built cells whose shadow contains the atom: the
+    labels along the fiber of built atoms that setting the coordinates in
+    ``coords`` to s maps onto it, sorted, with repeats -1 in front.
     """
     n = cells.grid.dim
     block = cells.labels[
         tuple(slice(face[i], None) if i in coords else face[i] for i in range(n))
     ]
     free = tuple(i for i in range(n) if i not in coords)
-    fibers = block.transpose(free + coords).reshape(coarse.size, -1)
-    rows = fibers[:, 1:].copy()  # column 0 is the face atom itself
-    rows.sort(axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
-    rows.sort(axis=1)
-    first = int((rows >= 0).any(axis=0).argmax())
-    return np.concatenate((coarse.reshape(-1, 1), rows[:, first:]), axis=1)
+    fibers = block.transpose(free + coords).reshape(*coarse.shape, -1)
+    rows = fibers[..., 1:].copy()  # column 0 is the face atom itself
+    rows.sort(axis=-1)
+    rows[..., 1:][rows[..., 1:] == rows[..., :-1]] = -1
+    rows.sort(axis=-1)
+    first = int((rows >= 0).any(axis=tuple(range(len(free)))).argmax())
+    return np.concatenate((coarse[..., None], rows[..., first:]), axis=-1)
 
 
 def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
@@ -361,8 +354,7 @@ def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
             family_size = meets + sum(built[sub] for sub in _proper_subsets(coords))
             if size < n:
                 free = [i for i in range(n) if i not in coords]
-                face_cuts = [[c - s - 1 for c in cells.grid.cuts[i][face[i].start :]] for i in free]
-                face_grid = AtomGrid(n - size, face_cuts)
+                face_grid = AtomGrid(n - size, _face_cuts(cells.grid, free, face, s))
                 classes = induced(face_grid, _face_profiles(cells, coords, face, coarse))
                 atom_count = int(classes.max()) + 1
                 sub, subtrace = _refine_atoms(face_grid, classes, atom_count, memo)
@@ -418,8 +410,7 @@ def _refine_atoms(
         raise RuntimeError("restriction to the quadrant lost cofinality")
     # Grow the partition from its quadrant cell outward, one layer per level.
     _require_atoms((k0 + 1) ** m)
-    cuts = [sorted(set(c).union(range(k0 + 1))) for c in grid.cuts]
-    fine, (coarse,) = grid.regrid(cuts, [labels])
+    fine, (coarse,) = grid.regrid([range(k0 + 1)] * m, [labels])
     inner = np.full(fine.shape, -1, dtype=np.int32)
     inner[_quadrant_index(fine, k0)] = 0
     cells = _Cells(fine, inner, 1, {0: quadrant}, coarse, hold_lines=outermost)
@@ -434,7 +425,7 @@ def _refine_atoms(
         raise RuntimeError("structural bound failed: one extension step per layer")
     if any(len(step.faces) != 2**m - 1 for step in trace.steps):
         raise RuntimeError("structural bound failed: one face per nonempty coordinate set")
-    if trace.depth() > m:
+    if trace.depth > m:
         raise RuntimeError("structural bound failed: recursion deeper than the dimension")
     memo[key] = cells, trace
     return memo[key]
@@ -451,9 +442,8 @@ def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
         raise PartitionError("not_monotone", "inner partition is not monotone")
     if not refines(inner, restrict(coarse, upper_quadrant(coarse.dim, 1))):
         raise PartitionError("not_refining", "inner partition does not refine the restriction")
-    grid, outer = coarse._owner_on([{0, 1}.union(c) for c in inner._grid.cuts])
-    _, labels = inner._owner_on(grid.cuts)
-    labels, outer = labels.reshape(grid.shape), outer.reshape(grid.shape)
+    grid, (outer,) = coarse._grid.regrid(inner._grid.cuts, [coarse._owner])
+    _, (labels,) = inner._grid.regrid(grid.cuts, [inner._owner.copy()])  # a copy: written below
     cells = _Cells(grid, labels, inner.size, dict(enumerate(inner.cells)), outer, hold_lines=True)
     _extend_core(cells, 0, {})
     return Partition._trusted(coarse.dim, full(coarse.dim), cells.to_regions())
@@ -464,8 +454,7 @@ def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
     _require_full_carrier(p)
     if p.dim == 0:
         return p, RefinementTrace(0, None, p.size, p.size, ())
-    owner = p._owner.reshape(p._grid.shape)
-    cells, trace = _refine_atoms(p._grid, owner, p.size, {}, p.cells[p._owner[-1]])
+    cells, trace = _refine_atoms(p._grid, p._owner, p.size, {}, p.cells[p._owner[(-1,) * p.dim]])
     if not trace.k0:
         return p, trace
     return Partition._trusted(p.dim, full(p.dim), cells.to_regions()), trace
@@ -588,8 +577,8 @@ def product_tuned_violation(
         pg, ph = fp.fiber(g), fp.fiber(h)
         if (id(pg), id(ph)) not in checked:
             checked.add((id(pg), id(ph)))
-            grid, source = pg._owner_on(ph._grid.cuts)
-            _, target = ph._owner_on(grid.cuts)
+            grid, (source,) = pg._grid.regrid(ph._grid.cuts, [pg._owner])
+            _, (target,) = ph._grid.regrid(grid.cuts, [ph._owner])
             v = _tuned_pass(grid, source, target, ph.size, order)
             if v is not None:
                 return ProductTunedViolation(g, v.source, h, v.target, v.witness)

@@ -8,7 +8,9 @@ identical bytes.
 """
 from __future__ import annotations
 
-from .partition import Partition, cell_of
+import numpy as np
+
+from .partition import Partition
 
 PALETTE = (
     "#4e79a7",
@@ -55,10 +57,10 @@ def render_partition_svg(p: Partition) -> str:
     def y_px(y: int) -> int:
         return MARGIN + (span - y) * CELL_PX
 
-    def cell_at(point: tuple[int, int]) -> int:
-        if not p.carrier.member(point):
-            return -1
-        return cell_of(p, point)
+    # cell[x][y]: the cell of (x, y), or -1; index side stands for span + 1.
+    drawn = [*range(side), span + 1]
+    at = [np.searchsorted(c, drawn, side="right") - 1 for c in p._grid.cuts]
+    cell = p._owner[np.ix_(*at)].tolist()
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -68,7 +70,7 @@ def render_partition_svg(p: Partition) -> str:
     ]
     for y in range(side):
         for x in range(side):
-            idx = cell_at((x, y))
+            idx = cell[x][y]
             if idx < 0:
                 continue
             out.append(
@@ -79,7 +81,7 @@ def render_partition_svg(p: Partition) -> str:
     band_x = MARGIN + grid_px + BAND_GAP
     band_y = MARGIN - BAND_GAP
     for y in range(side):
-        idx = cell_at((span + 1, y))
+        idx = cell[side][y]
         if idx < 0:
             continue
         out.append(
@@ -91,7 +93,7 @@ def render_partition_svg(p: Partition) -> str:
             f'font-size="12" text-anchor="middle">&#8594;</text>'
         )
     for x in range(side):
-        idx = cell_at((x, span + 1))
+        idx = cell[x][side]
         if idx < 0:
             continue
         out.append(
@@ -102,7 +104,7 @@ def render_partition_svg(p: Partition) -> str:
             f'<text x="{x_px(x) + CELL_PX // 2}" y="{band_y - 8}" '
             f'font-size="12" text-anchor="middle">&#8593;</text>'
         )
-    corner = cell_at((span + 1, span + 1))
+    corner = cell[side][side]
     if corner >= 0:
         out.append(
             f'<rect x="{band_x}" y="{band_y - band_px}" width="{band_px}" height="{band_px}" '

@@ -71,9 +71,8 @@ def test_misaligned_region_rejected():
 def test_first_point_is_lexmin():
     r = region(box((3, None), 0), box(1, (2, None)))
     grid = AtomGrid.for_regions(2, [r])
-    flat = grid.region_bool(r).ravel()
-    assert grid.first_point(flat) == r.min_point() == (1, 2)
-    assert grid.first_point(np.zeros(grid.size, dtype=bool)) is None
+    assert grid.first_point(grid.region_bool(r)) == r.min_point() == (1, 2)
+    assert grid.first_point(np.zeros(grid.shape, dtype=bool)) is None
 
 
 @st.composite
@@ -117,6 +116,22 @@ def test_regions_of_filled_unfilled_and_missing_labels():
     assert grid.regions(np.full(grid.shape, -1, dtype=np.int32)) == {}
 
 
+def test_regrid_joins_the_grids_own_cuts():
+    grid = AtomGrid(2, [[0, 2, 5], [0, 3]])
+    labels = np.arange(6).reshape(grid.shape)
+    # The cuts asked for lack 2 on axis 0 and 3 on axis 1; the grid keeps them.
+    fine, (out,) = grid.regrid([[1, 5], [0]], [labels])
+    assert fine.cuts == ((0, 1, 2, 5), (0, 3))
+    assert out.tolist() == [[0, 1], [0, 1], [2, 3], [4, 5]]
+
+
+def test_regrid_without_a_new_cut_returns_the_grid_and_the_arrays():
+    grid = AtomGrid(2, [[0, 2, 5], [0, 3]])
+    labels = np.arange(6).reshape(grid.shape)
+    same, (out,) = grid.regrid([[5, 2], []], [labels])
+    assert same is grid and out is labels
+
+
 def test_dim_zero():
     grid = AtomGrid.for_regions(0, [Region(0, ())])
     one = Region(0, (box(),))
@@ -147,9 +162,10 @@ def test_boolean_ops_on_grid_match(a, b):
 
 
 def _blocks(grid, sources, targets, count, order):
-    """``sees`` with the blocks joined: per-atom bits, meets and within as booleans."""
+    """``sees`` with the blocks joined: per-atom bits (in the grid's shape), meets and
+    within as booleans."""
     blocks = list(grid.sees(sources, targets, count, order))
-    joined = [np.concatenate([b[k] for b in blocks], axis=1) for k in (1, 2, 3)]
+    joined = [np.concatenate([b[k] for b in blocks], axis=-1) for k in (1, 2, 3)]
     return [unpack(rows, count) for rows in joined]
 
 
@@ -167,24 +183,27 @@ def test_sees_is_every_cell_downset(seed, n, order, extra, refined):
     if refined:
         p = refine_monotone(p)[0]
     for cuts in (p._grid.cuts, [extra] * n):
-        grid, owner = p._owner_on(cuts)
+        grid, (owner,) = p._grid.regrid(cuts, [p._owner])
         bits, meets, within = _blocks(grid, owner, owner, p.size, order)
-        sizes = np.bincount(owner, minlength=p.size)
+        assert bits.shape == (*grid.shape, p.size)
+        sizes = np.bincount(owner[owner >= 0], minlength=p.size)
         bound = 3
         points = list(itertools.product(range(bound + 1), repeat=n))
-        atoms = [np.ravel_multi_index(grid.point_atom(u), grid.shape) for u in points]
         for j, cell in enumerate(p.cells):
-            down = grid.region_bool(cell.downset(order)).ravel()
-            assert np.array_equal(bits[:, j], down)
+            down = grid.region_bool(cell.downset(order))
+            assert np.array_equal(bits[..., j], down)
             cover = np.bincount(owner[down], minlength=p.size)
             assert np.array_equal(meets[:, j], cover > 0)
             assert np.array_equal(within[:, j], cover == sizes)
             seen = grid_downset(cell, order, bound)
-            assert {u for u, a in zip(points, atoms) if bits[a, j]} == seen
+            assert {u for u in points if bits[grid.point_atom(u)][j]} == seen
 
 
 def reference_sees(grid, sources, targets, count, order):
     """Per-atom bits, meets and within as booleans, from atom indices pair by pair.
+
+    Atoms are in row-major order: ``sources`` and ``targets`` are flat, and
+    so are the rows of the bits.
 
     Under <= an atom sees another when its index is at most the other's on
     every axis; under < when it is smaller on every axis, or both are the
@@ -206,7 +225,9 @@ def reference_sees(grid, sources, targets, count, order):
 
 @st.composite
 def sees_inputs(draw):
-    """A grid of 1-3 axes, sources of one atom and of several, targets up to 140 cells."""
+    """A grid of 1-3 axes, sources of one atom and of several, targets up to 140 cells.
+
+    Sources and targets are flat, atoms in row-major order."""
     n = draw(st.integers(1, 3))
     shape = [draw(st.integers(1, 5)) for _ in range(n)]
     steps = [draw(st.lists(st.integers(1, 3), min_size=s - 1, max_size=s - 1)) for s in shape]
@@ -227,12 +248,15 @@ def test_sees_matches_atom_pairs_for_every_word(case, order, row_bytes):
     """Rows of one byte, and words of 2, 4 and 8 bytes, give the same sets."""
     grid, sources, targets, count = case
     budget = atomgrid.SEES_BYTES if row_bytes is None else row_bytes * grid.size
+    shaped = [a.reshape(grid.shape) for a in (sources, targets)]
     with mock.patch.object(atomgrid, "SEES_BYTES", budget):
-        blocks = list(grid.sees(sources, targets, count, order))
-        joined = _blocks(grid, sources, targets, count, order)
+        blocks = list(grid.sees(*shaped, count, order))
+        bits, meets, within = _blocks(grid, *shaped, count, order)
     width = {1: 8, 3: 16, 5: 32, 9: 64}.get(row_bytes, count)
     assert [len(b[0]) for b in blocks[:-1]] == [width] * (len(blocks) - 1)
-    for got, want in zip(joined, reference_sees(grid, sources, targets, count, order)):
+    assert bits.shape == (*grid.shape, count)
+    mine = (bits.reshape(grid.size, count), meets, within)
+    for got, want in zip(mine, reference_sees(grid, sources, targets, count, order)):
         assert np.array_equal(got, want)
 
 
@@ -241,8 +265,8 @@ def reference_product_violation(fp, order):
     row-major order, and the witness from the Region algebra."""
     for g, h in fp.edges:
         pg, ph = fp.fiber(g), fp.fiber(h)
-        grid, source = pg._owner_on(ph._grid.cuts)
-        _, target = ph._owner_on(grid.cuts)
+        grid, (source,) = pg._grid.regrid(ph._grid.cuts, [pg._owner])
+        _, (target,) = ph._grid.regrid(grid.cuts, [ph._owner])
         _, premise, included = _blocks(grid, source, target, ph.size, order)
         bad = premise & ~included
         if bad.any():

@@ -128,3 +128,13 @@ def test_nesting_is_bounded():
     ):
         with pytest.raises(ParseError, match="nested deeper"):
             parse_formula(text)
+
+
+def test_parentheses_and_tree_height_are_bounded_apart():
+    """Unary operators plus parentheses along the parse path are one bound, the
+    height of the syntax tree the other: 100 pairs around a chain of tree
+    height 149 pass both, although together they run 249 levels deep."""
+    text = "(" * 100 + " & ".join(["p"] * 150) + ")" * 100
+    f = parse_formula(text)
+    assert len(subformulas(f)) == 150  # p and the 149 conjunctions
+    assert format_formula(f) == " & ".join(["p"] * 150)

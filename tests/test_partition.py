@@ -138,9 +138,9 @@ class TestOwner:
         p = painted_partition(seed, n, subcarrier)
         grid = p._grid
         # The former construction, kept as the reference: one full-grid mask per cell.
-        reference = np.full(grid.size, -1, dtype=np.int32)
+        reference = np.full(grid.shape, -1, dtype=np.int32)
         for i, cell in enumerate(p.cells):
-            reference[grid.region_bool(cell).ravel()] = i
+            reference[grid.region_bool(cell)] = i
         assert p._owner.dtype == np.int32
         assert np.array_equal(p._owner, reference)
 
@@ -156,8 +156,8 @@ class TestOwner:
             block = np.zeros(grid.shape, dtype=bool)
             block[tuple(slice(a, b) for a, b in zip(start[:, i], stop[:, i]))] = True
             assert grid.region_of_bool(block) == hull
-            top = np.flatnonzero(grid.region_bool(hull).ravel())[-1]
-            assert top == np.ravel_multi_index(stop[:, i] - 1, grid.shape)
+            top = np.argwhere(grid.region_bool(hull))[-1]
+            assert np.array_equal(top, stop[:, i] - 1)
 
 
 def reference_make_partition(carrier: Region, cells: list[Region]) -> Partition:

@@ -19,6 +19,7 @@ from boxmodal import (
     OrderKind,
     PartitionError,
     box,
+    cell_of,
     cofinal_threshold,
     extend_from_quadrant,
     full,
@@ -41,7 +42,14 @@ from boxmodal import (
 import boxmodal.refine
 from boxmodal.atomgrid import MAX_ATOMS, AtomGrid
 from boxmodal.cli import main
-from boxmodal.refine import _atom_threshold, _compress, _refine_atoms
+from boxmodal.refine import (
+    FaceStep,
+    LevelStep,
+    RefinementTrace,
+    _atom_threshold,
+    _compress,
+    _refine_atoms,
+)
 from genutil import (
     probe_far_cut,
     probe_long_line,
@@ -172,6 +180,19 @@ class TestExtend:
         for cell in inner.cells:
             assert any(cell.equal(c) for c in out.cells)
 
+    def test_leaves_the_inner_partition_as_it_was(self):
+        # The coarse partition adds no cut to the inner one's grid.
+        square = region(box((0, 1), (0, 1)))
+        coarse = make_partition(full(2), [square, square.complement()])
+        corner = point_region(1, 1)
+        quadrant = upper_quadrant(2, 1)
+        inner = make_partition(quadrant, [corner, quadrant.difference(corner)])
+        owner = inner._owner.copy()
+        extend_from_quadrant(coarse, inner)
+        assert np.array_equal(inner._owner, owner)
+        with pytest.raises(ValueError, match="outside the carrier"):
+            cell_of(inner, (0, 0))
+
     def test_precondition_violations(self):
         origin = point_region(0, 0)
         coarse = make_partition(full(2), [origin, origin.complement()])
@@ -223,7 +244,7 @@ class TestRefine:
             assert len(trace.steps) == trace.k0
             for step in trace.steps:
                 assert len(step.faces) == 2**n - 1
-            assert trace.depth() <= n
+            assert trace.depth <= n
             assert trace.cells_in == p.size
             assert trace.cells_out == q.size
 
@@ -339,6 +360,17 @@ class TestSubProblemMemo:
         assert cofinals[0] is p.cells[-1]  # the cofinal cell
         assert sum(c is not None for c in cofinals) == 1
 
+    def test_nested_quadrant_cell_keeps_its_box_form(self):
+        """A nested call's quadrant cell is ``cofinal.intersect(quadrant)``, not the
+        canonical form of its atoms, which would be one box [3, w) x [3, w) x {0}."""
+        a = region(box((1, 2), (1, OMEGA), 0))
+        b = region(box((5, OMEGA), 1, 0))
+        p = make_partition(full(3), [a, b, full(3).difference(a).difference(b)])
+        q, trace = refine_monotone(p)
+        assert (q.size, trace.k0) == (24, 1)
+        boxes = [[[3, 4], [3, None], [0, 0]], [[5, None], [3, None], [0, 0]]]
+        assert q.cells[cell_of(q, (6, 6, 0))].to_json() == {"dim": 3, "boxes": boxes}
+
 
 @st.composite
 def labelled_lines(draw):
@@ -399,6 +431,14 @@ except RuntimeError as exc:
         with pytest.raises(RuntimeError, match="one face per nonempty coordinate set"):
             refine_monotone(square(2, 3))
 
+    def test_a_subtrace_deeper_than_the_dimension_raises(self, monkeypatch):
+        # Every point face now reports a subtrace of depth 2, so a plane's trace has depth 3.
+        point = boxmodal.refine._POINT
+        deep = RefinementTrace(0, None, 1, 1, (LevelStep(1, (FaceStep((), 1, 1, 1, point),)),))
+        monkeypatch.setattr(boxmodal.refine, "_POINT", deep)
+        with pytest.raises(RuntimeError, match="recursion deeper than the dimension"):
+            refine_monotone(square(2, 3))
+
     def test_a_dropped_face_raises_under_python_O(self):
         src = str(Path(boxmodal.refine.__file__).resolve().parents[1])
         result = subprocess.run(
@@ -450,7 +490,7 @@ class TestGridSizing:
         for n in (2, 3):
             for _ in range(20):
                 p = random_partition(rng, n, rng.randint(1, 8), rng.randint(0, 8))
-                grid, labels = _compress(p._grid, p._owner.reshape(p._grid.shape))
+                grid, labels = _compress(p._grid, p._owner)
                 assert _atom_threshold(grid, labels) == cofinal_threshold(p)
 
     def test_too_many_atoms_fail_before_any_layer(self, tmp_path):
