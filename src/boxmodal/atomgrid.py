@@ -8,7 +8,9 @@ atoms as well, because the cut set contains 0, every lower bound, and both
 hi and hi + 1 for every finite upper bound.  This turns the partition
 checkers into boolean-array arithmetic, on arrays in the grid's shape (only
 ``sees``, ``windows`` and ``first_point`` flatten one), while staying exact.
-``regrid`` is the one way onto a finer grid.
+``regrid`` is the one way onto a finer grid.  A ``BoxTable`` holds boxes as
+arrays: ``boxes`` turns labels into its rows, ``paint`` its rows into
+labels.
 
 ``sees`` gives every cell's downward closure at once.  Under <= an atom
 sees an atom of a cell exactly when its index is at most the other's on
@@ -24,7 +26,7 @@ cells of more than one atom are reduced.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +38,64 @@ MAX_ATOMS = 1 << 22
 SEES_BYTES = 4 * MAX_ATOMS
 # The unsigned word of 2**k bytes.
 _WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
+# A box table's upper end of an interval unbounded above; finite ends are at most 2**63.
+END_OMEGA = 2**64 - 1
+
+
+class BoxTable(NamedTuple):
+    """Boxes of numbered cells as arrays, one row per box.
+
+    Row r is a box of cell ``cell[r]``; on every axis it runs from
+    ``lo[r]`` to one below ``end[r]``, or is unbounded above where ``end``
+    holds ``END_OMEGA``.  Bounds are uint64, so that coordinates up to
+    ``MAX_COORD`` and their ends fit.
+    """
+
+    cell: np.ndarray
+    lo: np.ndarray
+    end: np.ndarray
+
+    @classmethod
+    def of_regions(cls, regions: Sequence[Region], first: int = 0) -> "BoxTable":
+        """The boxes of Regions numbered from ``first``, in their order."""
+        cells = [i for i, r in enumerate(regions, first) for _ in r.boxes]
+        rows = [
+            [(iv.lo, END_OMEGA if iv.hi is OMEGA else iv.hi + 1) for iv in b.intervals]
+            for r in regions for b in r.boxes
+        ]
+        dim = regions[0].dim if regions else 0
+        at = np.array(rows, np.uint64).reshape(len(rows), dim, 2)
+        return cls(np.array(cells, np.intp), at[..., 0], at[..., 1])
+
+    @classmethod
+    def concat(cls, tables: Sequence["BoxTable"]) -> "BoxTable":
+        return cls(*(np.concatenate(parts) for parts in zip(*tables)))
+
+    def placed(self, coords: tuple[int, ...], s: int, offset: int) -> "BoxTable":
+        """The boxes shifted up by s + 1, with the coordinates in ``coords`` inserted and equal
+        to s, and the cells renumbered from ``offset``."""
+        rows, dim = self.lo.shape
+        free = [i for i in range(dim + len(coords)) if i not in coords]
+        lo = np.full((rows, dim + len(coords)), s, np.uint64)
+        end = np.full((rows, dim + len(coords)), s + 1, np.uint64)
+        lo[:, free] = self.lo + (s + 1)
+        end[:, free] = np.where(self.end == END_OMEGA, self.end, self.end + (s + 1))
+        return BoxTable(self.cell + offset, lo, end)
+
+    def regions(self) -> dict[int, Region]:
+        """Every cell as the Region of its rows, in row order; cells ascending."""
+        dim = self.lo.shape[1]
+        made: dict[tuple[int, int], Interval] = {}
+        boxes: dict[int, list[Box]] = {}
+        for cell, los, ends in zip(self.cell.tolist(), self.lo.tolist(), self.end.tolist()):
+            ivs = []
+            for key in zip(los, ends):
+                iv = made.get(key)
+                if iv is None:
+                    iv = made[key] = Interval(key[0], OMEGA if key[1] == END_OMEGA else key[1] - 1)
+                ivs.append(iv)
+            boxes.setdefault(cell, []).append(Box(tuple(ivs)))
+        return {cell: Region(dim, tuple(boxes[cell])) for cell in sorted(boxes)}
 
 
 class AtomGrid:
@@ -70,6 +130,19 @@ class AtomGrid:
                         cuts[i].add(iv.hi)
                         cuts[i].add(iv.hi + 1)
         return cls(dim, [sorted(c) for c in cuts])
+
+    @classmethod
+    def for_boxes(cls, table: BoxTable, regions: Iterable[Region] = ()) -> "AtomGrid":
+        """``for_regions`` of the regions and of every box of a table."""
+        own = cls.for_regions(table.lo.shape[1], regions)
+        bounds = np.concatenate((table.lo, table.end - 1, table.end))
+        bounds.sort(axis=0)
+        cuts = []
+        for axis, more in enumerate(own.cuts):
+            col = bounds[:, axis]
+            col = col[: col.searchsorted(END_OMEGA - 1)]  # the ends of omega, and one below
+            cuts.append(sorted(set(col.tolist()).union(more)))
+        return cls(own.dim, cuts)
 
     def regrid(
         self, cuts: Sequence[Iterable[int]], arrays: list[np.ndarray]
@@ -129,7 +202,10 @@ class AtomGrid:
         indices; the region then has no atom outside the window.
         """
         origin = tuple(origin) if origin is not None else (0,) * self.dim
-        boxes = [Box(ivs) for ivs in self._collect(np.ascontiguousarray(arr), 0, origin)]
+        boxes = [
+            Box(tuple(self._interval(axis, a, b) for axis, (a, b) in enumerate(spans)))
+            for spans in self._collect(np.ascontiguousarray(arr), 0, origin)
+        ]
         return Region(self.dim, tuple(boxes))
 
     def _interval(self, axis: int, a: int, b: int) -> Interval:
@@ -137,64 +213,13 @@ class AtomGrid:
         cuts = self.cuts[axis]
         return Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA)
 
-    def windows(self, labels: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
-        """The atoms of every label of an int array in this grid's shape: each label's window.
-
-        Atoms labelled -1 are left out.  Returns the labels in ascending
-        order, the number of atoms of each, and per axis (rows) and label
-        (columns) the lowest atom index and one past the highest.
-        """
-        flat = labels.ravel()
-        where = (flat >= 0).nonzero()[0]
-        if not where.size:
-            return [], [], np.zeros((self.dim, 0), np.intp), np.zeros((self.dim, 0), np.intp)
-        where = where[flat[where].argsort(kind="stable")]
-        ordered = flat[where]
-        change = np.empty(ordered.size, dtype=bool)
-        change[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
-        starts = change.nonzero()[0]
-        at = np.unravel_index(where, self.shape)
-        shape = (self.dim, starts.size)
-        lows = np.array([np.minimum.reduceat(a, starts) for a in at], np.intp).reshape(shape)
-        highs = np.array([np.maximum.reduceat(a, starts) + 1 for a in at], np.intp).reshape(shape)
-        counts = np.diff(starts, append=ordered.size)
-        return ordered[starts].tolist(), counts.tolist(), lows, highs
-
-    def regions(self, labels: np.ndarray) -> dict[int, Region]:
-        """Every label of an int array in this grid's shape as its Region of atoms.
-
-        Atoms labelled -1 belong to no Region.  Each Region is the canonical
-        form of ``region_of_bool``, read from the label's bounding window of
-        atoms; a label that fills its window is that one box.  Boxes share
-        one ``Interval`` per distinct run of atoms on an axis.
-        """
-        names, counts, lows, highs = self.windows(labels)
-        volumes = np.prod(highs - lows, axis=0).tolist()
-        made: dict[tuple[int, int, int], Interval] = {}
-        out = {}
-        for label, count, volume, lo, hi in zip(
-            names, counts, volumes, lows.T.tolist(), highs.T.tolist()
-        ):
-            if count != volume:
-                window = labels[tuple(slice(a, b) for a, b in zip(lo, hi))] == label
-                out[label] = self.region_of_bool(window, lo)
-                continue
-            ivs = []
-            for key in zip(range(self.dim), lo, hi):
-                iv = made.get(key)
-                if iv is None:
-                    iv = made[key] = self._interval(*key)
-                ivs.append(iv)
-            out[label] = Region(self.dim, (Box(tuple(ivs)),))
-        return out
-
     def _collect(
         self, arr: np.ndarray, coord: int, origin: tuple[int, ...]
-    ) -> list[tuple[Interval, ...]]:
+    ) -> list[tuple[tuple[int, int], ...]]:
+        """The canonical boxes of an atom window, as atom spans [a, b) per axis."""
         if coord == self.dim:
             return [()] if bool(arr) else []
-        out: list[tuple[Interval, ...]] = []
+        out: list[tuple[tuple[int, int], ...]] = []
         n = arr.shape[0]
         at = origin[coord]
         start = 0
@@ -207,13 +232,137 @@ class AtomGrid:
             key = rep.tobytes()
             while end + 1 < n and arr[end + 1].tobytes() == key:
                 end += 1
-            cuts = self.cuts[coord]
-            hi = cuts[at + end + 1] - 1 if at + end + 1 < len(cuts) else OMEGA
-            head = Interval(cuts[at + start], hi)
+            head = (at + start, at + end + 1)
             for tail in self._collect(rep, coord + 1, origin):
                 out.append((head,) + tail)
             start = end + 1
         return out
+
+    def windows(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The atoms of every label of an int array in this grid's shape: each label's window.
+
+        Atoms labelled -1 are left out.  Returns the labels in ascending
+        order, the number of atoms of each, and per axis (rows) and label
+        (columns) the lowest atom index and one past the highest.
+        """
+        flat = labels.ravel()
+        where = (flat >= 0).nonzero()[0]
+        if not where.size:
+            none = np.zeros((self.dim, 0), np.intp)
+            return flat[where], np.zeros(0, np.intp), none, none
+        where = where[flat[where].argsort(kind="stable")]
+        ordered = flat[where]
+        change = np.empty(ordered.size, dtype=bool)
+        change[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+        starts = change.nonzero()[0]
+        at = np.unravel_index(where, self.shape)
+        shape = (self.dim, starts.size)
+        lows = np.array([np.minimum.reduceat(a, starts) for a in at], np.intp).reshape(shape)
+        highs = np.array([np.maximum.reduceat(a, starts) + 1 for a in at], np.intp).reshape(shape)
+        counts = np.diff(starts, append=ordered.size)
+        return ordered[starts], counts, lows, highs
+
+    def _spans(self, labels: np.ndarray, label: int, lo: list[int], hi: list[int]) -> list:
+        """The canonical boxes of one label, as atom spans [a, b) per axis, read from its window
+        of atoms from ``lo`` to ``hi``: those of ``region_of_bool``."""
+        window = labels[tuple(slice(a, b) for a, b in zip(lo, hi))] == label
+        return self._collect(np.ascontiguousarray(window), 0, tuple(lo))
+
+    def regions(self, labels: np.ndarray) -> dict[int, Region]:
+        """Every label of an int array in this grid's shape as its Region of atoms.
+
+        Atoms labelled -1 belong to no Region.  A label that fills its
+        window of atoms is that one box; any other has the boxes of
+        ``_spans``.  Boxes share one ``Interval`` per distinct run of atoms
+        on an axis.
+        """
+        names, counts, lows, highs = self.windows(labels)
+        volumes = np.multiply.reduce(highs - lows, axis=0)
+        made: dict[tuple[int, int, int], Interval] = {}
+        out = {}
+        for label, count, volume, lo, hi in zip(
+            names.tolist(), counts.tolist(), volumes.tolist(), lows.T.tolist(), highs.T.tolist()
+        ):
+            spans = [tuple(zip(lo, hi))] if count == volume else self._spans(labels, label, lo, hi)
+            boxes = []
+            for box_spans in spans:
+                ivs = []
+                for axis, (a, b) in enumerate(box_spans):
+                    iv = made.get((axis, a, b))
+                    if iv is None:
+                        iv = made[axis, a, b] = self._interval(axis, a, b)
+                    ivs.append(iv)
+                boxes.append(Box(tuple(ivs)))
+            out[label] = Region(self.dim, tuple(boxes))
+        return out
+
+    def _bounds(self) -> tuple[np.ndarray, list[int]]:
+        """Every axis's cuts followed by ``END_OMEGA``, in one uint64 array, and where each
+        axis's part starts, then where the last one ends.  Entry a of an axis's part is where
+        its atom a starts and atom a - 1 ends."""
+        flat: list[int] = []
+        starts = []
+        for c in self.cuts:
+            starts.append(len(flat))
+            flat += c
+            flat.append(END_OMEGA)
+        return np.array(flat, np.uint64), starts + [len(flat)]
+
+    def boxes(self, labels: np.ndarray) -> BoxTable:
+        """Every label of an int array in this grid's shape as rows of a box table.
+
+        Atoms labelled -1 belong to no cell.  A label that fills its window
+        of atoms is one row, its bounds taken from the cuts; the others
+        follow with the canonical boxes of ``_spans``, each label's rows in a
+        run.
+        """
+        names, counts, lows, highs = self.windows(labels)
+        bounds, starts = self._bounds()
+        shift = np.array(starts[:-1], np.intp)
+        filled = np.multiply.reduce(highs - lows, axis=0) == counts
+        table = BoxTable(names, bounds[lows.T + shift], bounds[highs.T + shift])
+        if filled.all():
+            return table
+        table = BoxTable(*(a[filled] for a in table))
+        cells, spans = [], []
+        rest = ~filled
+        for label, lo, hi in zip(
+            names[rest].tolist(), lows[:, rest].T.tolist(), highs[:, rest].T.tolist()
+        ):
+            found = self._spans(labels, label, lo, hi)
+            cells += [label] * len(found)
+            spans += found
+        at = np.array(spans, np.intp).reshape(len(spans), self.dim, 2) + shift[:, None]
+        others = BoxTable(np.array(cells, names.dtype), bounds[at[..., 0]], bounds[at[..., 1]])
+        return BoxTable.concat([table, others])
+
+    def paint(self, table: BoxTable) -> np.ndarray:
+        """Int32 array in the grid's shape holding, on every atom of a box, its row's cell.
+
+        Atoms of no box hold -1.  Every bound must be a cut (or ``END_OMEGA``
+        an upper end), else ValueError.  Boxes of one atom are painted with
+        one assignment; each other box paints its slice.
+        """
+        bounds, starts = self._bounds()
+        ends = np.concatenate((table.lo[None], table.end[None]))  # lower bounds, then upper ends
+        at = np.empty(ends.shape, np.intp)
+        for axis in range(self.dim):
+            part = bounds[starts[axis] : starts[axis + 1]]
+            at[..., axis] = part.searchsorted(ends[..., axis]) + starts[axis]
+        wrong = bounds[at] != ends
+        if wrong.any():
+            side, row, axis = np.argwhere(wrong)[0].tolist()
+            bound = int(ends[side, row, axis]) - side
+            raise ValueError(f"bound {bound} not aligned to grid cuts on coordinate {axis}")
+        at -= np.array(starts[:-1], np.intp)
+        start, stop = at
+        single = (stop - start == 1).all(axis=1)
+        owner = np.full(self.shape, -1, dtype=np.int32)
+        owner[tuple(start[single].T)] = table.cell[single]
+        for row in (~single).nonzero()[0].tolist():
+            owner[tuple(map(slice, start[row], stop[row]))] = table.cell[row]
+        return owner
 
     def first_point(self, atoms: np.ndarray) -> Optional[Point]:
         """Lexicographically least point of an atom set: its first atom's lower corner."""

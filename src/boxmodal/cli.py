@@ -3,12 +3,17 @@
 Exit codes: 0 when the command succeeded and any checked property holds,
 1 when a checked property fails (a counterexample is emitted), 2 for
 malformed input or usage errors.
+
+Output is the text of ``json.dumps(obj, indent=2, sort_keys=True)``, written
+by ``_json_text``: a recursive writer, with a compact C encoding plus a
+fixed chain of replacements for lists of Region objects.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -56,6 +61,42 @@ class _Unsupported(Exception):
     """A value ``_text`` leaves to ``json.dumps``."""
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
+_BOUND = r"(?:-?\d+|null)"
+_BOX = rf"\[\[{_BOUND},{_BOUND}\](?:,\[{_BOUND},{_BOUND}\])*\]"
+_REGION = rf'\{{"boxes":\[{_BOX}(?:,{_BOX})*\],"dim":-?\d+\}}'
+# The compact text of a nonempty list of Region objects with int or null bounds.
+_REGIONS = re.compile(rf"\[{_REGION}(?:,{_REGION})*\]")
+
+
+def _regions_text(value: list, newline: str) -> Optional[str]:
+    """``_text`` of a list of Region objects (``{"boxes", "dim"}``), or None for any other list.
+
+    One C encoding gives the compact text.  Once it has the shape of
+    ``_REGIONS``, every bracket run in it has one fixed place in the
+    indented text, so a fixed chain of replacements indents it.  The commas
+    these put in are held as NUL, which compact JSON never holds, until the
+    commas left, those inside each [lo, hi], have been indented.
+    """
+    try:
+        text = _COMPACT.encode(value)
+    except (TypeError, ValueError, RecursionError):
+        return None
+    if not _REGIONS.fullmatch(text):
+        return None
+    n0, n1, n2, n3, n4, n5 = (newline + "  " * k for k in range(6))
+    head = "{" + n2 + '"boxes": [' + n3 + "[" + n4 + "[" + n5
+    text = (
+        text.replace(']]],"dim":', n4 + "]" + n3 + "]" + n2 + "]\0" + n2 + '"dim": ')
+        .replace("]],[[", n4 + "]" + n3 + "]\0" + n3 + "[" + n4 + "[" + n5)
+        .replace("],[", n4 + "]\0" + n4 + "[" + n5)
+        .replace('},{"boxes":[[[', n1 + "}\0" + n1 + head)
+        .replace(",", "," + n5)
+        .replace("\0", ",")
+    )
+    return "[" + n1 + head + text[len('[{"boxes":[[['):-2] + n1 + "}" + n0 + "]"
+
+
 def _text(value: object, newline: str) -> str:
     """Indent-2, sorted-key JSON text of ``value``; ``newline`` ends in its indent."""
     kind = type(value)
@@ -63,6 +104,11 @@ def _text(value: object, newline: str) -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
+        first = value[0]
+        if type(first) is dict and len(first) == 2 and "boxes" in first:
+            text = _regions_text(value, newline)
+            if text is not None:
+                return text
         items = []
         for v in value:
             scalar = _SCALARS.get(type(v))

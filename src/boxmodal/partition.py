@@ -13,31 +13,31 @@ The checkers decide, exactly:
   coordinates never shrinks when moving up along the componentwise order.
 
 Both checks run on the finite atom quotient of the partition (see
-``atomgrid``), which is exact for box-union regions.  A partition builds its
-owner array (each atom's cell, in the grid's shape) once, by painting each
-box's slice of atoms, the only place cells become atom labels; consumers
-needing the cuts of a valuation, generators or another partition too join
-them to its grid with ``AtomGrid.regrid``.  Which cells see which is one
-``AtomGrid.sees`` pass, in blocks of bounded size.  The monotone check reads
-every cell's varying axes and hull from the owner array and checks hull
-cofinality with one gather before that pass.
+``atomgrid``), which is exact for box-union regions.  Cells are a tuple of
+Regions, or, for the refiner's output, a box table (``TableCells``) whose
+Regions are made only when asked for.  A partition builds its read-only
+owner array (each atom's cell, in the grid's shape) once, the only place
+cells become atom labels: by painting each Region box's slice of atoms, or
+from a box table's rows, the boxes it writes, in one assignment for the
+boxes of one atom.  Consumers needing the cuts of a valuation, generators
+or another partition too join them to its grid with ``AtomGrid.regrid``.
+Which cells see which is one ``AtomGrid.sees`` pass, in blocks of bounded
+size.  The monotone check reads every cell's varying axes and hull from
+the owner array and checks hull cofinality with one gather before that
+pass.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .atomgrid import AtomGrid, bit_column, first_bit, unpack
-from .region import (
-    DimensionMismatch,
-    OrderKind,
-    Point,
-    Region,
-    full,
-)
+from .atomgrid import END_OMEGA, AtomGrid, BoxTable, bit_column, first_bit, unpack
+from .region import DimensionMismatch, OrderKind, Point, Region, full
 
 
 class PartitionError(ValueError):
@@ -49,11 +49,68 @@ class PartitionError(ValueError):
         self.witness = witness
 
 
+class TableCells(Sequence):
+    """The cells of a box table as a sequence of Regions, each made when it is asked for.
+
+    The table's rows are sorted by cell, and the cells are numbered 0 up
+    in their canonical order.  Equality and hashing are those of the tuple
+    of Regions.
+    """
+
+    __slots__ = ("table", "starts", "_all")
+
+    def __init__(self, table: BoxTable, starts: list[int]):
+        self.table = table
+        self.starts = starts  # cell i has rows starts[i] to starts[i + 1]
+        self._all: Optional[tuple[Region, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or self._all is not None:
+            return tuple(self)[i]
+        i = range(len(self))[operator.index(i)]
+        rows = slice(self.starts[i], self.starts[i + 1])
+        return BoxTable(*(a[rows] for a in self.table)).regions()[i]
+
+    def __iter__(self):
+        if self._all is None:
+            self._all = tuple(self.table.regions().values())
+        return iter(self._all)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TableCells):
+            return all(np.array_equal(a, b) for a, b in zip(self.table, other.table))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def to_json(self) -> list[dict]:
+        """``Region.to_json`` of every cell; a cell of one box is written from its row."""
+        lo, end = self.table.lo, self.table.end
+        pairs = np.empty((*lo.shape, 2), np.uint64)
+        pairs[..., 0] = lo
+        np.subtract(end, 1, out=pairs[..., 1])
+        pairs = pairs.tolist()
+        for row, axis in zip(*(a.tolist() for a in (end == END_OMEGA).nonzero())):
+            pairs[row][axis][1] = None
+        dim, starts = lo.shape[1], self.starts
+        return [
+            {"dim": dim, "boxes": pairs[a:b]} if b - a == 1 else self[i].to_json()
+            for i, (a, b) in enumerate(zip(starts, starts[1:]))
+        ]
+
+
 @dataclass(frozen=True)
 class Partition:
     dim: int
     carrier: Region
-    cells: tuple[Region, ...]
+    cells: Union[tuple[Region, ...], TableCells]
 
     @property
     def size(self) -> int:
@@ -65,30 +122,56 @@ class Partition:
         ordered = tuple(sorted(cells, key=Region.min_point))
         return cls(dim, carrier, ordered)
 
+    @classmethod
+    def _of_boxes(cls, dim: int, carrier: Region, table: BoxTable) -> "Partition":
+        """``_trusted`` of the cells of a box table whose rows are grouped by cell.
+
+        Each cell keeps its rows in order.  The cells are numbered by their
+        least points, the least lower corners of their boxes, which one
+        lexicographic sort of all rows gives.
+        """
+        rows = table.cell.size
+        starts = np.flatnonzero(np.diff(table.cell, prepend=-1))
+        sizes = np.diff(starts, append=rows)
+        rank = np.empty(rows, np.intp)
+        rank[np.lexsort(table.lo.T[::-1])] = np.arange(rows)
+        first = np.minimum.reduceat(rank, starts)  # each cell's least corner, as a rank
+        by_cell = first.repeat(sizes).argsort(kind="stable")
+        sizes = sizes[first.argsort()]
+        cell = np.arange(sizes.size).repeat(sizes)
+        ordered = BoxTable(cell, table.lo[by_cell], table.end[by_cell])
+        return cls(dim, carrier, TableCells(ordered, [0, *sizes.cumsum().tolist()]))
+
     # -- cached atom quotient -------------------------------------------------
 
     @cached_property
     def _grid(self) -> AtomGrid:
+        if isinstance(self.cells, TableCells):
+            return AtomGrid.for_boxes(self.cells.table, (self.carrier,))
         return AtomGrid.for_regions(self.dim, (self.carrier, *self.cells))
 
     @cached_property
     def _owner(self) -> np.ndarray:
-        """Int32 array in the grid's shape mapping each atom to its cell index (-1 outside)."""
-        owner = np.full(self._grid.shape, -1, dtype=np.int32)
-        for i, cell in enumerate(self.cells):
-            for b in cell.boxes:
-                owner[self._grid.box_slices(b)] = i
+        """Read-only int32 array in the grid's shape: each atom's cell index (-1 outside)."""
+        if isinstance(self.cells, TableCells):
+            owner = self._grid.paint(self.cells.table)
+        else:
+            owner = np.full(self._grid.shape, -1, dtype=np.int32)
+            for i, cell in enumerate(self.cells):
+                for b in cell.boxes:
+                    owner[self._grid.box_slices(b)] = i
+        owner.flags.writeable = False
         return owner
 
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
         carrier = "full" if self.carrier.equal(full(self.dim)) else self.carrier.to_json()
-        return {
-            "dim": self.dim,
-            "carrier": carrier,
-            "cells": [c.to_json() for c in self.cells],
-        }
+        if isinstance(self.cells, TableCells):
+            cells = self.cells.to_json()
+        else:
+            cells = [c.to_json() for c in self.cells]
+        return {"dim": self.dim, "carrier": carrier, "cells": cells}
 
     @classmethod
     def from_json(cls, obj: object) -> "Partition":

@@ -25,13 +25,14 @@ changes, at 0..k0, and wherever a sub-call's result needs it, all added by
 of the built cells on a face are the sets of labels along the fibers above
 it, and ``partition.induced`` groups the face's atoms into membership
 classes.  A face's sub-problem goes down, and its result comes back, as
-labels.  Regions are built once, at the end, by ``AtomGrid.regions``, the
-one way from labels back to Regions; only each call's quadrant cell keeps
-the box form that ``Region.intersect`` gives it.  ``refine_monotone`` makes
-the outermost call, the only one given the input's cofinal cell: its
-quadrant cell (on a line, the tail above k0) keeps the input's boxes, and
-the line faces of its last layer become kept Regions, off its grid.  A
-call whose grid would exceed ``MAX_ATOMS`` raises ValueError up front.
+labels.  The cells leave as one box table (``AtomGrid.boxes``), built once
+at the end and handed to ``Partition`` as it is; only each call's quadrant
+cell keeps the box form that ``Region.intersect`` gives it, as rows.
+``refine_monotone`` makes the outermost call, the only one given the
+input's cofinal cell: its quadrant cell (on a line, the tail above k0)
+keeps the input's boxes, and the line faces of its last layer become kept
+rows, off its grid.  A call whose grid would exceed ``MAX_ATOMS`` raises
+ValueError up front.
 
 Lower-dimensional faces repeat: within one outermost call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
@@ -54,7 +55,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import MAX_ATOMS, AtomGrid
+from .atomgrid import MAX_ATOMS, AtomGrid, BoxTable
 from .partition import (
     Partition,
     PartitionError,
@@ -256,9 +257,9 @@ class _Cells:
     """A partition of omega^m as one int label per atom of a grid.
 
     Cells are numbered 0..count-1, and -1 marks atoms no cell covers yet.
-    A cell in ``kept`` keeps that Region's box form when the partition
-    becomes Regions; every other cell takes the canonical form that
-    ``AtomGrid.regions`` gives it.  A kept cell need not be on the grid.
+    The cells in ``kept`` keep those box table rows when the partition
+    becomes a box table; every other cell takes the canonical form that
+    ``AtomGrid.boxes`` gives it.  A kept cell need not be on the grid.
     While the partition grows, ``coarse`` labels the input partition on the
     same grid.
     """
@@ -266,7 +267,7 @@ class _Cells:
     grid: AtomGrid
     labels: np.ndarray
     count: int
-    kept: dict[int, Region] = field(default_factory=dict)
+    kept: list[BoxTable] = field(default_factory=list)
     coarse: Optional[np.ndarray] = None
     hold_lines: bool = False
 
@@ -275,12 +276,11 @@ class _Cells:
 
         ``sub`` is in the face's own coordinates: the others, shifted down by
         s + 1.  With ``hold_lines``, a face with one free coordinate on the
-        last layer (s = 0) becomes kept Regions off the grid: no later face
+        last layer (s = 0) becomes kept rows off the grid: no later face
         projects it, and on this grid its cuts would multiply with others.
         """
         if self.hold_lines and s == 0 and len(coords) == self.grid.dim - 1:
-            lines = (cell.translate(1).insert_coords(coords, 0) for cell in sub.to_regions())
-            self.kept.update(enumerate(lines, self.count))
+            self.kept.append(sub.table().placed(coords, 0, self.count))
             self.count += sub.count
             return
         free = [i for i in range(self.grid.dim) if i not in coords]
@@ -294,16 +294,18 @@ class _Cells:
         if labels.shape != self.labels[face].shape:  # the face has cuts the sub lacks
             _, (labels,) = sub.grid.regrid(_face_cuts(self.grid, free, face, s), [labels])
         self.labels[face] = labels + self.count
-        for label, cell in sub.kept.items():
-            self.kept[label + self.count] = cell.translate(s + 1).insert_coords(coords, s)
+        self.kept.extend(rows.placed(coords, s, self.count) for rows in sub.kept)
         self.count += sub.count
 
-    def to_regions(self) -> list[Region]:
-        """Every cell as a Region: kept ones as given, the others canonical."""
+    def table(self) -> BoxTable:
+        """Every cell as box table rows: kept ones as given, the others canonical."""
         labels = self.labels
         if self.kept:
-            labels = np.where(np.isin(labels, list(self.kept)), -1, labels)
-        return [*self.grid.regions(labels).values(), *self.kept.values()]
+            kept = np.zeros(self.count + 1, dtype=bool)  # the last entry stands for -1
+            for rows in self.kept:
+                kept[rows.cell] = True
+            labels = np.where(kept[labels], -1, labels)
+        return BoxTable.concat([self.grid.boxes(labels), *self.kept])
 
 
 # Refined sub-problems of one top-level call, by (cuts, int64 label bytes, count).
@@ -392,7 +394,8 @@ def _refine_atoms(
         _require_atoms(k0 + 2)
         line = _Cells(AtomGrid(1, [range(k0 + 2)]), np.arange(k0 + 2, dtype=np.int32), k0 + 2)
         if cofinal is not None:
-            line.kept[k0 + 1] = cofinal.intersect(upper_quadrant(1, k0 + 1))
+            tail = cofinal.intersect(upper_quadrant(1, k0 + 1))
+            line.kept.append(BoxTable.of_regions([tail], k0 + 1))
         return line, RefinementTrace(1, k0, count, k0 + 2, ())
     grid, labels = _compress(grid, labels)
     key = (grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)
@@ -413,7 +416,7 @@ def _refine_atoms(
     fine, (coarse,) = grid.regrid([range(k0 + 1)] * m, [labels])
     inner = np.full(fine.shape, -1, dtype=np.int32)
     inner[_quadrant_index(fine, k0)] = 0
-    cells = _Cells(fine, inner, 1, {0: quadrant}, coarse, hold_lines=outermost)
+    cells = _Cells(fine, inner, 1, [BoxTable.of_regions([quadrant])], coarse, hold_lines=outermost)
     steps = tuple(
         LevelStep(level, _extend_core(cells, level - 1, memo)) for level in range(k0, 0, -1)
     )
@@ -444,9 +447,10 @@ def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
         raise PartitionError("not_refining", "inner partition does not refine the restriction")
     grid, (outer,) = coarse._grid.regrid(inner._grid.cuts, [coarse._owner])
     _, (labels,) = inner._grid.regrid(grid.cuts, [inner._owner.copy()])  # a copy: written below
-    cells = _Cells(grid, labels, inner.size, dict(enumerate(inner.cells)), outer, hold_lines=True)
+    kept = [BoxTable.of_regions(inner.cells)]
+    cells = _Cells(grid, labels, inner.size, kept, outer, hold_lines=True)
     _extend_core(cells, 0, {})
-    return Partition._trusted(coarse.dim, full(coarse.dim), cells.to_regions())
+    return Partition._of_boxes(coarse.dim, full(coarse.dim), cells.table())
 
 
 def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
@@ -457,7 +461,7 @@ def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
     cells, trace = _refine_atoms(p._grid, p._owner, p.size, {}, p.cells[p._owner[(-1,) * p.dim]])
     if not trace.k0:
         return p, trace
-    return Partition._trusted(p.dim, full(p.dim), cells.to_regions()), trace
+    return Partition._of_boxes(p.dim, full(p.dim), cells.table()), trace
 
 
 # -- products with a finite frame ---------------------------------------------------

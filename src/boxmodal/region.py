@@ -5,8 +5,8 @@ integer intervals [lo, hi] where hi may be OMEGA (unbounded above).  This
 class of sets is closed under union, intersection, complement, downward
 closure along both product orders, hulls, translation and the insertion of
 constant coordinates.  The partition machinery needs the Boolean operations
-and downsets; the refiner works on atom labels (see ``atomgrid``) and uses
-translation and insertion only to put cells kept as Regions back in place.
+and downsets; the refiner works on atom labels and box tables (see
+``atomgrid``).
 
 All values are immutable; every operation is a pure function of its inputs.
 The representation is not canonical: semantic equality is decided by mutual

@@ -31,7 +31,7 @@ from boxmodal import (
     upper_quadrant,
 )
 from boxmodal import atomgrid
-from boxmodal.atomgrid import AtomGrid, unpack
+from boxmodal.atomgrid import END_OMEGA, AtomGrid, BoxTable, unpack
 from boxmodal.oracle import grid_downset
 from boxmodal.refine import ProductTunedViolation
 
@@ -114,6 +114,28 @@ def test_regions_of_filled_unfilled_and_missing_labels():
     for label in range(3):
         assert out[label].boxes == grid.region_of_bool(labels == label).boxes
     assert grid.regions(np.full(grid.shape, -1, dtype=np.int32)) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_grids())
+def test_box_table_rows_are_the_regions_boxes(case):
+    grid, labels = case
+    table = grid.boxes(labels)
+    assert table.regions() == grid.regions(labels)
+    cells = table.cell.tolist()
+    runs = [c for i, c in enumerate(cells) if i == 0 or cells[i - 1] != c]
+    assert len(runs) == len(set(runs))  # each label's rows are consecutive
+    assert np.array_equal(grid.paint(table), labels)
+
+
+def test_paint_rejects_a_misaligned_bound():
+    grid = AtomGrid(2, [[0, 2], [0, 1, 3]])
+    table = BoxTable(np.array([0]), np.array([[0, 1]], np.uint64), np.array([[2, 3]], np.uint64))
+    assert grid.paint(table).tolist() == [[-1, 0, -1], [-1, -1, -1]]
+    for lo, end, bound in (([1, 1], [2, 3], 1), ([0, 1], [2, 2], 1), ([0, 1], [END_OMEGA, 2], 1)):
+        table = BoxTable(np.array([0]), np.array([lo], np.uint64), np.array([end], np.uint64))
+        with pytest.raises(ValueError, match=f"bound {bound} not aligned"):
+            grid.paint(table)
 
 
 def test_regrid_joins_the_grids_own_cuts():

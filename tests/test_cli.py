@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmodal import Partition, full, make_partition, point_region
-from boxmodal.cli import _dump, _json_text, main
+from boxmodal.cli import _dump, _json_text, _regions_text, main
 from boxmodal.viz import MAX_SIDE
 
 DATA = Path(__file__).parent / "data"
@@ -416,7 +416,59 @@ def documents(leaves):
     )
 
 
+def region_objects(bound, boxes_min: int = 1):
+    """Dicts shaped like ``Region.to_json``, lists or tuples, with bounds drawn from ``bound``."""
+    pair = st.one_of(st.lists(bound, min_size=2, max_size=2), st.tuples(bound, bound))
+    one_box = st.one_of(st.lists(pair, min_size=1, max_size=3), st.tuples(pair))
+    return st.fixed_dictionaries(
+        {"boxes": st.lists(one_box, min_size=boxes_min, max_size=3), "dim": st.integers(1, 3)}
+    )
+
+
+BOUNDS = st.one_of(st.none(), st.integers(0, 2**63 - 1))
+# What the compact fast path must hand back: other bound types, strings that
+# hold its bracket runs, ints beyond 64 bits, wrong lengths, empty box lists,
+# a bool dim, a missing or an extra key.
+NEAR_REGIONS = st.one_of(
+    *[
+        region_objects(st.one_of(BOUNDS, near))
+        for near in (
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.one_of(st.sampled_from(["],[", "]],[[", ']]],"dim":', "},{"]), TEXT),
+            st.integers(-(2**80), 2**80),
+        )
+    ],
+    region_objects(BOUNDS, boxes_min=0),
+    region_objects(BOUNDS).map(lambda r: {**r, "boxes": r["boxes"] + [[[0]]]}),
+    region_objects(BOUNDS).map(lambda r: {**r, "boxes": r["boxes"] + [[]]}),
+    region_objects(BOUNDS).map(lambda r: {**r, "dim": True}),
+    region_objects(BOUNDS).map(lambda r: {**r, "extra": 1}),
+    region_objects(BOUNDS).map(lambda r: {"boxes": r["boxes"]}),
+)
+
+
 class TestJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(region_objects(BOUNDS), max_size=3),
+        st.one_of(st.none(), NEAR_REGIONS),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    def test_region_lists_match_json_dumps(self, cells, near, at, nested):
+        """Lists of Region objects, some with one near miss among them."""
+        if near is not None:
+            cells.insert(at, near)
+        obj = {"partition": {"cells": cells, "dim": 2}} if nested else cells
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_region_lists_take_the_compact_encoding(self):
+        cells = [{"dim": 2, "boxes": [[[0, 2**63 - 1], [1, None]], ((3, 4), (5, 6))]}]
+        outer = json.dumps([cells], indent=2, sort_keys=True)  # the list at indent 2
+        assert _regions_text(cells, "\n  ") == outer[len("[\n  ") : -len("\n]")]
+        assert _regions_text([{"dim": 2, "boxes": []}], "\n") is None
+
     @settings(max_examples=200, deadline=None)
     @given(documents(SCALARS))
     def test_matches_json_dumps(self, obj):

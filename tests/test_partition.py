@@ -29,6 +29,7 @@ from boxmodal import (
     make_partition,
     monotone_violation,
     point_region,
+    refine_monotone,
     refines,
     region,
     restrict,
@@ -158,6 +159,26 @@ class TestOwner:
             assert grid.region_of_bool(block) == hull
             top = np.argwhere(grid.region_bool(hull))[-1]
             assert np.array_equal(top, stop[:, i] - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(1, 3))
+    def test_owner_from_the_box_table_matches_the_regions(self, seed, n):
+        rng = random.Random(seed)
+        q, _ = refine_monotone(random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4)))
+        from_regions = Partition(q.dim, q.carrier, tuple(q.cells))
+        assert from_regions == q
+        assert from_regions._grid.cuts == q._grid.cuts
+        assert np.array_equal(from_regions._owner, q._owner)
+
+    def test_cached_owner_is_read_only(self):
+        p = origin_partition()
+        for q in (p, refine_monotone(p)[0]):  # painted from Regions, then from a box table
+            with pytest.raises(ValueError):
+                q._owner[(0,) * q.dim] = 1
+            _, (same,) = q._grid.regrid(q._grid.cuts, [q._owner])
+            with pytest.raises(ValueError):
+                same[...] = 0
+            assert cell_of(q, (0, 0)) == 0
 
 
 def reference_make_partition(carrier: Region, cells: list[Region]) -> Partition:

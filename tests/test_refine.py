@@ -1,6 +1,7 @@
 """The monotone refiner: pinned traces, soundness, determinism, products."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -42,6 +43,7 @@ from boxmodal import (
 import boxmodal.refine
 from boxmodal.atomgrid import MAX_ATOMS, AtomGrid
 from boxmodal.cli import main
+from boxmodal.region import MAX_COORD
 from boxmodal.refine import (
     FaceStep,
     LevelStep,
@@ -277,6 +279,39 @@ class TestRefine:
             refine_monotone(p)
 
 
+class TestMaxCoord:
+    """Bounds at MAX_COORD = 2^63 - 1 pass through the box table and the JSON text."""
+
+    @staticmethod
+    def partition():
+        # F = {(0,0)}, C = [1, MAX_COORD]x[0,w) | [2,w)x[0,w) | {0}x[1,w).
+        f = point_region(0, 0)
+        c = region(
+            box((1, MAX_COORD), (0, OMEGA)), box((2, OMEGA), (0, OMEGA)), box(0, (1, OMEGA))
+        )
+        return make_partition(full(2), [f, c])
+
+    def test_refine_verify_writes_the_pinned_bytes(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(self.partition().to_json()))
+        out = tmp_path / "out.json"
+        assert main(["refine", "--partition", str(path), "--verify", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        # The bytes this input gave when the refiner's cells were Regions.
+        assert digest == "d1cf980115a4140efb14c0a86acc6b56a514319eeaaf6e47fb1ad56e59a99f4b"
+
+    def test_cells_equal_the_partition_made_from_regions(self):
+        q, _ = refine_monotone(self.partition())
+        quadrant = region(box((1, MAX_COORD), (1, OMEGA)), box((2, OMEGA), (1, OMEGA)))
+        assert q.cells[3] == quadrant  # the kept quadrant cell keeps its boxes
+        lines = [region(box(0, (1, OMEGA))), region(box((1, OMEGA), 0))]
+        assert [q.cells[i] for i in range(q.size)] == [point_region(0, 0), *lines, quadrant]
+        again = make_partition(full(2), list(refine_monotone(self.partition())[0].cells))
+        assert q == again and again == q and hash(q) == hash(again)
+        assert q.to_json() == again.to_json()
+        assert np.array_equal(q._owner, again._owner)
+
+
 def _subtraces(trace):
     yield trace
     for step in trace.steps:
@@ -403,7 +438,7 @@ class TestLineFaces:
         cells, trace = _refine_atoms(grid, labels, count, {})
         small, small_trace = _refine_atoms(*_compress(grid, labels), count, {})
         assert cells.count == small.count
-        assert cells.to_regions() == small.to_regions()
+        assert all(np.array_equal(a, b) for a, b in zip(cells.table(), small.table()))
         assert json.dumps(trace.to_json()) == json.dumps(small_trace.to_json())
 
 
