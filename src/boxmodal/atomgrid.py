@@ -26,6 +26,7 @@ cells of more than one atom are reduced.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -104,18 +105,25 @@ class AtomGrid:
     __slots__ = ("dim", "cuts", "shape", "size")
 
     def __init__(self, dim: int, cuts: Sequence[Sequence[int]]):
-        self.dim = dim
-        self.cuts = tuple(tuple(c) for c in cuts)
-        for c in self.cuts:
+        cuts = tuple(tuple(c) for c in cuts)
+        for c in cuts:
             if not c or c[0] != 0 or list(c) != sorted(set(c)):
                 raise ValueError("cuts must be sorted, distinct, and start at 0")
+        self._set(dim, cuts)
+
+    @classmethod
+    def _sorted(cls, dim: int, cuts: Sequence[Sequence[int]]) -> "AtomGrid":
+        """A grid of cuts sorted, distinct and from 0 by construction: only the size is checked."""
+        grid = cls.__new__(cls)
+        grid._set(dim, cuts)
+        return grid
+
+    def _set(self, dim: int, cuts: Sequence[Sequence[int]]) -> None:
+        self.dim, self.cuts = dim, tuple(tuple(c) for c in cuts)
         self.shape = tuple(len(c) for c in self.cuts)
-        size = 1
-        for s in self.shape:
-            size *= s
-        if size > MAX_ATOMS:
-            raise ValueError(f"atom grid too large: {size} atoms")
-        self.size = size
+        self.size = math.prod(self.shape)
+        if self.size > MAX_ATOMS:
+            raise ValueError(f"atom grid too large: {self.size} atoms")
 
     @classmethod
     def for_regions(cls, dim: int, regions: Iterable[Region]) -> "AtomGrid":
@@ -152,7 +160,7 @@ class AtomGrid:
         if all([set(own).issuperset(more) for own, more in zip(self.cuts, cuts) if more]):
             return self, arrays
         joint = [sorted(set(own).union(more)) for own, more in zip(self.cuts, cuts)]
-        fine = AtomGrid(self.dim, joint)
+        fine = AtomGrid._sorted(self.dim, joint)
         for axis, (old, grown) in enumerate(zip(self.cuts, fine.cuts)):
             if len(old) != len(grown):
                 index = [bisect.bisect_right(old, c) - 1 for c in grown]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the command succeeded and any checked property holds,
 1 when a checked property fails (a counterexample is emitted), 2 for
-malformed input or usage errors.
+malformed input or usage errors, 3 when an internal check fails (a
+``RuntimeError`` such as ``TruthLemmaFailure``: one ``internal error`` line).
 
 Output is the text of ``json.dumps(obj, indent=2, sort_keys=True)``, written
 by ``_json_text``: a recursive writer, with a compact C encoding plus a
@@ -434,6 +435,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main_entry() -> None:

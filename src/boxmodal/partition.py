@@ -275,54 +275,24 @@ def induced(
     return Partition._trusted(carrier.dim, carrier, cells)
 
 
-# Largest span of a mixed-radix row key in ``_classes``.
-_KEY_SPAN = 1 << 62
-
-
 def _classes(rows: np.ndarray) -> np.ndarray:
     """Class index of every row: equal rows share one, numbered from 0 in lexicographic order.
 
-    Rows, along the last axis, are int (labels from -1 up, below 2^31) or
-    bool.  Each becomes one int64 key in mixed radix, column by column, so
-    that one sort numbers them in the shape of the other axes; key order is
-    lexicographic row order.  Where the key would span more than
-    ``_KEY_SPAN``, the key of the columns so far is replaced by its rank first.
+    Rows lie along the last axis, int or bool, and the classes keep the other
+    axes' shape.  One ``lexsort`` orders the rows; a class starts at each
+    sorted row unequal to the one before, and a running count numbers them.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     if not rows.size:
         return np.zeros(rows.shape[:-1], dtype=np.intp)
-    each = tuple(range(rows.ndim - 1))
-    digits = rows - rows.min(axis=each)
-    spans = (digits.max(axis=each) + 1).tolist()
-    key = np.zeros(rows.shape[:-1], dtype=np.int64)
-    width = 1
-    start = 0
-    for stop, span in enumerate(spans):
-        if width * span > _KEY_SPAN:
-            key = _rank(_extend_key(key, digits[..., start:stop], spans[start:stop]))
-            width, start = int(key.max()) + 1, stop
-        width *= span
-    return _rank(_extend_key(key, digits[..., start:], spans[start:]))
-
-
-def _rank(key: np.ndarray) -> np.ndarray:
-    """Index of every key among the distinct keys in ascending order, in the keys' shape."""
-    order = key.argsort(axis=None, kind="stable")
-    ordered = key.take(order)
-    new = np.empty(key.size, dtype=np.intp)  # 1 where a sorted key differs from the one before
-    new[:1] = 0
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.empty(key.shape, dtype=np.intp)
-    rank.put(order, new.cumsum())
-    return rank
-
-
-def _extend_key(key: np.ndarray, digits: np.ndarray, spans: list[int]) -> np.ndarray:
-    """``key`` followed by the mixed-radix digits of further columns with the given spans."""
-    weights = [1]
-    for span in reversed(spans):
-        weights.append(weights[-1] * span)
-    return key * weights[-1] + digits @ np.array(weights[-2::-1], dtype=np.int64)
+    flat = rows.reshape(-1, rows.shape[-1])
+    order = np.lexsort(flat.T[::-1])
+    ordered = flat[order]
+    new = np.zeros(len(order), dtype=np.intp)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    classes = np.empty(len(order), dtype=np.intp)
+    classes[order] = new.cumsum()
+    return classes.reshape(rows.shape[:-1])
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:

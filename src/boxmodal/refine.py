@@ -27,7 +27,8 @@ it, and ``partition.induced`` groups the face's atoms into membership
 classes.  A face's sub-problem goes down, and its result comes back, as
 labels.  The cells leave as one box table (``AtomGrid.boxes``), built once
 at the end and handed to ``Partition`` as it is; only each call's quadrant
-cell keeps the box form that ``Region.intersect`` gives it, as rows.
+cell keeps the box form that ``Region.intersect`` gives it, as rows.  The
+faces of a layer, their free axes and subsets come from one plan per n.
 ``refine_monotone`` makes the outermost call, the only one given the
 input's cofinal cell: its quadrant cell (on a line, the tail above k0)
 keeps the input's boxes, and the line faces of its last layer become kept
@@ -38,9 +39,9 @@ Lower-dimensional faces repeat: within one outermost call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
 refined once, through every check, and later faces reuse that result.  The
 memo is local to the call, so it holds at most the distinct face
-sub-problems of one refinement.  Lines and points skip both compression and
-the memo: a line face is refined on its own grid, and a point face is one
-new cell, labelled in place.
+sub-problems of one refinement.  Lines and points make no sub-call: the face
+step refines a line face in closed form (``_line_rule``) and labels it in
+place, and a point face is one new cell, labelled in place.
 
 A trace records the threshold, the per-layer face work, and recursive
 subtraces; identical inputs yield identical traces and outputs.
@@ -50,12 +51,12 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import MAX_ATOMS, AtomGrid, BoxTable
+from .atomgrid import END_OMEGA, MAX_ATOMS, AtomGrid, BoxTable
 from .partition import (
     Partition,
     PartitionError,
@@ -183,11 +184,14 @@ def cofinal_threshold(p: Partition) -> int:
     return k0
 
 
-def _proper_subsets(coords: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(len(coords)):
-        out.extend(itertools.combinations(coords, size))
-    return out
+@cache
+def _face_plan(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]], ...]:
+    """The faces of a layer in dimension n, by size: coordinate set, free axes, proper subsets."""
+    sets = [c for size in range(n + 1) for c in itertools.combinations(range(n), size)]
+    return tuple(
+        (c, tuple(sorted(set(range(n)) - set(c))), tuple(d for d in sets if set(d) < set(c)))
+        for c in sets[1:]
+    )
 
 
 # -- partitions as atom labels ----------------------------------------------------
@@ -209,7 +213,7 @@ def _face_index(grid: AtomGrid, coords: tuple[int, ...], s: int) -> tuple:
     )
 
 
-def _face_cuts(grid: AtomGrid, free: list[int], face: tuple, s: int) -> list[list[int]]:
+def _face_cuts(grid: AtomGrid, free: tuple[int, ...], face: tuple, s: int) -> list[list[int]]:
     """The cuts of a face's free axes, in the face's coordinates (shifted down by s + 1)."""
     return [[c - s - 1 for c in grid.cuts[i][face[i].start :]] for i in free]
 
@@ -226,7 +230,7 @@ def _compress(grid: AtomGrid, labels: np.ndarray) -> tuple[AtomGrid, np.ndarray]
         if keep.size < len(c):
             labels = np.take(labels, keep, axis=axis)
         cuts.append([c[i] for i in keep])
-    return AtomGrid(grid.dim, cuts), labels
+    return AtomGrid._sorted(grid.dim, cuts), labels
 
 
 def _atom_threshold(grid: AtomGrid, labels: np.ndarray) -> int:
@@ -252,6 +256,34 @@ def _atom_threshold(grid: AtomGrid, labels: np.ndarray) -> int:
     return k0
 
 
+def _line_rule(cuts: Sequence[int], labels: np.ndarray, count: int) -> tuple[int, RefinementTrace]:
+    """Cell count and trace of ``refine_monotone`` of a labelled line of ``count`` cells.
+
+    With every atom in the top cell, the line is that cell.  Otherwise the atom after the
+    last one outside it starts at k0 + 1, and cell j is the point j up to k0, then [k0 + 1, w).
+    """
+    finite = (labels != labels[-1]).nonzero()[0]
+    if not finite.size:
+        return count, RefinementTrace(1, None, count, count, ())
+    k0 = cuts[finite[-1] + 1] - 1
+    _require_atoms(k0 + 2)
+    return k0 + 2, RefinementTrace(1, k0, count, k0 + 2, ())
+
+
+def _quadrant_rows(cell: BoxTable, k: int) -> BoxTable:
+    """The rows of ``Region.intersect`` with [k, w)^m of a cell in canonical form: every lower
+    bound raised to k, and the rows left empty dropped.  Canonical boxes are pairwise disjoint,
+    and so are what is left of them, so ``_prune`` would keep every row, in order."""
+    lo = np.maximum(cell.lo, k)
+    keep = (cell.end > lo).all(axis=1)
+    return BoxTable(cell.cell[keep], lo[keep], cell.end[keep])
+
+
+def _cofinal(rows: BoxTable) -> bool:
+    """``Region.is_cofinal_in_space`` of a cell's rows: some row is unbounded on every axis."""
+    return bool((rows.end == END_OMEGA).all(axis=1).any())
+
+
 @dataclass
 class _Cells:
     """A partition of omega^m as one int label per atom of a grid.
@@ -271,31 +303,48 @@ class _Cells:
     coarse: Optional[np.ndarray] = None
     hold_lines: bool = False
 
-    def place(self, coords: tuple[int, ...], s: int, sub: "_Cells") -> None:
+    def place(
+        self, coords: tuple[int, ...], free: tuple[int, ...], s: int, face: tuple,
+        cuts: list[list[int]], sub: "_Cells",
+    ) -> None:
         """Put a face's refined partition where the coordinates in ``coords`` equal s.
 
-        ``sub`` is in the face's own coordinates: the others, shifted down by
-        s + 1.  With ``hold_lines``, a face with one free coordinate on the
-        last layer (s = 0) becomes kept rows off the grid: no later face
-        projects it, and on this grid its cuts would multiply with others.
+        ``sub`` is in the face's own coordinates, the ``free`` ones shifted
+        down by s + 1; ``face`` and ``cuts`` are the face's index and cuts.
+        The sub's cuts land at s + 1 or above, so the index holds on a grown grid.
         """
-        if self.hold_lines and s == 0 and len(coords) == self.grid.dim - 1:
-            self.kept.append(sub.table().placed(coords, 0, self.count))
-            self.count += sub.count
-            return
-        free = [i for i in range(self.grid.dim) if i not in coords]
         shifted: list[Sequence[int]] = [()] * self.grid.dim
         for i, sub_cuts in zip(free, sub.grid.cuts):
             shifted[i] = [c + s + 1 for c in sub_cuts]
-        arrays = [self.labels, self.coarse]
-        self.grid, (self.labels, self.coarse) = self.grid.regrid(shifted, arrays)
-        face = _face_index(self.grid, coords, s)
+        grid = self.grid
+        self.grid, (self.labels, self.coarse) = grid.regrid(shifted, [self.labels, self.coarse])
+        if self.grid is not grid:
+            cuts = _face_cuts(self.grid, free, face, s)
         labels = sub.labels
         if labels.shape != self.labels[face].shape:  # the face has cuts the sub lacks
-            _, (labels,) = sub.grid.regrid(_face_cuts(self.grid, free, face, s), [labels])
+            _, (labels,) = sub.grid.regrid(cuts, [labels])
         self.labels[face] = labels + self.count
         self.kept.extend(rows.placed(coords, s, self.count) for rows in sub.kept)
         self.count += sub.count
+
+    def place_line(self, coords: tuple, axis: int, s: int, face: tuple, count: int) -> None:
+        """Put a line face's ``_line_rule`` result, ``count`` cells, where the coordinates in
+        ``coords`` equal s: cell j is the point s + 1 + j of the free ``axis``, the last one
+        the rest of the line.  With ``hold_lines``, the lines of the last layer (s = 0) become
+        kept rows off the grid: no later face projects them, and on this grid their cuts
+        would multiply with others.
+        """
+        if self.hold_lines and s == 0:
+            line = AtomGrid._sorted(1, [range(count)]).boxes(np.arange(count))
+            self.kept.append(line.placed(coords, 0, self.count))
+        else:
+            shifted: list[Sequence[int]] = [()] * self.grid.dim
+            shifted[axis] = range(s + 1, s + count + 1)
+            arrays = [self.labels, self.coarse]
+            self.grid, (self.labels, self.coarse) = self.grid.regrid(shifted, arrays)
+            at = np.array(self.grid.cuts[axis][face[axis].start :]) - (s + 1)
+            self.labels[face] = np.minimum(at, count - 1) + self.count
+        self.count += count
 
     def table(self) -> BoxTable:
         """Every cell as box table rows: kept ones as given, the others canonical."""
@@ -315,7 +364,7 @@ _POINT = RefinementTrace(0, None, 1, 1, ())
 
 
 def _face_profiles(
-    cells: _Cells, coords: tuple[int, ...], face: tuple, coarse: np.ndarray
+    cells: _Cells, coords: tuple[int, ...], free: tuple[int, ...], face: tuple, coarse: np.ndarray
 ) -> np.ndarray:
     """Membership rows of a face's atoms, one per atom in row-major order.
 
@@ -328,14 +377,12 @@ def _face_profiles(
     block = cells.labels[
         tuple(slice(face[i], None) if i in coords else face[i] for i in range(n))
     ]
-    free = tuple(i for i in range(n) if i not in coords)
     fibers = block.transpose(free + coords).reshape(*coarse.shape, -1)
     rows = fibers[..., 1:].copy()  # column 0 is the face atom itself
     rows.sort(axis=-1)
     rows[..., 1:][rows[..., 1:] == rows[..., :-1]] = -1
     rows.sort(axis=-1)
-    first = int((rows >= 0).any(axis=tuple(range(len(free)))).argmax())
-    return np.concatenate((coarse[..., None], rows[..., first:]), axis=-1)
+    return np.concatenate((coarse[..., None], rows), axis=-1)
 
 
 def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
@@ -345,29 +392,31 @@ def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
     The points with least coordinate s are covered face by face, ordered by
     how many coordinates equal s.
     """
-    n = cells.grid.dim
     built = {(): cells.count}
     faces: list[FaceStep] = []
-    for size in range(1, n + 1):
-        for coords in itertools.combinations(range(n), size):
-            face = _face_index(cells.grid, coords, s)
-            coarse = cells.coarse[face]
-            meets = int(np.count_nonzero(np.bincount(coarse.ravel())))
-            family_size = meets + sum(built[sub] for sub in _proper_subsets(coords))
-            if size < n:
-                free = [i for i in range(n) if i not in coords]
-                face_grid = AtomGrid(n - size, _face_cuts(cells.grid, free, face, s))
-                classes = induced(face_grid, _face_profiles(cells, coords, face, coarse))
-                atom_count = int(classes.max()) + 1
+    for coords, free, subsets in _face_plan(cells.grid.dim):
+        face = _face_index(cells.grid, coords, s)
+        coarse = cells.coarse[face]
+        meets = int(np.count_nonzero(np.bincount(coarse.ravel())))
+        family_size = meets + sum(built[sub] for sub in subsets)
+        if not free:  # a single point: one new cell, labelled in place
+            cells.labels[face] = cells.count
+            cells.count += 1
+            atom_count, cell_count, subtrace = 1, 1, _POINT
+        else:
+            cuts = _face_cuts(cells.grid, free, face, s)
+            face_grid = AtomGrid._sorted(len(free), cuts)
+            classes = induced(face_grid, _face_profiles(cells, coords, free, face, coarse))
+            atom_count = int(classes.max()) + 1
+            if len(free) == 1:  # a line, in closed form
+                cell_count, subtrace = _line_rule(cuts[0], classes, atom_count)
+                cells.place_line(coords, free[0], s, face, cell_count)
+            else:
                 sub, subtrace = _refine_atoms(face_grid, classes, atom_count, memo)
-                cells.place(coords, s, sub)
+                cells.place(coords, free, s, face, cuts, sub)
                 cell_count = sub.count
-            else:  # a single point: one new cell, labelled in place
-                cells.labels[face] = cells.count
-                cells.count += 1
-                atom_count, cell_count, subtrace = 1, 1, _POINT
-            built[coords] = cell_count
-            faces.append(FaceStep(coords, family_size, atom_count, cell_count, subtrace))
+        built[coords] = cell_count
+        faces.append(FaceStep(coords, family_size, atom_count, cell_count, subtrace))
     return tuple(faces)
 
 
@@ -379,24 +428,20 @@ def _refine_atoms(
     From dimension 2 on, the grid is first stripped of every cut across which
     no cell changes (see ``_compress``), so that equal sub-problems have equal
     keys, and the result is looked up in ``memo`` and stored there; callers
-    only read it.  A line is refined directly: the atom after its last finite
-    one starts a run of the top cell with or without the redundant cuts.
+    only read it.  A line follows ``_line_rule`` on its own grid.
     ``cofinal``, the input's cofinal cell, marks the outermost call; nested
-    calls read that cell from their labels.
+    calls read that cell from their labels, as rows.
     """
     m = grid.dim
     if m == 1:
-        top = labels[-1]
-        finite = (labels != top).nonzero()[0]
-        if not finite.size:
-            return _Cells(grid, labels, count), RefinementTrace(1, None, count, count, ())
-        k0 = grid.cuts[0][finite[-1] + 1] - 1
-        _require_atoms(k0 + 2)
-        line = _Cells(AtomGrid(1, [range(k0 + 2)]), np.arange(k0 + 2, dtype=np.int32), k0 + 2)
+        out, trace = _line_rule(grid.cuts[0], labels, count)
+        if trace.k0 is None:
+            return _Cells(grid, labels, count), trace
+        line = _Cells(AtomGrid._sorted(1, [range(out)]), np.arange(out, dtype=np.int32), out)
         if cofinal is not None:
-            tail = cofinal.intersect(upper_quadrant(1, k0 + 1))
-            line.kept.append(BoxTable.of_regions([tail], k0 + 1))
-        return line, RefinementTrace(1, k0, count, k0 + 2, ())
+            tail = cofinal.intersect(upper_quadrant(1, trace.k0 + 1))
+            line.kept.append(BoxTable.of_regions([tail], trace.k0 + 1))
+        return line, trace
     grid, labels = _compress(grid, labels)
     key = (grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)
     if key in memo:
@@ -406,17 +451,18 @@ def _refine_atoms(
         memo[key] = _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
         return memo[key]
     outermost = cofinal is not None
-    if not outermost:
-        cofinal = grid.regions(np.where(labels == labels[(-1,) * m], 0, -1))[0]
-    quadrant = cofinal.intersect(upper_quadrant(m, k0))
-    if not quadrant.is_cofinal_in_space():
+    if outermost:
+        quadrant = BoxTable.of_regions([cofinal.intersect(upper_quadrant(m, k0))])
+    else:
+        quadrant = _quadrant_rows(grid.boxes(np.where(labels == labels[(-1,) * m], 0, -1)), k0)
+    if not _cofinal(quadrant):
         raise RuntimeError("restriction to the quadrant lost cofinality")
     # Grow the partition from its quadrant cell outward, one layer per level.
     _require_atoms((k0 + 1) ** m)
     fine, (coarse,) = grid.regrid([range(k0 + 1)] * m, [labels])
     inner = np.full(fine.shape, -1, dtype=np.int32)
     inner[_quadrant_index(fine, k0)] = 0
-    cells = _Cells(fine, inner, 1, [BoxTable.of_regions([quadrant])], coarse, hold_lines=outermost)
+    cells = _Cells(fine, inner, 1, [quadrant], coarse, hold_lines=outermost)
     steps = tuple(
         LevelStep(level, _extend_core(cells, level - 1, memo)) for level in range(k0, 0, -1)
     )

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmodal import Partition, full, make_partition, point_region
+import boxmodal.modal
+import boxmodal.refine
+from boxmodal import Partition, full, make_partition, parse_formula, point_region
 from boxmodal.cli import _dump, _json_text, _regions_text, main
 from boxmodal.viz import MAX_SIDE
 
@@ -338,6 +342,63 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert "'dim'" in captured.err
+
+
+class TestInternalErrors:
+    """A failed internal check exits 3 with one ``internal error`` line and no traceback."""
+
+    DROPPED_FACE = "internal error: structural bound failed: one face per nonempty coordinate set"
+    SCRIPT = """
+import sys
+import boxmodal.refine
+from boxmodal.cli import main
+
+extend = boxmodal.refine._extend_core
+boxmodal.refine._extend_core = lambda cells, s, memo: extend(cells, s, memo)[1:]
+print(__debug__)
+sys.exit(main(["refine", "--partition", sys.argv[1], "--verify"]))
+"""
+
+    @staticmethod
+    def assert_internal_error(code: int, out: str, err: str, message: str) -> None:
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [message]
+
+    def test_a_dropped_face(self, capsys, monkeypatch, origin_partition_file):
+        extend = boxmodal.refine._extend_core
+        monkeypatch.setattr(
+            boxmodal.refine, "_extend_core", lambda cells, s, memo: extend(cells, s, memo)[1:]
+        )
+        code = main(["refine", "--partition", origin_partition_file, "--verify"])
+        captured = capsys.readouterr()
+        self.assert_internal_error(code, captured.out, captured.err, self.DROPPED_FACE)
+
+    def test_a_dropped_face_under_python_O(self, origin_partition_file):
+        src = str(Path(boxmodal.refine.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT, origin_partition_file],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=60,
+        )
+        assert result.stdout == "False\n"  # asserts are off
+        self.assert_internal_error(result.returncode, "", result.stderr, self.DROPPED_FACE)
+
+    def test_a_wrong_world_fold(self, capsys, monkeypatch, valuation_file):
+        real = boxmodal.modal._world_fold
+
+        def wrong(qf, f):
+            out = real(qf, f)
+            out[parse_formula("p")] = frozenset()
+            return out
+
+        monkeypatch.setattr(boxmodal.modal, "_world_fold", wrong)
+        code = main(["mc", "--formula", "<>p | ~p", "--valuation", valuation_file])
+        captured = capsys.readouterr()
+        message = "internal error: quotient disagrees with the frame semantics on p"
+        self.assert_internal_error(code, captured.out, captured.err, message)
 
 
 class TestViz:

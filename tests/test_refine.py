@@ -41,15 +41,21 @@ from boxmodal import (
 )
 
 import boxmodal.refine
-from boxmodal.atomgrid import MAX_ATOMS, AtomGrid
+from boxmodal.atomgrid import END_OMEGA, MAX_ATOMS, AtomGrid, BoxTable
 from boxmodal.cli import main
 from boxmodal.region import MAX_COORD
 from boxmodal.refine import (
     FaceStep,
     LevelStep,
     RefinementTrace,
+    _Cells,
     _atom_threshold,
+    _cofinal,
     _compress,
+    _face_cuts,
+    _face_index,
+    _line_rule,
+    _quadrant_rows,
     _refine_atoms,
 )
 from genutil import (
@@ -366,15 +372,16 @@ class TestSubProblemMemo:
         monkeypatch.setattr(boxmodal.refine, "_refine_atoms", spy_refine_atoms)
         p = square(3, 6)
         _, trace = refine_monotone(p)
-        # Point faces are labelled in place; the top-level call and every
-        # other face of a refined sub-problem make one call each, and only
-        # calls of dimension >= 2 compress.
+        # Point faces are labelled in place and line faces refined in the
+        # face step; the top-level call and every plane face of a refined
+        # sub-problem make one call each, and every call compresses.
         distinct = {id(t): t for t in _subtraces(trace)}.values()
         faces = [f for t in distinct for step in t.steps for f in step.faces]
-        assert 0 not in dims
-        assert len(dims) == 1 + sum(f.sub.dim > 0 for f in faces)
-        assert len(compressed) == sum(d >= 2 for d in dims)
-        assert (len(compressed), len(dims)) == (19, 67)
+        assert set(dims) == {2, 3}
+        assert len(dims) == 1 + sum(f.sub.dim > 1 for f in faces)
+        assert len(compressed) == len(dims)
+        assert sum(f.sub.dim == 1 for f in faces) == 48
+        assert (len(compressed), len(dims)) == (19, 19)
         golden = TestGridSizing.golden["square_n3_c6"]["sha256"]
         assert refine_digest(p.to_json(), str(tmp_path)) == golden
 
@@ -391,7 +398,8 @@ class TestSubProblemMemo:
         monkeypatch.setattr(boxmodal.refine, "_refine_atoms", spy_refine_atoms)
         p = square(n, 3)
         refine_monotone(p)
-        assert n == 1 or len(cofinals) > 1  # nested calls ran
+        # Only faces of dimension 2 or more make nested calls.
+        assert (len(cofinals) > 1) == (n == 3)
         assert cofinals[0] is p.cells[-1]  # the cofinal cell
         assert sum(c is not None for c in cofinals) == 1
 
@@ -429,7 +437,7 @@ def labelled_lines(draw):
 
 
 class TestLineFaces:
-    """A line face is refined on its uncompressed grid."""
+    """A line is refined on its uncompressed grid as on its compressed one."""
 
     @settings(max_examples=150, deadline=None)
     @given(labelled_lines())
@@ -440,6 +448,157 @@ class TestLineFaces:
         assert cells.count == small.count
         assert all(np.array_equal(a, b) for a, b in zip(cells.table(), small.table()))
         assert json.dumps(trace.to_json()) == json.dumps(small_trace.to_json())
+
+
+def reference_line(grid, labels, count):
+    """A line's refinement and trace as a sub-call of its own made them, before line faces
+    were refined in the face step."""
+    top = labels[-1]
+    finite = (labels != top).nonzero()[0]
+    if not finite.size:
+        return _Cells(grid, labels, count), RefinementTrace(1, None, count, count, ())
+    k0 = grid.cuts[0][finite[-1] + 1] - 1
+    line = _Cells(AtomGrid(1, [range(k0 + 2)]), np.arange(k0 + 2, dtype=np.int32), k0 + 2)
+    return line, RefinementTrace(1, k0, count, k0 + 2, ())
+
+
+def reference_place(cells, coords, s, sub):
+    """``_Cells.place`` of a face's sub-call result, as it was before line faces were
+    placed in closed form."""
+    if cells.hold_lines and s == 0 and len(coords) == cells.grid.dim - 1:
+        cells.kept.append(sub.table().placed(coords, 0, cells.count))
+        cells.count += sub.count
+        return
+    free = [i for i in range(cells.grid.dim) if i not in coords]
+    shifted = [()] * cells.grid.dim
+    for i, sub_cuts in zip(free, sub.grid.cuts):
+        shifted[i] = [c + s + 1 for c in sub_cuts]
+    arrays = [cells.labels, cells.coarse]
+    cells.grid, (cells.labels, cells.coarse) = cells.grid.regrid(shifted, arrays)
+    face = _face_index(cells.grid, coords, s)
+    labels = sub.labels
+    if labels.shape != cells.labels[face].shape:
+        _, (labels,) = sub.grid.regrid(_face_cuts(cells.grid, free, face, s), [labels])
+    cells.labels[face] = labels + cells.count
+    cells.kept.extend(rows.placed(coords, s, cells.count) for rows in sub.kept)
+    cells.count += sub.count
+
+
+@st.composite
+def lines_to_place(draw):
+    """A partly built ``_Cells`` of dimension 2 or 3, a line face of it and the face's classes.
+
+    Every axis is cut at 0..s+1 and at gaps above.  The classes end in a run
+    of the top class; ``equal`` puts every atom in it, and ``top_below``
+    repeats the top class below the last atom outside it.  ``hold`` marks the
+    outermost call, whose lines of the last layer (s = 0) become kept rows.
+    """
+    n = draw(st.integers(2, 3))
+    s = draw(st.integers(0, 2))
+    cuts = []
+    for _ in range(n):
+        gaps = draw(st.lists(st.integers(1, 4), max_size=4))
+        cuts.append(list(range(s + 2)) + list(itertools.accumulate(gaps, initial=s + 1))[1:])
+    grid = AtomGrid(n, cuts)
+    count = draw(st.integers(1, 5))
+    values = draw(st.lists(st.integers(-1, count - 1), min_size=grid.size, max_size=grid.size))
+    labels = np.array(values, np.int32).reshape(grid.shape)
+    coarse = np.array(draw(st.permutations(values)), np.int32).reshape(grid.shape)
+    axis = draw(st.integers(0, n - 1))
+    coords = tuple(i for i in range(n) if i != axis)
+    hold = draw(st.booleans())
+    face = _face_index(grid, coords, s)
+    size = len(_face_cuts(grid, (axis,), face, s)[0])
+    kind = draw(st.sampled_from(["equal", "top_below", "any"]))
+    top = draw(st.integers(0, 3))
+    body = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    tail = draw(st.integers(1, size))
+    if kind == "equal":
+        body = [top] * size
+    elif kind == "top_below":
+        body = [top] + body[1:]
+    raw = body[: size - tail] + [top] * tail
+    classes = np.unique(raw, return_inverse=True)[1].reshape(-1)
+    quadrant = np.full((1, n), s + 1, np.uint64), np.full((1, n), END_OMEGA, np.uint64)
+    kept = [BoxTable(np.zeros(1, np.intp), *quadrant)]
+    cells = _Cells(grid, labels, count, kept, coarse, hold_lines=hold)
+    return cells, coords, axis, s, classes
+
+
+def copy_cells(cells):
+    return _Cells(
+        cells.grid, cells.labels.copy(), cells.count, list(cells.kept), cells.coarse.copy(),
+        cells.hold_lines,
+    )
+
+
+class TestLineRule:
+    """A line face refined and placed in closed form matches the sub-call it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines_to_place())
+    def test_matches_a_sub_call_and_place(self, case):
+        cells, coords, axis, s, classes = case
+        face = _face_index(cells.grid, coords, s)
+        (line_cuts,) = _face_cuts(cells.grid, (axis,), face, s)
+        count = int(classes.max()) + 1
+        new, old = copy_cells(cells), copy_cells(cells)
+        cell_count, trace = _line_rule(line_cuts, classes, count)
+        new.place_line(coords, axis, s, face, cell_count)
+        sub, old_trace = reference_line(AtomGrid(1, [line_cuts]), classes, count)
+        reference_place(old, coords, s, sub)
+        assert cell_count == sub.count
+        assert json.dumps(trace.to_json()) == json.dumps(old_trace.to_json())
+        assert new.grid.cuts == old.grid.cuts
+        assert np.array_equal(new.labels, old.labels)
+        assert np.array_equal(new.coarse, old.coarse)
+        assert new.count == old.count
+        assert len(new.kept) == len(old.kept)
+        for a, b in zip(new.kept, old.kept):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_a_long_line_is_checked_up_front(self):
+        labels = np.array([1, 0], np.int32)
+        with pytest.raises(ValueError, match="atom grid too large"):
+            _line_rule((0, MAX_ATOMS), labels, 2)
+
+
+@st.composite
+def quadrant_cells(draw):
+    """A grid of dimension 2 or 3 with cuts up to ``MAX_COORD``, one cell's atoms on it, and k."""
+    n = draw(st.integers(2, 3))
+    near = st.one_of(st.integers(1, 12), st.integers(MAX_COORD - 6, MAX_COORD))
+    cuts = [sorted({0, *draw(st.lists(near, max_size=3))}) for _ in range(n)]
+    grid = AtomGrid(n, cuts)
+    atoms = draw(st.lists(st.booleans(), min_size=grid.size, max_size=grid.size))
+    atoms = np.array(atoms).reshape(grid.shape)
+    atoms.flat[draw(st.integers(0, grid.size - 1))] = True
+    if draw(st.booleans()):  # the cell holds the top atom, so it is cofinal
+        atoms[(-1,) * n] = True
+    k = draw(st.one_of(st.sampled_from(sorted({c for axis in cuts for c in axis})), near))
+    return grid, np.where(atoms, 0, -1), k
+
+
+class TestNestedQuadrantRows:
+    """A nested call's quadrant cell, clipped as rows, matches the Region form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(quadrant_cells())
+    def test_matches_region_intersect(self, case):
+        grid, labels, k = case
+        cell = grid.regions(labels)[0].intersect(upper_quadrant(grid.dim, k))
+        rows = _quadrant_rows(grid.boxes(labels), k)
+        expected = BoxTable.of_regions([cell])
+        assert all(np.array_equal(a, b) for a, b in zip(rows, expected))
+        assert _cofinal(rows) == cell.is_cofinal_in_space()
+
+    def test_a_cell_off_the_top_atom_is_not_cofinal(self):
+        grid = AtomGrid(2, [[0, 3], [0, 2, MAX_COORD]])
+        labels = np.array([[0, 0, 0], [0, 0, -1]])  # [0, 2] x [0, w) and [3, w) x [0, MAX_COORD)
+        rows = _quadrant_rows(grid.boxes(labels), 5)
+        assert rows.lo.tolist() == [[5, 5]]
+        assert rows.end.tolist() == [[END_OMEGA, MAX_COORD]]
+        assert not _cofinal(rows)
 
 
 class TestStructuralBounds:
