@@ -9,8 +9,8 @@ hi and hi + 1 for every finite upper bound.  This turns the partition
 checkers into boolean-array arithmetic, on arrays in the grid's shape (only
 ``sees``, ``windows`` and ``first_point`` flatten one), while staying exact.
 ``regrid`` is the one way onto a finer grid.  A ``BoxTable`` holds boxes as
-arrays: ``boxes`` turns labels into its rows, ``paint`` its rows into
-labels.
+arrays: ``boxes`` turns labels into its rows, the one way back from atoms,
+and ``paint`` its rows into labels.
 
 ``sees`` gives every cell's downward closure at once.  Under <= an atom
 sees an atom of a cell exactly when its index is at most the other's on
@@ -60,12 +60,12 @@ class BoxTable(NamedTuple):
     def of_regions(cls, regions: Sequence[Region], first: int = 0) -> "BoxTable":
         """The boxes of Regions numbered from ``first``, in their order."""
         cells = [i for i, r in enumerate(regions, first) for _ in r.boxes]
-        rows = [
-            [(iv.lo, END_OMEGA if iv.hi is OMEGA else iv.hi + 1) for iv in b.intervals]
-            for r in regions for b in r.boxes
+        flat = [
+            x for r in regions for b in r.boxes for iv in b.intervals
+            for x in (iv.lo, END_OMEGA if iv.hi is OMEGA else iv.hi + 1)
         ]
         dim = regions[0].dim if regions else 0
-        at = np.array(rows, np.uint64).reshape(len(rows), dim, 2)
+        at = np.array(flat, np.uint64).reshape(len(cells), dim, 2)
         return cls(np.array(cells, np.intp), at[..., 0], at[..., 1])
 
     @classmethod
@@ -137,20 +137,16 @@ class AtomGrid:
                     if iv.hi is not OMEGA:
                         cuts[i].add(iv.hi)
                         cuts[i].add(iv.hi + 1)
-        return cls(dim, [sorted(c) for c in cuts])
+        return cls._sorted(dim, [sorted(c) for c in cuts])
 
     @classmethod
     def for_boxes(cls, table: BoxTable, regions: Iterable[Region] = ()) -> "AtomGrid":
         """``for_regions`` of the regions and of every box of a table."""
         own = cls.for_regions(table.lo.shape[1], regions)
-        bounds = np.concatenate((table.lo, table.end - 1, table.end))
-        bounds.sort(axis=0)
-        cuts = []
-        for axis, more in enumerate(own.cuts):
-            col = bounds[:, axis]
-            col = col[: col.searchsorted(END_OMEGA - 1)]  # the ends of omega, and one below
-            cuts.append(sorted(set(col.tolist()).union(more)))
-        return cls(own.dim, cuts)
+        bounds = np.concatenate((table.lo, table.end - 1, table.end)).T.tolist()
+        omega = (END_OMEGA - 1, END_OMEGA)  # the ends of omega, and one below
+        cuts = [set(col).union(more).difference(omega) for col, more in zip(bounds, own.cuts)]
+        return cls._sorted(own.dim, [sorted(c) for c in cuts])
 
     def regrid(
         self, cuts: Sequence[Iterable[int]], arrays: list[np.ndarray]
@@ -201,30 +197,15 @@ class AtomGrid:
             arr[self.box_slices(b)] = True
         return arr
 
-    def region_of_bool(self, arr: np.ndarray, origin: Optional[Sequence[int]] = None) -> Region:
-        """Rebuild a region from an atom set, coalescing adjacent atoms into boxes.
-
-        The boxes are the canonical form of the set: along each coordinate in
-        turn, maximal runs of equal nonempty slices.  ``arr`` covers the whole
-        grid, or with ``origin`` only the window of atoms starting at those
-        indices; the region then has no atom outside the window.
-        """
-        origin = tuple(origin) if origin is not None else (0,) * self.dim
-        boxes = [
-            Box(tuple(self._interval(axis, a, b) for axis, (a, b) in enumerate(spans)))
-            for spans in self._collect(np.ascontiguousarray(arr), 0, origin)
-        ]
-        return Region(self.dim, tuple(boxes))
-
-    def _interval(self, axis: int, a: int, b: int) -> Interval:
-        """The values of atoms a..b-1 on an axis."""
-        cuts = self.cuts[axis]
-        return Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA)
+    def region_of_bool(self, arr: np.ndarray) -> Region:
+        """An atom set as a Region, in the canonical boxes of ``boxes``."""
+        return self.boxes(np.where(arr, 0, -1)).regions().get(0, Region(self.dim, ()))
 
     def _collect(
         self, arr: np.ndarray, coord: int, origin: tuple[int, ...]
     ) -> list[tuple[tuple[int, int], ...]]:
-        """The canonical boxes of an atom window, as atom spans [a, b) per axis."""
+        """The canonical boxes of an atom window, as atom spans [a, b) per axis: along each
+        coordinate in turn, maximal runs of equal nonempty slices."""
         if coord == self.dim:
             return [()] if bool(arr) else []
         out: list[tuple[tuple[int, int], ...]] = []
@@ -255,55 +236,20 @@ class AtomGrid:
         """
         flat = labels.ravel()
         where = (flat >= 0).nonzero()[0]
-        if not where.size:
-            none = np.zeros((self.dim, 0), np.intp)
-            return flat[where], np.zeros(0, np.intp), none, none
         where = where[flat[where].argsort(kind="stable")]
         ordered = flat[where]
-        change = np.empty(ordered.size, dtype=bool)
-        change[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
-        starts = change.nonzero()[0]
-        at = np.unravel_index(where, self.shape)
+        starts, counts = runs(ordered)
+        at = np.unravel_index(where, self.shape) if self.dim else ()
         shape = (self.dim, starts.size)
         lows = np.array([np.minimum.reduceat(a, starts) for a in at], np.intp).reshape(shape)
         highs = np.array([np.maximum.reduceat(a, starts) + 1 for a in at], np.intp).reshape(shape)
-        counts = np.diff(starts, append=ordered.size)
         return ordered[starts], counts, lows, highs
 
     def _spans(self, labels: np.ndarray, label: int, lo: list[int], hi: list[int]) -> list:
         """The canonical boxes of one label, as atom spans [a, b) per axis, read from its window
-        of atoms from ``lo`` to ``hi``: those of ``region_of_bool``."""
+        of atoms from ``lo`` to ``hi``."""
         window = labels[tuple(slice(a, b) for a, b in zip(lo, hi))] == label
         return self._collect(np.ascontiguousarray(window), 0, tuple(lo))
-
-    def regions(self, labels: np.ndarray) -> dict[int, Region]:
-        """Every label of an int array in this grid's shape as its Region of atoms.
-
-        Atoms labelled -1 belong to no Region.  A label that fills its
-        window of atoms is that one box; any other has the boxes of
-        ``_spans``.  Boxes share one ``Interval`` per distinct run of atoms
-        on an axis.
-        """
-        names, counts, lows, highs = self.windows(labels)
-        volumes = np.multiply.reduce(highs - lows, axis=0)
-        made: dict[tuple[int, int, int], Interval] = {}
-        out = {}
-        for label, count, volume, lo, hi in zip(
-            names.tolist(), counts.tolist(), volumes.tolist(), lows.T.tolist(), highs.T.tolist()
-        ):
-            spans = [tuple(zip(lo, hi))] if count == volume else self._spans(labels, label, lo, hi)
-            boxes = []
-            for box_spans in spans:
-                ivs = []
-                for axis, (a, b) in enumerate(box_spans):
-                    iv = made.get((axis, a, b))
-                    if iv is None:
-                        iv = made[axis, a, b] = self._interval(axis, a, b)
-                    ivs.append(iv)
-                boxes.append(Box(tuple(ivs)))
-            out[label] = Region(self.dim, tuple(boxes))
-        return out
 
     def _bounds(self) -> tuple[np.ndarray, list[int]]:
         """Every axis's cuts followed by ``END_OMEGA``, in one uint64 array, and where each
@@ -367,7 +313,8 @@ class AtomGrid:
         start, stop = at
         single = (stop - start == 1).all(axis=1)
         owner = np.full(self.shape, -1, dtype=np.int32)
-        owner[tuple(start[single].T)] = table.cell[single]
+        steps = np.array(owner.strides, np.intp) // owner.itemsize  # flat indices: dimension 0 too
+        owner.reshape(-1)[start[single] @ steps] = table.cell[single]
         for row in (~single).nonzero()[0].tolist():
             owner[tuple(map(slice, start[row], stop[row]))] = table.cell[row]
         return owner
@@ -447,6 +394,14 @@ class AtomGrid:
                     meets, within = words[own], words[own]
                     meets[rows], within[rows] = some, every
             yield block, *(a.view(np.uint8)[..., :used] for a in (cube, meets, within))
+
+
+def runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal neighbours in a 1-D array starts, and its length."""
+    head = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    return starts, np.subtract(np.append(starts[1:], values.size), starts)
 
 
 def unpack(rows: np.ndarray, count: int) -> np.ndarray:

@@ -104,7 +104,7 @@ class QuotientFrame:
 
     dim: int
     order: OrderKind
-    cells: tuple[Region, ...]
+    cells: Sequence[Region]
     edges: frozenset[tuple[int, int]]
     valuation: Mapping[str, frozenset[int]]
 
@@ -119,7 +119,7 @@ class QuotientFrame:
             "val": {
                 name: sorted(worlds) for name, worlds in sorted(self.valuation.items())
             },
-            "cells": [c.to_json() for c in self.cells],
+            "cells": self.cells.to_json(),
         }
 
 
@@ -143,7 +143,7 @@ def quotient_frame(p: Partition, order: OrderKind, val: Valuation) -> QuotientFr
             i = int(partial[0])
             raise NotCompatible(name, i, p.cells[i].intersect(val.vars[name]))
         val_map[name] = frozenset(int(i) for i in whole)
-    return QuotientFrame(p.dim, order, tuple(p.cells), frozenset(edges), val_map)
+    return QuotientFrame(p.dim, order, p.cells, frozenset(edges), val_map)
 
 
 def _world_fold(qf: QuotientFrame, f: Formula) -> dict[Formula, frozenset[int]]:

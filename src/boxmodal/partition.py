@@ -13,14 +13,14 @@ The checkers decide, exactly:
   coordinates never shrinks when moving up along the componentwise order.
 
 Both checks run on the finite atom quotient of the partition (see
-``atomgrid``), which is exact for box-union regions.  Cells are a tuple of
-Regions, or, for the refiner's output, a box table (``TableCells``) whose
-Regions are made only when asked for.  A partition builds its read-only
-owner array (each atom's cell, in the grid's shape) once, the only place
-cells become atom labels: by painting each Region box's slice of atoms, or
-from a box table's rows, the boxes it writes, in one assignment for the
-boxes of one atom.  Consumers needing the cuts of a valuation, generators
-or another partition too join them to its grid with ``AtomGrid.regrid``.
+``atomgrid``), which is exact for box-union regions.  Cells are one box
+table (``TableCells``), whose Regions are kept when the cells were given as
+Regions and made only when asked for otherwise.  A partition paints its
+read-only owner array (each atom's cell, in the grid's shape) from the
+table once, the only place cells become atom labels, or takes the one that
+``make_partition`` painted to validate the cells.  Consumers needing the
+cuts of a valuation, generators or another partition too join them to its
+grid with ``AtomGrid.regrid``.
 Which cells see which is one ``AtomGrid.sees`` pass, in blocks of bounded
 size.  The monotone check reads every cell's varying axes and hull from
 the owner array and checks hull cofinality with one gather before that
@@ -32,11 +32,12 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from itertools import accumulate
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .atomgrid import END_OMEGA, AtomGrid, BoxTable, bit_column, first_bit, unpack
+from .atomgrid import END_OMEGA, AtomGrid, BoxTable, bit_column, first_bit, runs, unpack
 from .region import DimensionMismatch, OrderKind, Point, Region, full
 
 
@@ -50,45 +51,48 @@ class PartitionError(ValueError):
 
 
 class TableCells(Sequence):
-    """The cells of a box table as a sequence of Regions, each made when it is asked for.
+    """The cells of a partition as one box table, and as Regions made when first asked for.
 
     The table's rows are sorted by cell, and the cells are numbered 0 up
-    in their canonical order.  Equality and hashing are those of the tuple
-    of Regions.
+    in their canonical order.  Cells given as Regions keep those Regions.
+    Equality and hashing are those of the table.
     """
 
     __slots__ = ("table", "starts", "_all")
 
-    def __init__(self, table: BoxTable, starts: list[int]):
+    def __init__(self, table: BoxTable, starts: list[int], regions: Optional[tuple] = None):
         self.table = table
         self.starts = starts  # cell i has rows starts[i] to starts[i + 1]
-        self._all: Optional[tuple[Region, ...]] = None
+        self._all: Optional[tuple[Region, ...]] = regions
 
     def __len__(self) -> int:
         return len(self.starts) - 1
 
     def __getitem__(self, i):
-        if isinstance(i, slice) or self._all is not None:
-            return tuple(self)[i]
-        i = range(len(self))[operator.index(i)]
-        rows = slice(self.starts[i], self.starts[i + 1])
-        return BoxTable(*(a[rows] for a in self.table)).regions()[i]
+        if self._all is None and not isinstance(i, slice):
+            i = range(len(self))[operator.index(i)]
+            rows = slice(self.starts[i], self.starts[i + 1])
+            return BoxTable(*(a[rows] for a in self.table)).regions()[i]
+        return self.regions()[i]
 
     def __iter__(self):
+        return iter(self.regions())
+
+    def regions(self) -> tuple[Region, ...]:
         if self._all is None:
             self._all = tuple(self.table.regions().values())
-        return iter(self._all)
+        return self._all
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TableCells):
-            return all(np.array_equal(a, b) for a, b in zip(self.table, other.table))
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.table, other.table))
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash((self.table.lo.tobytes(), self.table.end.tobytes(), tuple(self.starts)))
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        return repr(self.regions())
 
     def to_json(self) -> list[dict]:
         """``Region.to_json`` of every cell; a cell of one box is written from its row."""
@@ -110,17 +114,38 @@ class TableCells(Sequence):
 class Partition:
     dim: int
     carrier: Region
-    cells: Union[tuple[Region, ...], TableCells]
+    cells: TableCells
 
     @property
     def size(self) -> int:
         return len(self.cells)
 
     @classmethod
-    def _trusted(cls, dim: int, carrier: Region, cells: Iterable[Region]) -> "Partition":
-        """Construct without validation; callers guarantee the invariants."""
-        ordered = tuple(sorted(cells, key=Region.min_point))
-        return cls(dim, carrier, ordered)
+    def _trusted(
+        cls, dim: int, carrier: Region, cells: Iterable[Region],
+        painted: Optional[tuple[AtomGrid, np.ndarray]] = None,
+    ) -> "Partition":
+        """Construct without validation; callers guarantee the invariants.
+
+        The cells are numbered by their least points.  ``painted``, when
+        given, is the grid of the carrier and the cells and its owner array,
+        the cells numbered in the order given; the partition keeps the grid
+        and the array, renumbered, rather than painting its own.
+        """
+        cells = tuple(cells)
+        order = sorted(range(len(cells)), key=lambda i: cells[i].min_point())
+        ordered = tuple(cells[i] for i in order)
+        starts = [0, *accumulate(len(c.boxes) for c in ordered)]
+        p = cls(dim, carrier, TableCells(BoxTable.of_regions(ordered), starts, ordered))
+        if painted is not None:
+            grid, owner = painted
+            rank = [0] * len(order) + [-1]  # the last entry is read for -1
+            for new, old in enumerate(order):
+                rank[old] = new
+            owner = np.array(rank, np.int32)[owner, ...]  # an array, also in dimension 0
+            owner.flags.writeable = False
+            vars(p).update(_grid=grid, _owner=owner)
+        return p
 
     @classmethod
     def _of_boxes(cls, dim: int, carrier: Region, table: BoxTable) -> "Partition":
@@ -131,8 +156,7 @@ class Partition:
         lexicographic sort of all rows gives.
         """
         rows = table.cell.size
-        starts = np.flatnonzero(np.diff(table.cell, prepend=-1))
-        sizes = np.diff(starts, append=rows)
+        starts, sizes = runs(table.cell)
         rank = np.empty(rows, np.intp)
         rank[np.lexsort(table.lo.T[::-1])] = np.arange(rows)
         first = np.minimum.reduceat(rank, starts)  # each cell's least corner, as a rank
@@ -146,20 +170,12 @@ class Partition:
 
     @cached_property
     def _grid(self) -> AtomGrid:
-        if isinstance(self.cells, TableCells):
-            return AtomGrid.for_boxes(self.cells.table, (self.carrier,))
-        return AtomGrid.for_regions(self.dim, (self.carrier, *self.cells))
+        return AtomGrid.for_boxes(self.cells.table, (self.carrier,))
 
     @cached_property
     def _owner(self) -> np.ndarray:
         """Read-only int32 array in the grid's shape: each atom's cell index (-1 outside)."""
-        if isinstance(self.cells, TableCells):
-            owner = self._grid.paint(self.cells.table)
-        else:
-            owner = np.full(self._grid.shape, -1, dtype=np.int32)
-            for i, cell in enumerate(self.cells):
-                for b in cell.boxes:
-                    owner[self._grid.box_slices(b)] = i
+        owner = self._grid.paint(self.cells.table)
         owner.flags.writeable = False
         return owner
 
@@ -167,11 +183,7 @@ class Partition:
 
     def to_json(self) -> dict:
         carrier = "full" if self.carrier.equal(full(self.dim)) else self.carrier.to_json()
-        if isinstance(self.cells, TableCells):
-            cells = self.cells.to_json()
-        else:
-            cells = [c.to_json() for c in self.cells]
-        return {"dim": self.dim, "carrier": carrier, "cells": cells}
+        return {"dim": self.dim, "carrier": carrier, "cells": self.cells.to_json()}
 
     @classmethod
     def from_json(cls, obj: object) -> "Partition":
@@ -213,7 +225,7 @@ def make_partition(carrier: Region, cells: Sequence[Region]) -> Partition:
     owner = np.full(grid.shape, -1, dtype=np.int32)
     for i, c in enumerate(cells):
         for b in c.boxes:
-            atoms = owner[grid.box_slices(b)]
+            atoms = owner[(*grid.box_slices(b), ...)]  # a view, also in dimension 0
             if i and atoms.view(np.uint32).min() < i:
                 earlier = (owner >= 0) & (owner < i)
                 witness = grid.region_of_bool(grid.region_bool(c) & earlier)
@@ -228,7 +240,7 @@ def make_partition(carrier: Region, cells: Sequence[Region]) -> Partition:
     ):
         if wrong.any():
             raise PartitionError(kind, message, witness=grid.region_of_bool(wrong))
-    return Partition._trusted(dim, carrier, cells)
+    return Partition._trusted(dim, carrier, cells, (grid, owner))
 
 
 def restrict(p: Partition, v: Region) -> Partition:
@@ -271,8 +283,7 @@ def induced(
     profiles = np.stack([grid.region_bool(f)[car] for f in family], axis=-1)
     labels = np.full(grid.shape, -1, dtype=np.intp)
     labels[car] = _classes(profiles)
-    cells = grid.regions(labels).values()
-    return Partition._trusted(carrier.dim, carrier, cells)
+    return Partition._of_boxes(carrier.dim, carrier, grid.boxes(labels))
 
 
 def _classes(rows: np.ndarray) -> np.ndarray:

@@ -46,5 +46,4 @@ def gen_random(n: int, cells: int, max_const: int, seed: int) -> Partition:
     for atom_idx in order[cells:]:
         group[atom_idx] = rng.randrange(cells)
     grid = AtomGrid(n, cuts)
-    regions = grid.regions(np.array(group).reshape(grid.shape))
-    return Partition._trusted(n, full(n), regions.values())
+    return Partition._of_boxes(n, full(n), grid.boxes(np.array(group).reshape(grid.shape)))

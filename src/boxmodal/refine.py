@@ -493,7 +493,7 @@ def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
         raise PartitionError("not_refining", "inner partition does not refine the restriction")
     grid, (outer,) = coarse._grid.regrid(inner._grid.cuts, [coarse._owner])
     _, (labels,) = inner._grid.regrid(grid.cuts, [inner._owner.copy()])  # a copy: written below
-    kept = [BoxTable.of_regions(inner.cells)]
+    kept = [inner.cells.table]
     cells = _Cells(grid, labels, inner.size, kept, outer, hold_lines=True)
     _extend_core(cells, 0, {})
     return Partition._of_boxes(coarse.dim, full(coarse.dim), cells.table())

@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmodal import (
+    OMEGA,
+    Box,
+    Interval,
     OrderKind,
     Partition,
     Region,
@@ -92,28 +95,41 @@ def labelled_grids(draw):
     return grid, labels
 
 
+def reference_region_of_bool(grid: AtomGrid, arr: np.ndarray) -> Region:
+    """The former ``region_of_bool``, kept as the reference: ``_collect`` over the whole grid."""
+    def interval(axis: int, a: int, b: int) -> Interval:
+        cuts = grid.cuts[axis]
+        return Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA)
+
+    spans = grid._collect(np.ascontiguousarray(arr), 0, (0,) * grid.dim)
+    boxes = (Box(tuple(interval(axis, a, b) for axis, (a, b) in enumerate(s))) for s in spans)
+    return Region(grid.dim, tuple(boxes))
+
+
 @settings(max_examples=150, deadline=None)
 @given(labelled_grids())
 def test_regions_are_region_of_bool_per_label(case):
     grid, labels = case
-    out = grid.regions(labels)
+    out = grid.boxes(labels).regions()
     assert sorted(out) == sorted(set(labels[labels >= 0].tolist()))
     for label, r in out.items():
-        assert r.boxes == grid.region_of_bool(labels == label).boxes
+        assert r.boxes == reference_region_of_bool(grid, labels == label).boxes
+        assert r == grid.region_of_bool(labels == label)
 
 
 def test_regions_of_filled_unfilled_and_missing_labels():
     grid = AtomGrid(2, [[0, 1, 3], [0, 2, 5]])
     labels = np.array([[0, 0, -1], [1, 2, 1], [1, 2, 2]], dtype=np.int32)
-    out = grid.regions(labels)
+    out = grid.boxes(labels).regions()
     block = np.zeros(grid.shape, dtype=bool)
     block[:1, :2] = True
-    assert out[0] == grid.region_of_bool(block)  # fills its window
+    assert out[0] == reference_region_of_bool(grid, block)  # fills its window
     assert len(out[0].boxes) == 1
     assert len(out[1].boxes) == 3 and len(out[2].boxes) == 2  # do not
     for label in range(3):
-        assert out[label].boxes == grid.region_of_bool(labels == label).boxes
-    assert grid.regions(np.full(grid.shape, -1, dtype=np.int32)) == {}
+        assert out[label].boxes == reference_region_of_bool(grid, labels == label).boxes
+    assert grid.boxes(np.full(grid.shape, -1, dtype=np.int32)).regions() == {}
+    assert grid.region_of_bool(np.zeros(grid.shape, dtype=bool)) == Region(2, ())
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,7 +137,8 @@ def test_regions_of_filled_unfilled_and_missing_labels():
 def test_box_table_rows_are_the_regions_boxes(case):
     grid, labels = case
     table = grid.boxes(labels)
-    assert table.regions() == grid.regions(labels)
+    for label, r in table.regions().items():
+        assert r == reference_region_of_bool(grid, labels == label)
     cells = table.cell.tolist()
     runs = [c for i, c in enumerate(cells) if i == 0 or cells[i - 1] != c]
     assert len(runs) == len(set(runs))  # each label's rows are consecutive
@@ -159,6 +176,22 @@ def test_dim_zero():
     one = Region(0, (box(),))
     assert grid.region_of_bool(grid.region_bool(one)).equal(one)
     assert grid.size == 1
+
+
+def test_dim_zero_paint():
+    grid = AtomGrid(0, [])
+    for cells in ([], [Region(0, (box(),))], [Region(0, (box(), box()))]):
+        owner = grid.paint(BoxTable.of_regions(cells))
+        assert owner.shape == () and int(owner) == (0 if cells else -1)
+
+
+def test_dim_zero_boxes():
+    grid = AtomGrid(0, [])
+    table = grid.boxes(np.array(3))
+    assert table.cell.tolist() == [3] and table.lo.shape == table.end.shape == (1, 0)
+    assert table.regions() == {3: Region(0, (box(),))}
+    assert grid.boxes(np.array(-1)).regions() == {}
+    assert grid.region_of_bool(np.array(False)) == Region(0, ())
 
 
 @settings(max_examples=80, deadline=None)
@@ -316,7 +349,9 @@ def test_product_tuned_violation_matches_the_tables(seed, n, order, budget):
         return random_partition(rng, n, rng.randint(1, 8), rng.randint(0, 4 if n < 3 else 3))
 
     fibers = [fiber() for _ in worlds]
-    fibers = [f if rng.random() < 0.5 else induced(full(n), f.cells + fiber().cells) for f in fibers]
+    fibers = [
+        f if rng.random() < 0.5 else induced(full(n), (*f.cells, *fiber().cells)) for f in fibers
+    ]
     fp = make_fibered(worlds, edges, fibers)
     with mock.patch.object(atomgrid, "SEES_BYTES", budget or atomgrid.SEES_BYTES):
         assert product_tuned_violation(fp, order) == reference_product_violation(fp, order)

@@ -1,20 +1,26 @@
 """End-to-end CLI behavior: exit codes, determinism, round-trips."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import boxmodal.modal
 import boxmodal.refine
-from boxmodal import Partition, full, make_partition, parse_formula, point_region
+from boxmodal import (
+    InfeasibleParameters, Partition, full, gen_random, make_partition, parse_formula, point_region,
+)
 from boxmodal.cli import _dump, _json_text, _regions_text, main
+from boxmodal.region import MAX_COORD
 from boxmodal.viz import MAX_SIDE
 
 DATA = Path(__file__).parent / "data"
@@ -548,3 +554,104 @@ class TestJsonText:
             _dump(obj, str(tmp_path / "out.json"))
             expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
             assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
+
+
+# -- fuzzing the contract: every input ends in exit 0, 1 or 2, with no traceback --------------
+
+BAD_BOUNDS = [None, True, False, 1.0, 2.5, "3", "w", -1, MAX_COORD + 1, [0], {}]
+
+
+def _stretch(doc: dict, shift: int) -> None:
+    """Move every bound but a lower 0 up by ``shift``, keeping cells adjacent where they were."""
+    for cell in doc["cells"]:
+        for b in cell["boxes"]:
+            for pair in b:
+                lo, hi = pair
+                pair[:] = [lo and lo + shift, None if hi is None else hi + shift]
+
+
+@st.composite
+def partition_texts(draw) -> tuple[str, dict]:
+    """The text of a partition file, and the partition's document before any corruption.
+
+    A seeded random partition, then any of: its cells out of order, its
+    bounds moved up to ``MAX_COORD`` (or one past), a cell dropped (a gap),
+    a box of one cell copied into another (an overlap, or a duplicate box),
+    a smaller carrier (excess), a bound or the dimension replaced by a bool,
+    float, string or out-of-range value, and the text cut short.
+    """
+    n = draw(st.integers(1, 2))
+    sometimes = st.sampled_from([False, False, False, True])
+    cells, max_const, seed = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 999))
+    try:
+        p = gen_random(n, cells, max_const, seed)
+    except InfeasibleParameters:
+        p = gen_random(n, 1, 0, 0)
+    doc = p.to_json()
+    cells = doc["cells"]
+    if draw(sometimes):
+        doc["cells"] = cells = draw(st.permutations(cells))
+    if draw(sometimes):
+        _stretch(doc, MAX_COORD - draw(st.sampled_from([8, 7])))
+        doc["carrier"] = {"dim": n, "boxes": [[[0, None]] * n]}
+    base = json.loads(json.dumps(doc))
+    if len(cells) > 1 and draw(sometimes):
+        cells.pop(draw(st.integers(0, len(cells) - 1)))
+    if draw(sometimes):
+        i, j = (draw(st.integers(0, len(cells) - 1)) for _ in range(2))
+        cells[j]["boxes"].append(cells[i]["boxes"][0])
+    if draw(sometimes):
+        doc["carrier"] = {"dim": n, "boxes": [[[1, None]] + [[0, None]] * (n - 1)]}
+    if draw(sometimes):
+        pairs = [pair for cell in cells for b in cell["boxes"] for pair in b]
+        pair = draw(st.sampled_from(pairs))
+        pair[draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_BOUNDS))
+    if draw(sometimes):
+        doc["dim"] = draw(st.sampled_from([True, 0, 2.0, "2", 3]))
+    text = json.dumps(doc)
+    if draw(sometimes):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text, base
+
+
+@st.composite
+def valuation_texts(draw, base: dict) -> str:
+    """A valuation: ``p`` the union of some of the partition's cells, or a box across them."""
+    n = base["dim"]
+    cells = base["cells"]
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
+        p = {"dim": n, "boxes": [b for cell in chosen for b in cell["boxes"]]}
+    else:
+        p = {"dim": n, "boxes": [[[0, draw(st.integers(0, 3))]] * n]}
+    order = draw(st.sampled_from(["le", "lt", "leq", 1]))
+    return json.dumps({"dim": draw(st.sampled_from([n, n, 3])), "order": order, "vars": {"p": p}})
+
+
+COMMANDS = [
+    ["check-tuned", "--order", "le"],
+    ["check-tuned", "--order", "lt"],
+    ["check-monotone"],
+    ["refine", "--verify"],
+    ["quotient"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COMMANDS), st.data())
+def test_fuzzed_files_end_in_a_documented_exit_code(command, data):
+    text, base = data.draw(partition_texts())
+    with tempfile.TemporaryDirectory() as tmp:
+        partition, out = Path(tmp) / "p.json", Path(tmp) / "out.json"
+        partition.write_text(text)
+        argv = [*command, "--partition", str(partition), "--out", str(out)]
+        if command[0] == "quotient":
+            valuation = Path(tmp) / "v.json"
+            valuation.write_text(data.draw(valuation_texts(base)))
+            argv += ["--valuation", str(valuation)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")

@@ -39,6 +39,7 @@ from boxmodal import (
 
 from boxmodal.atomgrid import AtomGrid
 from boxmodal.partition import MonotoneViolation, _classes, _hulls
+from boxmodal.region import MAX_COORD
 from genutil import random_partition, random_region
 
 LE = OrderKind.REFLEXIVE
@@ -165,14 +166,56 @@ class TestOwner:
     def test_owner_from_the_box_table_matches_the_regions(self, seed, n):
         rng = random.Random(seed)
         q, _ = refine_monotone(random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4)))
-        from_regions = Partition(q.dim, q.carrier, tuple(q.cells))
+        from_regions = Partition._trusted(q.dim, q.carrier, tuple(q.cells))
         assert from_regions == q
+        assert all(np.array_equal(a, b) for a, b in zip(from_regions.cells.table, q.cells.table))
         assert from_regions._grid.cuts == q._grid.cuts
         assert np.array_equal(from_regions._owner, q._owner)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(1, 3), st.booleans(), st.booleans())
+    def test_make_partition_hands_over_the_painting_of_its_table(self, seed, n, subcarrier, top):
+        """Cells out of canonical order, with duplicate and covered boxes, some bounds at
+        ``MAX_COORD`` when shifted to the top: the grid and owner ``make_partition`` keeps
+        are those of the table, as ``for_boxes`` and ``paint`` give them."""
+        p = painted_partition(seed, n, subcarrier)
+        carrier, cells = p.carrier, list(p.cells)
+        random.Random(seed).shuffle(cells)
+        if top:
+            shift = MAX_COORD - max(c.max_constant() for c in (carrier, *cells))
+            carrier, cells = carrier.translate(shift), [c.translate(shift) for c in cells]
+        q = make_partition(carrier, cells)
+        assert {"_grid", "_owner"} <= vars(q).keys()  # handed over, not yet painted
+        table = q.cells.table
+        assert q._grid.cuts == AtomGrid.for_boxes(table, (q.carrier,)).cuts
+        assert np.array_equal(q._owner, q._grid.paint(table))
+        assert not q._owner.flags.writeable
+
+    def test_make_partition_paints_once(self, monkeypatch):
+        calls = {"paint": 0, "for_regions": 0}
+        paint, for_regions = AtomGrid.paint, AtomGrid.for_regions.__func__
+
+        def count(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(AtomGrid, "paint", count("paint", paint))
+        monkeypatch.setattr(AtomGrid, "for_regions", classmethod(count("for_regions", for_regions)))
+        p = four_cell()
+        assert tuned_violation(p, LE) is None and cell_of(p, (0, 3)) == 1
+        assert calls == {"paint": 0, "for_regions": 1}
+
+    def test_dim_zero(self):
+        for p in (make_partition(full(0), [full(0)]), Partition._trusted(0, full(0), [full(0)])):
+            assert p._grid.shape == () and int(p._owner) == 0
+            assert p.cells.table.lo.shape == (1, 0) and cell_of(p, ()) == 0
+        assert refine_monotone(p)[0] is p
+
     def test_cached_owner_is_read_only(self):
         p = origin_partition()
-        for q in (p, refine_monotone(p)[0]):  # painted from Regions, then from a box table
+        for q in (p, refine_monotone(p)[0]):  # handed over by make_partition, then painted
             with pytest.raises(ValueError):
                 q._owner[(0,) * q.dim] = 1
             _, (same,) = q._grid.regrid(q._grid.cuts, [q._owner])

@@ -586,7 +586,7 @@ class TestNestedQuadrantRows:
     @given(quadrant_cells())
     def test_matches_region_intersect(self, case):
         grid, labels, k = case
-        cell = grid.regions(labels)[0].intersect(upper_quadrant(grid.dim, k))
+        cell = grid.boxes(labels).regions()[0].intersect(upper_quadrant(grid.dim, k))
         rows = _quadrant_rows(grid.boxes(labels), k)
         expected = BoxTable.of_regions([cell])
         assert all(np.array_equal(a, b) for a, b in zip(rows, expected))

@@ -7,7 +7,7 @@ dimension 2, order ``le``, ``p`` the origin.  For each formula this prints
 its subformula count and the seconds of one ``boxmodal mc`` call (parsing,
 the filtration pipeline with its truth-lemma check, and writing the JSON
 report), best of ``--repeat`` runs.  The last line gives the line count of
-``src/boxmodal``.  Not a pytest module: it measures, it asserts nothing.
+the imported package's source.  Not a pytest module: it measures, it asserts nothing.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 from boxmodal.cli import main as cli_main
+from timing import src_lines
 
 FORMULAS = {
     "~ x200 p": "~" * 200 + "p",
@@ -26,7 +27,6 @@ FORMULAS = {
     "( x200 p )x200": "(" * 200 + "p" + ")" * 200,
 }
 VALUATION = {"dim": 2, "order": "le", "vars": {"p": {"dim": 2, "boxes": [[[0, 0], [0, 0]]]}}}
-SRC = Path(__file__).resolve().parent.parent / "src" / "boxmodal"
 
 
 def time_mc(formula: str, valuation: Path, out: Path, repeat: int) -> tuple[float, int]:
@@ -55,8 +55,7 @@ def main() -> int:
         for name, formula in FORMULAS.items():
             seconds, subs = time_mc(formula, valuation, out, args.repeat)
             print(f"{name:<16} {subs:>11} {seconds:>8.3f}s", flush=True)
-    lines = sum(len(f.read_text().splitlines()) for f in sorted(SRC.glob("*.py")))
-    print(f"src/boxmodal: {lines} lines")
+    print(f"src/boxmodal: {src_lines()} lines")
     return 0
 
 

@@ -10,7 +10,7 @@ refinement, ``to_json`` of the partition and the trace, the four checks (the
 first, ``refines``, also builds the refined partition's owner array), the
 JSON text and the file write.  For each phase it prints the seconds of one
 pass over the corpus, best of ``--repeat`` passes, and the line count of
-``src/boxmodal``.  An untimed pass then counts the face sub-problems that
+the imported package's source.  An untimed pass then counts the face sub-problems that
 ``_extend_core`` solved, per dimension of the face, and the calls of
 ``_refine_atoms``, ``_compress`` and ``_line_rule``.  ``_refine_atoms`` is
 the refiner at every depth, so its count includes one top-level call per
@@ -39,6 +39,7 @@ from boxmodal import OrderKind, is_monotone, is_tuned, refine_monotone, refines 
 from boxmodal.cli import _json_text, _load_partition, build_parser  # noqa: E402
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
+from timing import src_lines  # noqa: E402
 
 PHASES = (
     "parser", "load", "refine_monotone", "to_json",
@@ -75,12 +76,6 @@ def run_case(argv: list[str], out: str, times: dict) -> None:
     stamps = (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10)
     for name, start, stop in zip(PHASES, stamps, stamps[1:]):
         times[name] += stop - start
-
-
-def src_lines() -> int:
-    """Lines of the package's Python source."""
-    files = (ROOT / "src" / "boxmodal").glob("*.py")
-    return sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
 
 
 def count_calls(cases: list) -> tuple[Counter, Counter]:

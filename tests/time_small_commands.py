@@ -14,8 +14,8 @@ one after the other on one machine compare directly.  It also prints how
 many calls of the last pass exited with each code (the checks exit 1 on a
 partition that fails them), a sha256 over every output file of the last
 pass (equal digests mean byte-identical outputs), and the line count of
-``src/boxmodal``.  Not a pytest module: it measures, it asserts
-nothing.
+the imported package's source.  Not a pytest module: it measures, it
+asserts nothing.
 """
 from __future__ import annotations
 
@@ -35,12 +35,7 @@ import boxmodal  # noqa: E402
 from boxmodal.cli import main as cli_main  # noqa: E402
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
-
-
-def src_lines() -> int:
-    """Lines of the package's Python source."""
-    files = (ROOT / "src" / "boxmodal").glob("*.py")
-    return sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
+from timing import src_lines  # noqa: E402
 
 
 def main() -> int:
