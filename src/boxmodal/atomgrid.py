@@ -43,6 +43,12 @@ _WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 END_OMEGA = 2**64 - 1
 
 
+def require_grid_size(size: int) -> None:
+    """ValueError for a grid of more than ``MAX_ATOMS`` atoms."""
+    if size > MAX_ATOMS:
+        raise ValueError(f"atom grid too large: {size} atoms")
+
+
 class BoxTable(NamedTuple):
     """Boxes of numbered cells as arrays, one row per box.
 
@@ -122,8 +128,7 @@ class AtomGrid:
         self.dim, self.cuts = dim, tuple(tuple(c) for c in cuts)
         self.shape = tuple(len(c) for c in self.cuts)
         self.size = math.prod(self.shape)
-        if self.size > MAX_ATOMS:
-            raise ValueError(f"atom grid too large: {self.size} atoms")
+        require_grid_size(self.size)
 
     @classmethod
     def for_regions(cls, dim: int, regions: Iterable[Region]) -> "AtomGrid":

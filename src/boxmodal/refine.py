@@ -41,7 +41,14 @@ refined once, through every check, and later faces reuse that result.  The
 memo is local to the call, so it holds at most the distinct face
 sub-problems of one refinement.  Lines and points make no sub-call: the face
 step refines a line face in closed form (``_line_rule``) and labels it in
-place, and a point face is one new cell, labelled in place.
+place, and a point face is one new cell, labelled in place.  A nested plane
+makes no level loop: once its threshold and quadrant cell are checked,
+``_plane_rule`` writes its cells and trace in one pass, the same ones the
+loop (``_grow``) would, failing the same size checks.  The outermost call
+keeps the loop in every dimension, the plane too: its quadrant cell keeps
+the input's boxes and its last layer's lines become kept rows, which the
+closed form does not model, and ``perfbench/test_perfbench.py`` counts the
+face step's ``induced`` calls when it refines a square of the plane.
 
 A trace records the threshold, the per-layer face work, and recursive
 subtraces; identical inputs yield identical traces and outputs.
@@ -56,7 +63,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .atomgrid import END_OMEGA, MAX_ATOMS, AtomGrid, BoxTable
+from .atomgrid import END_OMEGA, MAX_ATOMS, AtomGrid, BoxTable, require_grid_size
 from .partition import (
     Partition,
     PartitionError,
@@ -219,17 +226,21 @@ def _face_cuts(grid: AtomGrid, free: tuple[int, ...], face: tuple, s: int) -> li
 
 
 def _compress(grid: AtomGrid, labels: np.ndarray) -> tuple[AtomGrid, np.ndarray]:
-    """Drop the cuts across which no cell changes."""
-    cuts = []
+    """Drop the cuts across which no cell changes; with none to drop, the grid itself."""
+    cuts = list(grid.cuts)
     for axis, c in enumerate(grid.cuts):
-        change = np.ones(len(c), dtype=bool)
-        if len(c) > 1:
-            moved = np.moveaxis(labels, axis, 0)
-            change[1:] = (moved[1:] != moved[:-1]).any(axis=tuple(range(1, moved.ndim)))
-        keep = np.flatnonzero(change)
-        if keep.size < len(c):
-            labels = np.take(labels, keep, axis=axis)
-        cuts.append([c[i] for i in keep])
+        if len(c) == 1:
+            continue
+        before = (slice(None),) * axis + (slice(None, -1),)
+        after = (slice(None),) * axis + (slice(1, None),)
+        others = tuple(i for i in range(grid.dim) if i != axis)
+        change = (labels[after] != labels[before]).any(axis=others)
+        if not change.all():
+            keep = [0, *(change.nonzero()[0] + 1).tolist()]
+            labels = labels.take(keep, axis=axis)
+            cuts[axis] = [c[i] for i in keep]
+    if labels.shape == grid.shape:
+        return grid, labels
     return AtomGrid._sorted(grid.dim, cuts), labels
 
 
@@ -420,6 +431,130 @@ def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
     return tuple(faces)
 
 
+def _grow(
+    grid: AtomGrid, labels: np.ndarray, k0: int, quadrant: BoxTable, outermost: bool, memo: _Memo
+) -> tuple[_Cells, tuple[LevelStep, ...]]:
+    """Grow a labelled partition's refinement from its quadrant cell outward, one layer per
+    level, from k0 - 1 down to 0; the refined cells and the steps of the trace."""
+    m = grid.dim
+    fine, (coarse,) = grid.regrid([range(k0 + 1)] * m, [labels])
+    inner = np.full(fine.shape, -1, dtype=np.int32)
+    inner[_quadrant_index(fine, k0)] = 0
+    cells = _Cells(fine, inner, 1, [quadrant], coarse, hold_lines=outermost)
+    steps = tuple(
+        LevelStep(level, _extend_core(cells, level - 1, memo)) for level in range(k0, 0, -1)
+    )
+    cells.coarse = None  # the memo keeps only what ``place`` reads
+    return cells, steps
+
+
+def _line_facts(along: Sequence[int], rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Of each row of labels along an axis cut at ``along``: the last point whose label is not
+    the one of the row's last atom, or -1; and per atom, how many distinct labels the row holds
+    from that atom on."""
+    ends, kinds = [], []
+    for row in rows:
+        j = len(row)
+        while j and row[j - 1] == row[-1]:
+            j -= 1
+        ends.append(along[j] - 1)
+        seen: set[int] = set()
+        suffix = []
+        for v in reversed(row):
+            seen.add(v)
+            suffix.append(len(seen))
+        kinds.append(suffix[::-1])
+    return ends, kinds
+
+
+def _plane_rule(
+    grid: AtomGrid, labels: np.ndarray, k0: int, quadrant: BoxTable
+) -> tuple[_Cells, tuple[LevelStep, ...]]:
+    """``_grow`` of a nested labelled partition of the plane, in closed form.
+
+    Name the axes x and y, and let coarse be the labels.  Level s adds the
+    line x = s (points (s, y), y > s), then the line y = s, then the point
+    (s, s).  Take the line x = s; the line y = s is its mirror image, with
+    its own ends.  The face step classes the line's points by their coarse
+    label and the set of built cells on the ray {(x', y) : x' > s}.  For
+    s < y < k0 that set holds the point cell (y, y), on no other ray.  For
+    y >= k0 it holds the quadrant cell and, on each line x = s' with
+    s < s' < k0, the point cell (s', y), on no other ray, while y is at most
+    that line's end e(s'), and the line's tail cell past it.  So, with
+    r = max(k0 - 1, e(s') for s < s' < k0), the points s + 1..r are classes
+    of one point each, and past r only the coarse label tells points apart:
+    the line has (r - s) + (the coarse labels on y > r) classes, and its top
+    atom lies past r.  The line rule ends the line at the last point outside
+    the top class: e(s) = max(r, last(s)), where last(s) is the last y > s
+    with coarse(s, y) unlike coarse(s, w), or s if there is none.  As r is a
+    running max, so is e: e(s) = max(k0 - 1, last(s') for s <= s' < k0), and
+    e(s) = s only where s = k0 - 1 and the line has no class outside the
+    top one.  The line holds e(s) - s + 1 cells, the points s + 1..e(s) and
+    the tail from e(s) + 1, and puts cuts at s + 1..e(s) + 1 on the y axis.
+    Its family is its coarse labels and the cells built before the level;
+    the point's family adds both lines' cells.
+
+    The checks of ``_grow`` fail here at the same point with the same text:
+    each line's cell count, then the size of the grid it grows.  The cells
+    are numbered as ``_grow`` numbers them (the quadrant, then per level the
+    line x = s, the line y = s and the point) and painted in one pass on the
+    final grid, whose y axis is cut at 0..e(0) + 1 and x axis at the mirror
+    ends, besides the input's cuts.
+    """
+    cx, cy = grid.cuts
+    # Per side, lines x = s (along y) then lines y = s (along x): the cuts along and across the
+    # lines, and the facts of the rows that hold a line, the atoms that start below k0.
+    along, across = (cy, cx), (cx, cy)
+    facts = [
+        _line_facts(cy, labels[: bisect.bisect_left(cx, k0)].tolist()),
+        _line_facts(cx, labels[:, : bisect.bisect_left(cy, k0)].T.tolist()),
+    ]
+    # The line ends so far and the size of the axis the lines grow, from 0..k0 cut in.
+    reach = [k0 - 1, k0 - 1]
+    size = [k0 + 1 + len(c) - bisect.bisect_right(c, k0) for c in along]
+    require_grid_size(size[0] * size[1])
+    count = 1
+    steps, paints = [], []  # per s, from k0 - 1 down
+    for s in range(k0 - 1, -1, -1):
+        faces = []
+        for side, (c, (last, kinds)) in enumerate(zip(along, facts)):
+            i = bisect.bisect_right(across[side], s) - 1
+            r = reach[side]
+            e = reach[side] = max(r, last[i])
+            if e > s:
+                _require_atoms(e - s + 1)
+            size[side] = e + 2 + len(c) - bisect.bisect_right(c, e + 1)
+            require_grid_size(size[0] * size[1])
+            row = kinds[i]
+            meets = row[bisect.bisect_right(c, s + 1) - 1]
+            atoms = r - s + row[bisect.bisect_right(c, r + 1) - 1]
+            line = RefinementTrace(1, e - s - 1 if e > s else None, atoms, e - s + 1, ())
+            faces.append(FaceStep((side,), meets + count, atoms, e - s + 1, line))
+        ex, ey = reach
+        both = ex + ey - 2 * s + 2  # the cells of both lines
+        faces.append(FaceStep((0, 1), 1 + count + both, 1, 1, _POINT))
+        steps.append(LevelStep(s + 1, tuple(faces)))
+        paints.append((count - s - 1, ex + 1, count + ex - 2 * s, ey + 1, count + both))
+        count += both + 1
+    ex, ey = reach
+    cuts = [
+        [*range(ey + 2), *(c for c in cx if c > ey + 1)],
+        [*range(ex + 2), *(c for c in cy if c > ex + 1)],
+    ]
+    # Paint on atom indices: they are the points up to e(0) + 1, and past it all that
+    # matters is that they exceed k0 and the line ends.  Per s, ascending: the line x = s
+    # is row s, from row_at + min(y, row_cap); the line y = s is column s below it, from
+    # col_at + min(x, col_cap); the point (s, s) is last.
+    row_at, row_cap, col_at, col_cap, point = np.array(paints[::-1]).T
+    at = np.arange(k0)
+    paint = np.zeros((len(cuts[0]), len(cuts[1])), dtype=np.int32)
+    paint[:k0] = row_at[:, None] + np.minimum(np.arange(len(cuts[1])), row_cap[:, None])
+    down = np.arange(len(cuts[0]))[:, None]
+    np.copyto(paint[:, :k0], col_at + np.minimum(down, col_cap), where=down > at)
+    paint[at, at] = point
+    return _Cells(AtomGrid._sorted(2, cuts), paint, count, [quadrant]), tuple(steps)
+
+
 def _refine_atoms(
     grid: AtomGrid, labels: np.ndarray, count: int, memo: _Memo, cofinal: Optional[Region] = None
 ) -> tuple[_Cells, RefinementTrace]:
@@ -428,7 +563,8 @@ def _refine_atoms(
     From dimension 2 on, the grid is first stripped of every cut across which
     no cell changes (see ``_compress``), so that equal sub-problems have equal
     keys, and the result is looked up in ``memo`` and stored there; callers
-    only read it.  A line follows ``_line_rule`` on its own grid.
+    only read it.  A line follows ``_line_rule`` on its own grid, and a nested
+    plane ``_plane_rule``; the rest grow level by level (``_grow``).
     ``cofinal``, the input's cofinal cell, marks the outermost call; nested
     calls read that cell from their labels, as rows.
     """
@@ -457,16 +593,11 @@ def _refine_atoms(
         quadrant = _quadrant_rows(grid.boxes(np.where(labels == labels[(-1,) * m], 0, -1)), k0)
     if not _cofinal(quadrant):
         raise RuntimeError("restriction to the quadrant lost cofinality")
-    # Grow the partition from its quadrant cell outward, one layer per level.
     _require_atoms((k0 + 1) ** m)
-    fine, (coarse,) = grid.regrid([range(k0 + 1)] * m, [labels])
-    inner = np.full(fine.shape, -1, dtype=np.int32)
-    inner[_quadrant_index(fine, k0)] = 0
-    cells = _Cells(fine, inner, 1, [quadrant], coarse, hold_lines=outermost)
-    steps = tuple(
-        LevelStep(level, _extend_core(cells, level - 1, memo)) for level in range(k0, 0, -1)
-    )
-    cells.coarse = None  # the memo keeps only what ``place`` reads
+    if m == 2 and not outermost:
+        cells, steps = _plane_rule(grid, labels, k0, quadrant)
+    else:
+        cells, steps = _grow(grid, labels, k0, quadrant, outermost, memo)
     trace = RefinementTrace(m, k0, count, cells.count, steps)
     # Structural bounds on the run: one extension step per quadrant layer,
     # one face per nonempty coordinate set, recursion no deeper than m.

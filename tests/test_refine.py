@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxmodal import (
@@ -54,7 +54,9 @@ from boxmodal.refine import (
     _compress,
     _face_cuts,
     _face_index,
+    _grow,
     _line_rule,
+    _plane_rule,
     _quadrant_rows,
     _refine_atoms,
 )
@@ -329,32 +331,41 @@ class TestSubProblemMemo:
     """Equal face sub-problems are refined once per top-level call."""
 
     def test_memo_hits_within_a_call_only(self, monkeypatch, tmp_path):
-        calls = []
-        extend = boxmodal.refine._extend_core
+        levels, planes = [], []
+        extend, plane_rule = boxmodal.refine._extend_core, boxmodal.refine._plane_rule
 
-        def spy(cells, s, memo):
-            calls.append(s)
+        def spy_extend(cells, s, memo):
+            levels.append(s)
             return extend(cells, s, memo)
 
-        monkeypatch.setattr(boxmodal.refine, "_extend_core", spy)
+        def spy_plane(grid, labels, k0, quadrant):
+            planes.append(k0)
+            return plane_rule(grid, labels, k0, quadrant)
+
+        monkeypatch.setattr(boxmodal.refine, "_extend_core", spy_extend)
+        monkeypatch.setattr(boxmodal.refine, "_plane_rule", spy_plane)
         p = square(3, 6)
         counts, texts = [], []
         for _ in range(2):
-            calls.clear()
+            levels.clear()
+            planes.clear()
             _, trace = refine_monotone(p)
-            counts.append(len(calls))
+            counts.append((len(levels), len(planes)))
             texts.append(json.dumps(trace.to_json(), sort_keys=True))
         # A memo hit hands back the stored trace object, so the distinct
-        # subtraces are the sub-problems refined; refining every face anew
-        # would make one call per extension step of the whole trace.
+        # subtraces are the sub-problems refined.  The plane rule refines each
+        # nested plane with k0 > 0 in one call and the level loop the rest, one
+        # call per extension step; refining every face anew would make one
+        # call per extension step of the whole trace.
         every = sum(len(t.steps) for t in _subtraces(trace))
         distinct = {id(t): t for t in _subtraces(trace)}.values()
-        assert counts[0] == counts[1] == sum(len(t.steps) for t in distinct)
-        assert (counts[0], every) == (21, 51)
+        assert counts[0] == counts[1]
+        assert sorted(planes) == sorted(t.k0 for t in distinct if t.dim == 2 and t.k0)
+        assert len(levels) + sum(planes) == sum(len(t.steps) for t in distinct)
+        assert (counts[0], every) == ((6, 5), 51)
         assert texts[0] == texts[1]
         golden = TestGridSizing.golden["square_n3_c6"]["sha256"]
         assert refine_digest(p.to_json(), str(tmp_path)) == golden
-
 
     def test_lines_and_points_skip_compression_and_the_memo(self, monkeypatch, tmp_path):
         compress, refine_atoms = boxmodal.refine._compress, boxmodal.refine._refine_atoms
@@ -601,6 +612,109 @@ class TestNestedQuadrantRows:
         assert not _cofinal(rows)
 
 
+def nested_plane(cuts, raw):
+    """The compressed grid, labels, k0 and quadrant rows of a nested sub-problem of the
+    plane, from cuts and one label per atom (numbered afresh, as classes are)."""
+    grid = AtomGrid(2, cuts)
+    labels = np.unique(raw, return_inverse=True)[1].reshape(grid.shape)
+    grid, labels = _compress(grid, labels)
+    k0 = _atom_threshold(grid, labels)
+    top = np.where(labels == labels[-1, -1], 0, -1)
+    return grid, labels, k0, _quadrant_rows(grid.boxes(top), k0)
+
+
+@st.composite
+def planes(draw):
+    """A nested sub-problem of the plane with 0 < k0 <= 16, as ``_refine_atoms`` bounds
+    (k0 + 1)^2 before it grows one.
+
+    Most cuts are small, so that lines end at k0 - 1, past it or past every
+    earlier line.  One axis may also have far cuts: a line that reaches one
+    needs too many cells; the farthest is one past ``MAX_COORD``.  (A line that passes that check and grows too large a grid
+    is left to an example: the level loop builds its cuts before the grid
+    check fails.)
+    """
+    near = st.integers(1, 12)
+    far = st.one_of(near, near, st.sampled_from([2 * MAX_ATOMS, MAX_COORD + 1]))
+    far_axis = draw(st.integers(0, 1))
+    cuts = [
+        sorted({0, *draw(st.lists(far if axis == far_axis else near, max_size=5))})
+        for axis in range(2)
+    ]
+    size = len(cuts[0]) * len(cuts[1])
+    kinds = draw(st.integers(2, 4))
+    raw = draw(st.lists(st.integers(0, kinds - 1), min_size=size, max_size=size))
+    case = nested_plane(cuts, raw)
+    assume(0 < case[2] <= 16)
+    return case
+
+
+def line_faces(steps):
+    """Per level, from k0 - 1 down: s, and the line faces x = s and y = s."""
+    return [(step.level - 1, step.faces[0], step.faces[1]) for step in steps]
+
+
+class TestPlaneRule:
+    """A nested plane refined in closed form matches the level loop it replaces."""
+
+    @staticmethod
+    def assert_same(grid, labels, k0, quadrant):
+        try:
+            old, old_steps = _grow(grid, labels, k0, quadrant, False, {})
+        except ValueError as exc:
+            with pytest.raises(ValueError) as new_exc:
+                _plane_rule(grid, labels, k0, quadrant)
+            assert str(new_exc.value) == str(exc)
+            return None
+        new, new_steps = _plane_rule(grid, labels, k0, quadrant)
+        assert new.grid.cuts == old.grid.cuts
+        assert new.labels.dtype == old.labels.dtype == np.int32
+        assert np.array_equal(new.labels, old.labels)
+        assert new.count == old.count
+        assert (new.coarse, new.hold_lines) == (old.coarse, old.hold_lines) == (None, False)
+        assert len(new.kept) == len(old.kept) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(new.kept[0], old.kept[0]))
+        assert [s.to_json() for s in new_steps] == [s.to_json() for s in old_steps]
+        return new_steps
+
+    @settings(max_examples=300, deadline=None)
+    @given(planes())
+    def test_matches_the_level_loop(self, case):
+        self.assert_same(*case)
+
+    def test_k0_one_with_a_line_of_no_finite_atom(self):
+        case = nested_plane([[0, 1], [0, 1]], [1, 0, 0, 0])  # the point (0, 0) on its own
+        assert case[2] == 1
+        (s, x, y), = line_faces(self.assert_same(*case))
+        assert (s, x.sub.k0, y.sub.k0, x.cell_count) == (0, None, None, 1)
+
+    def test_labels_beyond_k0_and_beyond_every_line_end(self):
+        # k0 = 2; the line x = 1 holds other labels up to y = 5, the line x = 0 up to y = 8.
+        labels = [[0, 0, 0, 1, 2], [0, 0, 3, 0, 0], [0, 0, 0, 0, 0]]
+        case = nested_plane([[0, 1, 2], [0, 1, 3, 6, 9]], [v for row in labels for v in row])
+        assert case[2] == 2
+        (one, x1, _), (zero, x0, _) = line_faces(self.assert_same(*case))
+        assert (one, one + 1 + x1.sub.k0) == (1, 5)  # the line x = 1 ends at y = 5 > k0
+        assert (zero, zero + 1 + x0.sub.k0) == (0, 8)  # x = 0 ends past it, at y = 8
+        # Rows 1..5 of the line x = 0 are one class each; past them, labels 1 and the top.
+        assert x0.atom_count == 5 + 2
+
+    @pytest.mark.parametrize(
+        "far, message",
+        [
+            (MAX_ATOMS + 5, f"the refinement needs at least {MAX_ATOMS + 5} atoms"),
+            (MAX_ATOMS // 2 + 8, f"atom grid too large: {2 * (MAX_ATOMS // 2 + 9)} atoms"),
+        ],
+    )
+    def test_past_max_atoms_the_same_check_fails(self, far, message):
+        # The point (0, 0) and the line x = 0 up to far - 1: k0 = 1, and the line ends at far - 1.
+        case = nested_plane([[0, 1], [0, 1, far]], [0, 1, 2, 2, 2, 2])
+        assert case[2] == 1
+        self.assert_same(*case)
+        with pytest.raises(ValueError, match=message):
+            _plane_rule(*case)
+
+
 class TestStructuralBounds:
     """The bounds checked at the end of each layer-by-layer growth fail loudly."""
 
@@ -617,6 +731,25 @@ except RuntimeError as exc:
     print(__debug__, exc)
 """
 
+    PLANE_SCRIPT = """
+import boxmodal.refine
+from boxmodal import box, full, make_partition, region
+from boxmodal.refine import LevelStep
+
+plane_rule = boxmodal.refine._plane_rule
+
+def dropped(*args):
+    cells, steps = plane_rule(*args)
+    return cells, tuple(LevelStep(step.level, step.faces[1:]) for step in steps)
+
+boxmodal.refine._plane_rule = dropped
+cube = region(box((0, 2), (0, 2), (0, 2)))
+try:
+    boxmodal.refine.refine_monotone(make_partition(full(3), [cube, cube.complement()]))
+except RuntimeError as exc:
+    print(__debug__, exc)
+"""
+
     def test_a_dropped_face_raises(self, monkeypatch):
         extend = boxmodal.refine._extend_core
         monkeypatch.setattr(
@@ -624,6 +757,17 @@ except RuntimeError as exc:
         )
         with pytest.raises(RuntimeError, match="one face per nonempty coordinate set"):
             refine_monotone(square(2, 3))
+
+    def test_a_plane_trace_missing_a_face_raises(self, monkeypatch):
+        plane_rule = boxmodal.refine._plane_rule
+
+        def dropped(*args):
+            cells, steps = plane_rule(*args)
+            return cells, tuple(LevelStep(step.level, step.faces[1:]) for step in steps)
+
+        monkeypatch.setattr(boxmodal.refine, "_plane_rule", dropped)
+        with pytest.raises(RuntimeError, match="one face per nonempty coordinate set"):
+            refine_monotone(square(3, 3))
 
     def test_a_subtrace_deeper_than_the_dimension_raises(self, monkeypatch):
         # Every point face now reports a subtrace of depth 2, so a plane's trace has depth 3.
@@ -633,10 +777,11 @@ except RuntimeError as exc:
         with pytest.raises(RuntimeError, match="recursion deeper than the dimension"):
             refine_monotone(square(2, 3))
 
-    def test_a_dropped_face_raises_under_python_O(self):
+    @staticmethod
+    def run_under_python_O(script):
         src = str(Path(boxmodal.refine.__file__).resolve().parents[1])
         result = subprocess.run(
-            [sys.executable, "-O", "-c", self.SCRIPT],
+            [sys.executable, "-O", "-c", script],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": src},
@@ -645,6 +790,12 @@ except RuntimeError as exc:
         assert result.returncode == 0, result.stderr
         expected = "False structural bound failed: one face per nonempty coordinate set"
         assert result.stdout.strip() == expected
+
+    def test_a_dropped_face_raises_under_python_O(self):
+        self.run_under_python_O(self.SCRIPT)
+
+    def test_a_plane_trace_missing_a_face_raises_under_python_O(self):
+        self.run_under_python_O(self.PLANE_SCRIPT)
 
 
 class TestGridSizing:

@@ -207,6 +207,24 @@ class TestProperties:
         if a.subset(b) and b.subset(a):
             assert a.equal(b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(regions(dim=2), st.data())
+    def test_equal_is_subset_both_ways(self, a, data):
+        # Equal boxes (a copy) take the fast path; the others compare point sets.
+        b = data.draw(st.sampled_from([
+            Region(2, tuple(a.boxes)),
+            Region(2, a.boxes[::-1]),
+            a.normalize(),
+            a.union(data.draw(regions(dim=2))),
+            data.draw(regions(dim=2)),
+        ]))
+        assert a.equal(b) == (a.subset(b) and b.subset(a))
+        assert b.equal(a) == a.equal(b)
+
+    def test_equal_regions_of_other_dimensions_raise(self):
+        with pytest.raises(DimensionMismatch):
+            empty_region(2).equal(empty_region(3))
+
     @settings(max_examples=60, deadline=None)
     @given(regions())
     def test_normalize_preserves_semantics(self, r):

@@ -10,16 +10,20 @@ refinement, ``to_json`` of the partition and the trace, the four checks (the
 first, ``refines``, also builds the refined partition's owner array), the
 JSON text and the file write.  For each phase it prints the seconds of one
 pass over the corpus, best of ``--repeat`` passes, and the line count of
-the imported package's source.  An untimed pass then counts the face sub-problems that
-``_extend_core`` solved, per dimension of the face, and the calls of
-``_refine_atoms``, ``_compress`` and ``_line_rule``.  ``_refine_atoms`` is
-the refiner at every depth, so its count includes one top-level call per
-case.  ``_line_rule`` solves every line face in the face step, with no
-``_refine_atoms`` call, and every one-dimensional case.  Seed 0 has 945
-point, 2,036 line, 438 plane and 40 three-dimensional face sub-problems,
-and makes 541 ``_refine_atoms`` calls (63 top-level), 541 compressions and
-2,036 ``_line_rule`` calls.  Not a pytest module: it measures, it asserts
-nothing.
+the imported package's source.  An untimed pass then counts the face
+sub-problems that ``_extend_core`` and ``_plane_rule`` solved, per dimension
+of the face, and
+the calls of ``_extend_core`` (one per level of a grown partition),
+``_plane_rule``, ``_refine_atoms``, ``_compress`` and ``_line_rule``.
+``_refine_atoms`` is the refiner at every depth, so its count includes one
+top-level call per case.  ``_line_rule`` solves every line face of the level
+loop in the face step, with no ``_refine_atoms`` call, and every
+one-dimensional case; ``_plane_rule`` solves each nested plane with k0 > 0,
+its line and point faces included.  Seed 0 has 945 point, 2,036 line, 438
+plane and 40 three-dimensional face sub-problems, and makes 541
+``_refine_atoms`` calls (63 top-level), 541 compressions, 341
+``_extend_core``, 213 ``_plane_rule`` and 828 ``_line_rule`` calls.  Not a
+pytest module: it measures, it asserts nothing.
 """
 from __future__ import annotations
 
@@ -83,7 +87,7 @@ def count_calls(cases: list) -> tuple[Counter, Counter]:
     module = boxmodal.refine
     faces: Counter = Counter()
     calls: Counter = Counter()
-    names = ("_extend_core", "_refine_atoms", "_compress", "_line_rule")
+    names = ("_extend_core", "_plane_rule", "_refine_atoms", "_compress", "_line_rule")
     originals = {name: getattr(module, name) for name in names}
 
     def counted(name):
@@ -92,6 +96,8 @@ def count_calls(cases: list) -> tuple[Counter, Counter]:
             out = originals[name](*args)
             if name == "_extend_core":
                 faces.update(face.sub.dim for face in out)
+            elif name == "_plane_rule":
+                faces.update(face.sub.dim for step in out[1] for face in step.faces)
             return out
 
         return wrapper
