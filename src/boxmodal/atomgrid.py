@@ -63,9 +63,9 @@ class BoxTable(NamedTuple):
     end: np.ndarray
 
     @classmethod
-    def of_regions(cls, regions: Sequence[Region], first: int = 0) -> "BoxTable":
-        """The boxes of Regions numbered from ``first``, in their order."""
-        cells = [i for i, r in enumerate(regions, first) for _ in r.boxes]
+    def of_regions(cls, regions: Sequence[Region]) -> "BoxTable":
+        """The boxes of Regions numbered from 0, in their order."""
+        cells = [i for i, r in enumerate(regions) for _ in r.boxes]
         flat = [
             x for r in regions for b in r.boxes for iv in b.intervals
             for x in (iv.lo, END_OMEGA if iv.hi is OMEGA else iv.hi + 1)

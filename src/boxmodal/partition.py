@@ -71,12 +71,15 @@ class TableCells(Sequence):
     def __getitem__(self, i):
         if self._all is None and not isinstance(i, slice):
             i = range(len(self))[operator.index(i)]
-            rows = slice(self.starts[i], self.starts[i + 1])
-            return BoxTable(*(a[rows] for a in self.table)).regions()[i]
+            return self.rows(i).regions()[i]
         return self.regions()[i]
 
     def __iter__(self):
         return iter(self.regions())
+
+    def rows(self, i: int) -> BoxTable:
+        """Cell i's rows of the table."""
+        return BoxTable(*(a[self.starts[i] : self.starts[i + 1]] for a in self.table))
 
     def regions(self) -> tuple[Region, ...]:
         if self._all is None:

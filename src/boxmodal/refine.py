@@ -27,13 +27,14 @@ it, and ``partition.induced`` groups the face's atoms into membership
 classes.  A face's sub-problem goes down, and its result comes back, as
 labels.  The cells leave as one box table (``AtomGrid.boxes``), built once
 at the end and handed to ``Partition`` as it is; only each call's quadrant
-cell keeps the box form that ``Region.intersect`` gives it, as rows.  The
-faces of a layer, their free axes and subsets come from one plan per n.
-``refine_monotone`` makes the outermost call, the only one given the
-input's cofinal cell: its quadrant cell (on a line, the tail above k0)
-keeps the input's boxes, and the line faces of its last layer become kept
-rows, off its grid.  A call whose grid would exceed ``MAX_ATOMS`` raises
-ValueError up front.
+cell keeps its own rows, its cofinal cell's rows clipped to the quadrant
+(``_quadrant_rows``).  The faces of a layer, their free axes and subsets
+come from one plan per n.  ``refine_monotone`` makes the outermost call,
+the only one given the input's cofinal cell, as that cell's rows of the
+input's box table: its quadrant cell (on a line, the tail above k0) keeps
+the input's boxes, and the line faces of its last layer become kept rows,
+off its grid.  A nested call reads its cofinal cell from its labels.  A
+call whose grid would exceed ``MAX_ATOMS`` raises ValueError up front.
 
 Lower-dimensional faces repeat: within one outermost call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
@@ -73,14 +74,7 @@ from .partition import (
     refines,
     restrict,
 )
-from .region import (
-    OMEGA,
-    OrderKind,
-    Point,
-    Region,
-    full,
-    upper_quadrant,
-)
+from .region import OMEGA, OrderKind, Point, full, upper_quadrant
 
 
 @dataclass(frozen=True)
@@ -282,12 +276,22 @@ def _line_rule(cuts: Sequence[int], labels: np.ndarray, count: int) -> tuple[int
 
 
 def _quadrant_rows(cell: BoxTable, k: int) -> BoxTable:
-    """The rows of ``Region.intersect`` with [k, w)^m of a cell in canonical form: every lower
-    bound raised to k, and the rows left empty dropped.  Canonical boxes are pairwise disjoint,
-    and so are what is left of them, so ``_prune`` would keep every row, in order."""
+    """A cell's rows clipped to [k, w)^m, as cell 0: every lower bound raised to k, and the
+    rows left empty dropped.
+
+    A nested call's cell is canonical (``AtomGrid.boxes``): its boxes are pairwise disjoint,
+    and so are what is left of them, so these are the rows of ``Region.intersect`` with the
+    quadrant, whose ``_prune`` keeps every row, in order.  The outermost call's cell is the
+    input's rows, which may repeat a box or hold one inside another; ``_prune`` would drop
+    such a box, and these rows keep it.  The output's bytes stay the same: the kept box's
+    lower corner is not below its cover's, so ``Partition._of_boxes`` numbers the cells
+    alike; it paints only atoms its cover paints; and ``TableCells.to_json`` writes a cell of
+    several rows through ``Region.normalize``, which prunes and sorts.  Only the in-memory
+    Region of that cell lists the kept box.
+    """
     lo = np.maximum(cell.lo, k)
     keep = (cell.end > lo).all(axis=1)
-    return BoxTable(cell.cell[keep], lo[keep], cell.end[keep])
+    return BoxTable(np.zeros(np.count_nonzero(keep), np.intp), lo[keep], cell.end[keep])
 
 
 def _cofinal(rows: BoxTable) -> bool:
@@ -556,7 +560,7 @@ def _plane_rule(
 
 
 def _refine_atoms(
-    grid: AtomGrid, labels: np.ndarray, count: int, memo: _Memo, cofinal: Optional[Region] = None
+    grid: AtomGrid, labels: np.ndarray, count: int, memo: _Memo, cofinal: Optional[BoxTable] = None
 ) -> tuple[_Cells, RefinementTrace]:
     """``refine_monotone`` of a labelled partition of the full grid into ``count`` cells.
 
@@ -565,8 +569,10 @@ def _refine_atoms(
     keys, and the result is looked up in ``memo`` and stored there; callers
     only read it.  A line follows ``_line_rule`` on its own grid, and a nested
     plane ``_plane_rule``; the rest grow level by level (``_grow``).
-    ``cofinal``, the input's cofinal cell, marks the outermost call; nested
-    calls read that cell from their labels, as rows.
+    ``cofinal``, the input's cofinal cell as its box table rows, marks the
+    outermost call; nested calls read that cell from their labels, in the
+    canonical rows of ``AtomGrid.boxes``.  Every call clips it to its
+    quadrant with ``_quadrant_rows``.
     """
     m = grid.dim
     if m == 1:
@@ -575,8 +581,8 @@ def _refine_atoms(
             return _Cells(grid, labels, count), trace
         line = _Cells(AtomGrid._sorted(1, [range(out)]), np.arange(out, dtype=np.int32), out)
         if cofinal is not None:
-            tail = cofinal.intersect(upper_quadrant(1, trace.k0 + 1))
-            line.kept.append(BoxTable.of_regions([tail], trace.k0 + 1))
+            tail = _quadrant_rows(cofinal, trace.k0 + 1)
+            line.kept.append(tail._replace(cell=tail.cell + trace.k0 + 1))
         return line, trace
     grid, labels = _compress(grid, labels)
     key = (grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)
@@ -587,10 +593,9 @@ def _refine_atoms(
         memo[key] = _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
         return memo[key]
     outermost = cofinal is not None
-    if outermost:
-        quadrant = BoxTable.of_regions([cofinal.intersect(upper_quadrant(m, k0))])
-    else:
-        quadrant = _quadrant_rows(grid.boxes(np.where(labels == labels[(-1,) * m], 0, -1)), k0)
+    if not outermost:
+        cofinal = grid.boxes(np.where(labels == labels[(-1,) * m], 0, -1))
+    quadrant = _quadrant_rows(cofinal, k0)
     if not _cofinal(quadrant):
         raise RuntimeError("restriction to the quadrant lost cofinality")
     _require_atoms((k0 + 1) ** m)
@@ -635,7 +640,8 @@ def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
     _require_full_carrier(p)
     if p.dim == 0:
         return p, RefinementTrace(0, None, p.size, p.size, ())
-    cells, trace = _refine_atoms(p._grid, p._owner, p.size, {}, p.cells[p._owner[(-1,) * p.dim]])
+    cofinal = p.cells.rows(p._owner[(-1,) * p.dim])
+    cells, trace = _refine_atoms(p._grid, p._owner, p.size, {}, cofinal)
     if not trace.k0:
         return p, trace
     return Partition._of_boxes(p.dim, full(p.dim), cells.table()), trace

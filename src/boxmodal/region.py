@@ -2,11 +2,11 @@
 
 A Region is a finite union of axis-aligned boxes; each box is a product of
 integer intervals [lo, hi] where hi may be OMEGA (unbounded above).  This
-class of sets is closed under union, intersection, complement, downward
-closure along both product orders, hulls, translation and the insertion of
-constant coordinates.  The partition machinery needs the Boolean operations
-and downsets; the refiner works on atom labels and box tables (see
-``atomgrid``).
+class of sets is closed under union, intersection, complement and downward
+closure along both product orders.  The partition machinery needs the
+Boolean operations and downsets; the refiner works on atom labels and box
+tables (see ``atomgrid``), and so do the hulls of the monotone check
+(``partition._hulls``).
 
 All values are immutable; every operation is a pure function of its inputs.
 The representation is not canonical: semantic equality is decided by mutual
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 # Upper extent marker: an interval with hi == OMEGA is unbounded above.
 OMEGA: Optional[int] = None
@@ -32,7 +32,7 @@ class DimensionMismatch(ValueError):
 
 
 class EmptyRegionError(ValueError):
-    """Operation requires a nonempty region (hull, coordinate analysis)."""
+    """Operation requires a nonempty region (its least point)."""
 
 
 class OrderKind(Enum):
@@ -99,9 +99,6 @@ class Interval:
         if self.hi is OMEGA:
             return True
         return other.hi is not OMEGA and other.hi <= self.hi
-
-    def shifted(self, delta: int) -> "Interval":
-        return Interval(self.lo + delta, OMEGA if self.hi is OMEGA else self.hi + delta)
 
     def __repr__(self) -> str:
         top = "w" if self.hi is OMEGA else str(self.hi)
@@ -287,28 +284,6 @@ class Region:
 
     # -- coordinate analysis -------------------------------------------------
 
-    def varying_coords(self) -> frozenset[int]:
-        """Coordinates on which the region takes at least two values."""
-        if self.is_empty():
-            raise EmptyRegionError("coordinate analysis of the empty region")
-        out = set()
-        for i in range(self.dim):
-            ivs = [b.intervals[i] for b in self.boxes]
-            if any(iv.hi is OMEGA or iv.hi > iv.lo for iv in ivs):
-                out.add(i)
-            elif len({iv.lo for iv in ivs}) > 1:
-                out.add(i)
-        return frozenset(out)
-
-    def hull(self) -> "Region":
-        """The box pinning each constant coordinate and freeing the rest."""
-        varying = self.varying_coords()
-        ivs = tuple(
-            Interval(0, OMEGA) if i in varying else Interval(self.boxes[0].intervals[i].lo, self.boxes[0].intervals[i].lo)
-            for i in range(self.dim)
-        )
-        return Region(self.dim, (Box(ivs),))
-
     def min_point(self) -> Point:
         """Lexicographically least member; each box attains its lower corner."""
         if self.is_empty():
@@ -322,38 +297,6 @@ class Region:
             for iv in b.intervals:
                 best = max(best, iv.lo if iv.hi is OMEGA else iv.hi)
         return best
-
-    # -- geometric transforms ------------------------------------------------
-
-    def translate(self, delta: int) -> "Region":
-        """Shift every finite bound by delta (negative shifts require lo >= -delta)."""
-        if delta < 0:
-            for b in self.boxes:
-                for iv in b.intervals:
-                    if iv.lo < -delta:
-                        raise ValueError(
-                            f"cannot translate {self!r} by {delta}: bound {iv.lo} too small"
-                        )
-        return Region(
-            self.dim,
-            tuple(Box(tuple(iv.shifted(delta) for iv in b.intervals)) for b in self.boxes),
-        )
-
-    def insert_coords(self, coords: Iterable[int], value: int) -> "Region":
-        """Insert constant coordinates; positions refer to the result's indexing."""
-        _check_nat(value, "inserted value")
-        new_dim = self.dim + len(set(coords))
-        ins = frozenset(coords)
-        if any(i < 0 or i >= new_dim for i in ins):
-            raise ValueError(f"insert positions {sorted(ins)} out of range for dim {new_dim}")
-        out = []
-        for b in self.boxes:
-            src = iter(b.intervals)
-            ivs = tuple(
-                Interval(value, value) if i in ins else next(src) for i in range(new_dim)
-            )
-            out.append(Box(ivs))
-        return Region(new_dim, tuple(out))
 
     # -- serialization ---------------------------------------------------------
 

@@ -5,6 +5,7 @@ import random
 
 from boxmodal import (
     Box,
+    EmptyRegionError,
     Interval,
     OMEGA,
     OrderKind,
@@ -98,6 +99,40 @@ def random_fibered(rng: random.Random, dim: int, n_worlds: int):
     return make_fibered(worlds, edges, fibers)
 
 
+# -- Region tooling: shifts, and the reference forms of ``partition._hulls`` ------------
+
+
+def shifted(iv: Interval, delta: int) -> Interval:
+    """The interval moved by delta; an unbounded one stays unbounded."""
+    return Interval(iv.lo + delta, OMEGA if iv.hi is OMEGA else iv.hi + delta)
+
+
+def translate(r: Region, delta: int) -> Region:
+    """Every bound of a region moved by delta; ValueError where a lower bound would go below 0."""
+    boxes = (Box(tuple(shifted(iv, delta) for iv in b.intervals)) for b in r.boxes)
+    return Region(r.dim, tuple(boxes))
+
+
+def varying_coords(r: Region) -> frozenset[int]:
+    """Coordinates on which a nonempty region takes at least two values."""
+    if r.is_empty():
+        raise EmptyRegionError("coordinate analysis of the empty region")
+    out = set()
+    for i in range(r.dim):
+        ivs = [b.intervals[i] for b in r.boxes]
+        if any(iv.hi is OMEGA or iv.hi > iv.lo for iv in ivs) or len({iv.lo for iv in ivs}) > 1:
+            out.add(i)
+    return frozenset(out)
+
+
+def hull(r: Region) -> Region:
+    """The box pinning each constant coordinate of a nonempty region and freeing the rest."""
+    varying = varying_coords(r)
+    corner = r.boxes[0].intervals
+    ivs = (Interval(0, OMEGA) if i in varying else corner[i] for i in range(r.dim))
+    return Region(r.dim, (Box(tuple(ivs)),))
+
+
 # -- grid-sizing probes for the refiner ---------------------------------------------
 
 
@@ -162,7 +197,7 @@ def probe_split_face(c: int) -> Partition:
     """
     origin = Interval(0, 0)
     cells = [
-        Region(4, tuple(Box((origin, *(iv.shifted(1) for iv in b.intervals))) for b in cell.boxes))
+        Region(4, tuple(Box((origin, *(shifted(iv, 1) for iv in b.intervals))) for b in cell.boxes))
         for cell in probe_split_axes(c).cells
     ]
     cells.append(_cell(((1, OMEGA), (0, OMEGA), (0, OMEGA), (0, OMEGA))))

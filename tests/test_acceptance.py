@@ -47,11 +47,13 @@ from boxmodal.formulas import Box as BoxF, Implies, subformulas
 from boxmodal.randgen import gen_random
 
 from genutil import (
+    hull,
     random_fibered,
     random_formula,
     random_partition,
     random_region,
     random_valuation,
+    varying_coords,
 )
 
 LE = OrderKind.REFLEXIVE
@@ -211,13 +213,13 @@ def test_criterion_2_monotone_implies_tuned():
         # Independent validation of the witness through region operations.
         if kind == "hull":
             c = p.cells[v.cell]
-            assert c.hull().member(v.witness)
+            assert hull(c).member(v.witness)
             assert not c.downset(LE).member(v.witness)
         else:
             ci, cj = p.cells[v.cell], p.cells[v.other]
             assert ci.member(v.witness)
             assert cj.downset(LE).member(v.witness)
-            assert not ci.varying_coords() <= cj.varying_coords()
+            assert not varying_coords(ci) <= varying_coords(cj)
     _report(
         f"PASS criterion 2: {len(handcrafted)} handcrafted monotone partitions tuned "
         f"both orders; {len(expected)} non-monotone cases caught with pinned witnesses"

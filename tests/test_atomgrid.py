@@ -38,7 +38,7 @@ from boxmodal.atomgrid import END_OMEGA, AtomGrid, BoxTable, unpack
 from boxmodal.oracle import grid_downset
 from boxmodal.refine import ProductTunedViolation
 
-from genutil import random_partition, random_region
+from genutil import hull, random_partition, random_region
 from test_region import regions
 
 LE = OrderKind.REFLEXIVE
@@ -61,8 +61,8 @@ def test_downset_stays_aligned():
 def test_hull_stays_aligned():
     r = region(box(2, (1, None)))
     grid = AtomGrid.for_regions(2, [r])
-    hull = r.hull()
-    assert grid.region_of_bool(grid.region_bool(hull)).equal(hull)
+    r_hull = hull(r)
+    assert grid.region_of_bool(grid.region_bool(r_hull)).equal(r_hull)
 
 
 def test_misaligned_region_rejected():

@@ -559,6 +559,8 @@ class TestJsonText:
 # -- fuzzing the contract: every input ends in exit 0, 1 or 2, with no traceback --------------
 
 BAD_BOUNDS = [None, True, False, 1.0, 2.5, "3", "w", -1, MAX_COORD + 1, [0], {}]
+# Whether to apply one corruption: one time in four.
+SOMETIMES = st.sampled_from([False, False, False, True])
 
 
 def _stretch(doc: dict, shift: int) -> None:
@@ -581,7 +583,6 @@ def partition_texts(draw) -> tuple[str, dict]:
     float, string or out-of-range value, and the text cut short.
     """
     n = draw(st.integers(1, 2))
-    sometimes = st.sampled_from([False, False, False, True])
     cells, max_const, seed = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 999))
     try:
         p = gen_random(n, cells, max_const, seed)
@@ -589,69 +590,147 @@ def partition_texts(draw) -> tuple[str, dict]:
         p = gen_random(n, 1, 0, 0)
     doc = p.to_json()
     cells = doc["cells"]
-    if draw(sometimes):
+    if draw(SOMETIMES):
         doc["cells"] = cells = draw(st.permutations(cells))
-    if draw(sometimes):
+    if draw(SOMETIMES):
         _stretch(doc, MAX_COORD - draw(st.sampled_from([8, 7])))
         doc["carrier"] = {"dim": n, "boxes": [[[0, None]] * n]}
     base = json.loads(json.dumps(doc))
-    if len(cells) > 1 and draw(sometimes):
+    if len(cells) > 1 and draw(SOMETIMES):
         cells.pop(draw(st.integers(0, len(cells) - 1)))
-    if draw(sometimes):
+    if draw(SOMETIMES):
         i, j = (draw(st.integers(0, len(cells) - 1)) for _ in range(2))
         cells[j]["boxes"].append(cells[i]["boxes"][0])
-    if draw(sometimes):
+    if draw(SOMETIMES):
         doc["carrier"] = {"dim": n, "boxes": [[[1, None]] + [[0, None]] * (n - 1)]}
-    if draw(sometimes):
-        pairs = [pair for cell in cells for b in cell["boxes"] for pair in b]
+    return draw(corrupted_texts(doc)), base
+
+
+def _pairs(doc: object):
+    """Every [lo, hi] pair of every box in a document, in document order."""
+    if isinstance(doc, dict):
+        if isinstance(doc.get("boxes"), list):
+            yield from (pair for b in doc["boxes"] for pair in b)
+        for key, value in doc.items():
+            if key != "boxes":
+                yield from _pairs(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _pairs(value)
+
+
+@st.composite
+def corrupted_texts(draw, doc: dict) -> str:
+    """The text of a document, sometimes with a bound or its ``dim`` replaced by a bad value,
+    and sometimes cut short."""
+    doc = json.loads(json.dumps(doc))
+    pairs = list(_pairs(doc))
+    if pairs and draw(SOMETIMES):
         pair = draw(st.sampled_from(pairs))
         pair[draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_BOUNDS))
-    if draw(sometimes):
+    if "dim" in doc and draw(SOMETIMES):
         doc["dim"] = draw(st.sampled_from([True, 0, 2.0, "2", 3]))
     text = json.dumps(doc)
-    if draw(sometimes):
+    if draw(SOMETIMES):
         text = text[: draw(st.integers(0, len(text) - 1))]
-    return text, base
+    return text
+
+
+@st.composite
+def some_cells(draw, base: dict) -> dict:
+    """A region of the partition's dimension: the union of some of its cells, or a box
+    across them."""
+    n = base["dim"]
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(base["cells"]), max_size=len(base["cells"])))
+        return {"dim": n, "boxes": [b for cell in chosen for b in cell["boxes"]]}
+    return {"dim": n, "boxes": [[[0, draw(st.integers(0, 3))]] * n]}
 
 
 @st.composite
 def valuation_texts(draw, base: dict) -> str:
-    """A valuation: ``p`` the union of some of the partition's cells, or a box across them."""
-    n = base["dim"]
-    cells = base["cells"]
-    if draw(st.booleans()):
-        chosen = draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
-        p = {"dim": n, "boxes": [b for cell in chosen for b in cell["boxes"]]}
-    else:
-        p = {"dim": n, "boxes": [[[0, draw(st.integers(0, 3))]] * n]}
-    order = draw(st.sampled_from(["le", "lt", "leq", 1]))
-    return json.dumps({"dim": draw(st.sampled_from([n, n, 3])), "order": order, "vars": {"p": p}})
+    """A valuation: ``p`` and maybe ``q`` regions of the partition's dimension."""
+    names = draw(st.sampled_from([["p"], ["p", "q"]]))
+    order = draw(st.sampled_from(["le", "lt", "le", "lt", "leq", 1]))
+    doc = {
+        "dim": draw(st.sampled_from([base["dim"], base["dim"], base["dim"], 3])),
+        "order": order,
+        "vars": {name: draw(some_cells(base)) for name in names},
+    }
+    return draw(corrupted_texts(doc))
 
 
+@st.composite
+def generator_texts(draw, base: dict) -> str:
+    """A ``subalgebra`` generator file: regions of the partition's dimension."""
+    regions = draw(st.lists(some_cells(base), max_size=3))
+    doc = {"dim": base["dim"], "regions": regions}
+    if draw(SOMETIMES):
+        doc["regions"] = draw(st.sampled_from([None, {}, "p", [1]]))
+    return draw(corrupted_texts(doc))
+
+
+@st.composite
+def fibered_texts(draw) -> str:
+    """A ``product`` fibered partition file: worlds, edges (some to unknown or repeated
+    worlds), and one partition per world, maybe of different dimensions, maybe missing."""
+    worlds = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3))
+    ends = st.sampled_from([*worlds, "z"] if draw(st.booleans()) else worlds)
+    edges = draw(st.lists(st.lists(ends, min_size=2, max_size=2), max_size=4))
+    fibers = {w: draw(partition_texts())[1] for w in worlds}
+    if len(fibers) > 1 and draw(SOMETIMES):
+        fibers.pop(worlds[0])
+    return draw(corrupted_texts({"worlds": worlds, "edges": edges, "fibers": fibers}))
+
+
+ORDERS = ["le", "lt", "le", "lt", "x"]
 COMMANDS = [
-    ["check-tuned", "--order", "le"],
-    ["check-tuned", "--order", "lt"],
-    ["check-monotone"],
-    ["refine", "--verify"],
-    ["quotient"],
+    "check-tuned", "check-monotone", "refine", "quotient", "mc", "subalgebra", "product",
+    "oracle", "gen",
 ]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(COMMANDS), st.data())
 def test_fuzzed_files_end_in_a_documented_exit_code(command, data):
-    text, base = data.draw(partition_texts())
+    """Corrupted files of every command that reads one, and bad flag values: ``--order``,
+    a negative ``oracle --bound`` and ``gen`` values out of range."""
+    draw = data.draw
+    text, base = draw(partition_texts())
     with tempfile.TemporaryDirectory() as tmp:
-        partition, out = Path(tmp) / "p.json", Path(tmp) / "out.json"
-        partition.write_text(text)
-        argv = [*command, "--partition", str(partition), "--out", str(out)]
-        if command[0] == "quotient":
-            valuation = Path(tmp) / "v.json"
-            valuation.write_text(data.draw(valuation_texts(base)))
-            argv += ["--valuation", str(valuation)]
+        files = {}
+
+        def write(flag: str, content: str) -> None:
+            files[flag] = path = Path(tmp) / f"{flag[2:]}.json"
+            path.write_text(content)
+
+        argv = [command]
+        if command in ("check-tuned", "quotient", "subalgebra", "product", "oracle"):
+            argv += ["--order", draw(st.sampled_from(ORDERS))]
+        if command in ("check-tuned", "check-monotone", "refine", "quotient", "oracle"):
+            write("--partition", text)
+        if command == "refine":
+            argv.append("--verify")
+        if command in ("quotient", "mc"):
+            write("--valuation", draw(valuation_texts(base)))
+        if command == "mc":
+            argv += ["--formula", draw(st.sampled_from(["p", "<>p", "[]~p", "p & <>q", "<>(p"]))]
+        if command == "subalgebra":
+            write("--generators", draw(generator_texts(base)))
+        if command == "product":
+            write("--partition", draw(fibered_texts()))
+        if command == "oracle":
+            argv += ["--bound", str(draw(st.sampled_from([-1, -3, 2, 12])))]
+        if command == "gen":
+            for flag, values in (("--n", [-1, 0, 1, 3, 4]), ("--cells", [-1, 0, 1, 8, 9]),
+                                 ("--max-const", [-1, 0, 8, 9]), ("--seed", [-1, 0, 7])):
+                argv += [flag, str(draw(st.sampled_from(values)))]
+        for flag, path in files.items():
+            argv += [flag, str(path)]
+        argv += ["--out", str(Path(tmp) / "out.json")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(argv)
-    event(f"exit {code}")
+    event(f"{command}: exit {code}")
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")

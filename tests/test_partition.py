@@ -40,7 +40,7 @@ from boxmodal import (
 from boxmodal.atomgrid import AtomGrid
 from boxmodal.partition import MonotoneViolation, _classes, _hulls
 from boxmodal.region import MAX_COORD
-from genutil import random_partition, random_region
+from genutil import hull, random_partition, random_region, translate, varying_coords
 
 LE = OrderKind.REFLEXIVE
 LT = OrderKind.STRICT
@@ -153,12 +153,12 @@ class TestOwner:
         grid = p._grid
         varies, start, stop = _hulls(p)
         for i, cell in enumerate(p.cells):
-            assert {a for a in range(n) if varies[a, i]} == cell.varying_coords()
-            hull = cell.hull()
+            assert {a for a in range(n) if varies[a, i]} == varying_coords(cell)
+            cell_hull = hull(cell)
             block = np.zeros(grid.shape, dtype=bool)
             block[tuple(slice(a, b) for a, b in zip(start[:, i], stop[:, i]))] = True
-            assert grid.region_of_bool(block) == hull
-            top = np.argwhere(grid.region_bool(hull))[-1]
+            assert grid.region_of_bool(block) == cell_hull
+            top = np.argwhere(grid.region_bool(cell_hull))[-1]
             assert np.array_equal(top, stop[:, i] - 1)
 
     @settings(max_examples=60, deadline=None)
@@ -183,7 +183,7 @@ class TestOwner:
         random.Random(seed).shuffle(cells)
         if top:
             shift = MAX_COORD - max(c.max_constant() for c in (carrier, *cells))
-            carrier, cells = carrier.translate(shift), [c.translate(shift) for c in cells]
+            carrier, cells = translate(carrier, shift), [translate(c, shift) for c in cells]
         q = make_partition(carrier, cells)
         assert {"_grid", "_owner"} <= vars(q).keys()  # handed over, not yet painted
         table = q.cells.table
@@ -541,7 +541,7 @@ class TestMonotone:
     def test_four_cell(self):
         p = four_cell()
         assert is_monotone(p)
-        jsets = [c.varying_coords() for c in p.cells]
+        jsets = [varying_coords(c) for c in p.cells]
         assert jsets == [frozenset(), {1}, {0}, {0, 1}]
 
     def test_full_cell(self):
@@ -570,10 +570,10 @@ def reference_monotone(p: Partition):
     """The cell-by-cell monotone check on Regions, kept as the reference."""
     downs = [c.downset(LE) for c in p.cells]
     for i, cell in enumerate(p.cells):
-        missing = cell.hull().difference(downs[i])
+        missing = hull(cell).difference(downs[i])
         if not missing.is_empty():
             return MonotoneViolation("hull", i, None, missing.min_point())
-    varying = [c.varying_coords() for c in p.cells]
+    varying = [varying_coords(c) for c in p.cells]
     for i, cell in enumerate(p.cells):
         for j, down in enumerate(downs):
             meet = cell.intersect(down)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from hypothesis import strategies as st
 
 from boxmodal import (
     OMEGA,
+    Box,
+    Interval,
     OrderKind,
+    Partition,
     PartitionError,
+    Region,
     box,
     cell_of,
     cofinal_threshold,
@@ -43,6 +48,7 @@ from boxmodal import (
 import boxmodal.refine
 from boxmodal.atomgrid import END_OMEGA, MAX_ATOMS, AtomGrid, BoxTable
 from boxmodal.cli import main
+from boxmodal.partition import TableCells
 from boxmodal.region import MAX_COORD
 from boxmodal.refine import (
     FaceStep,
@@ -411,8 +417,12 @@ class TestSubProblemMemo:
         refine_monotone(p)
         # Only faces of dimension 2 or more make nested calls.
         assert (len(cofinals) > 1) == (n == 3)
-        assert cofinals[0] is p.cells[-1]  # the cofinal cell
-        assert sum(c is not None for c in cofinals) == 1
+        # The outermost call gets the top cell's rows of the input's table, as they are.
+        top = p.size - 1  # the cofinal cell
+        assert p._owner[(-1,) * n] == top
+        rows = slice(p.cells.starts[top], p.cells.starts[top + 1])
+        assert all(np.array_equal(a, b[rows]) for a, b in zip(cofinals[0], p.cells.table))
+        assert all(c is None for c in cofinals[1:])
 
     def test_nested_quadrant_cell_keeps_its_box_form(self):
         """A nested call's quadrant cell is ``cofinal.intersect(quadrant)``, not the
@@ -610,6 +620,84 @@ class TestNestedQuadrantRows:
         assert rows.lo.tolist() == [[5, 5]]
         assert rows.end.tolist() == [[END_OMEGA, MAX_COORD]]
         assert not _cofinal(rows)
+
+
+def split_cofinal(p: Partition, rng: random.Random) -> Partition:
+    """``p`` with boxes of its cofinal cell repeated and joined by boxes inside them (some
+    reaching below the threshold), that cell's boxes shuffled, and the cells too."""
+    cells = list(p.cells)
+    top = int(p._owner[(-1,) * p.dim])
+    boxes = list(cells[top].boxes)
+    for b in rng.sample(boxes, rng.randint(1, len(boxes))):
+        inner = []
+        for iv in b.intervals:
+            lo = iv.lo + rng.randint(0, 2)
+            if iv.hi is OMEGA:
+                inner.append(Interval(lo, rng.choice([OMEGA, lo + rng.randint(0, 3)])))
+            else:
+                lo = min(lo, iv.hi)
+                inner.append(Interval(lo, rng.randint(lo, iv.hi)))
+        boxes += [b, Box(tuple(inner))]
+    rng.shuffle(boxes)
+    cells[top] = Region(p.dim, tuple(boxes))
+    rng.shuffle(cells)
+    return make_partition(full(p.dim), cells)
+
+
+def region_quadrant_rows(cell: BoxTable, k: int) -> BoxTable:
+    """``_quadrant_rows`` in the Region form the refiner once took: ``Region.intersect`` with
+    the quadrant, which drops duplicate and covered boxes."""
+    (r,) = cell.regions().values()
+    return BoxTable.of_regions([r.intersect(upper_quadrant(r.dim, k))])
+
+
+class TestOutermostQuadrantRows:
+    """The outermost call clips the input's rows of its cofinal cell, duplicate and covered
+    boxes too, and the output is what the Region form gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**30))
+    def test_split_cofinal_cells_refine_as_the_region_form(self, n, seed):
+        rng = random.Random(seed)
+        p = split_cofinal(random_partition(rng, n, rng.randint(1, 6), rng.randint(1, 4)), rng)
+        q, trace = refine_monotone(p)
+        with mock.patch.object(boxmodal.refine, "_quadrant_rows", region_quadrant_rows):
+            q_ref, trace_ref = refine_monotone(p)
+        assert q.to_json() == q_ref.to_json()
+        assert trace.to_json() == trace_ref.to_json()
+
+    def test_the_kept_rows_differ_and_the_json_does_not(self):
+        # [3, 5] x [2, w) lies inside [2, w) x [1, w), and that box comes again.
+        top = region(box((2, OMEGA), (1, OMEGA)), box(1, (1, OMEGA)), box((3, 5), (2, OMEGA)),
+                     box((2, OMEGA), (1, OMEGA)))
+        p = make_partition(full(2), [point_region(0, 0), region(box(0, (1, OMEGA))),
+                                     region(box((1, OMEGA), 0)), top])
+        q, trace = refine_monotone(p)
+        with mock.patch.object(boxmodal.refine, "_quadrant_rows", region_quadrant_rows):
+            q_ref, trace_ref = refine_monotone(p)
+        assert trace.k0 == 1 and q.size == q_ref.size
+        assert q.cells.table.cell.size == q_ref.cells.table.cell.size + 2
+        assert (q.to_json(), trace.to_json()) == (q_ref.to_json(), trace_ref.to_json())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_refining_reads_no_cell_as_a_region(self, n):
+        """The input's cells stay rows: no ``Partition.cells`` index, no ``Region.intersect``."""
+        rng = random.Random(n)
+        p = split_cofinal(random_partition(rng, n, 4, 3), rng)
+        assert len(p.cells[p._owner[(-1,) * n]].boxes) > 1
+        calls = []
+
+        def spy(name, method):
+            def spied(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return spied
+
+        with mock.patch.object(TableCells, "__getitem__", spy("index", TableCells.__getitem__)), \
+                mock.patch.object(Region, "intersect", spy("intersect", Region.intersect)):
+            q, trace = refine_monotone(p)
+        assert trace.k0 and q is not p
+        assert calls == []
 
 
 def nested_plane(cuts, raw):

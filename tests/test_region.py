@@ -22,6 +22,8 @@ from boxmodal import (
     upper_quadrant,
 )
 
+from genutil import hull, translate, varying_coords
+
 LE = OrderKind.REFLEXIVE
 LT = OrderKind.STRICT
 
@@ -107,24 +109,24 @@ class TestDownset:
 class TestCoordinateAnalysis:
     def test_fiber(self):
         v = region(box(2, (1, OMEGA)))
-        assert v.varying_coords() == {1}
-        assert v.hull().equal(region(box(2, (0, OMEGA))))
+        assert varying_coords(v) == {1}
+        assert hull(v).equal(region(box(2, (0, OMEGA))))
 
     def test_singleton(self):
         v = point_region(3, 4)
-        assert v.varying_coords() == frozenset()
-        assert v.hull().equal(v)
+        assert varying_coords(v) == frozenset()
+        assert hull(v).equal(v)
 
     def test_two_points(self):
         v = point_region(0, 0).union(point_region(1, 1))
-        assert v.varying_coords() == {0, 1}
-        assert v.hull().equal(full(2))
+        assert varying_coords(v) == {0, 1}
+        assert hull(v).equal(full(2))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyRegionError):
-            empty_region(2).hull()
+            hull(empty_region(2))
         with pytest.raises(EmptyRegionError):
-            empty_region(2).varying_coords()
+            varying_coords(empty_region(2))
 
 
 class TestCofinality:
@@ -133,10 +135,10 @@ class TestCofinality:
         # the down-closure only reaches [0,1]^2.
         v = point_region(0, 0).union(point_region(1, 1))
         down = v.downset(LE)
-        hull = v.hull()
-        witnesses = [u for u in grid_points(2, 3) if hull.member(u) and not down.member(u)]
+        box_hull = hull(v)
+        witnesses = [u for u in grid_points(2, 3) if box_hull.member(u) and not down.member(u)]
         assert witnesses
-        assert not hull.subset(down)
+        assert not box_hull.subset(down)
 
     def test_cofinal_in_space(self):
         assert upper_quadrant(2, 1).is_cofinal_in_space()
@@ -154,20 +156,10 @@ class TestGeometryHelpers:
 
     def test_translate(self):
         v = region(box((1, 3), (2, OMEGA)))
-        assert v.translate(2).equal(region(box((3, 5), (4, OMEGA))))
-        assert v.translate(2).translate(-2).equal(v)
+        assert translate(v, 2).equal(region(box((3, 5), (4, OMEGA))))
+        assert translate(translate(v, 2), -2).equal(v)
         with pytest.raises(ValueError):
-            v.translate(-2)
-
-    def test_drop_insert_roundtrip(self):
-        # The face x0 = 0 of [1, w) on the line: inserting the dropped coordinate.
-        line = region(box((1, OMEGA)))
-        assert line.insert_coords({0}, 0).equal(region(box(0, (1, OMEGA))))
-
-    def test_insert_positions_are_result_indexed(self):
-        v = region(box((1, 2)))
-        out = v.insert_coords({0, 2}, 5)
-        assert out.equal(region(box(5, (1, 2), 5)))
+            translate(v, -2)
 
 
 class TestJson:
@@ -275,5 +267,5 @@ class TestProperties:
     def test_hull_properties(self, r):
         if r.is_empty():
             return
-        assert r.subset(r.hull())
-        assert r.hull().varying_coords() == r.varying_coords()
+        assert r.subset(hull(r))
+        assert varying_coords(hull(r)) == varying_coords(r)

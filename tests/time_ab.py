@@ -11,8 +11,9 @@ both.  The corpus is built once, from the old side, with this repository's
 that a slow spell of the machine falls on both.  Per side it prints the
 best-of-N ``cases_per_s``, the p50 and p90 case time (``perfbench/stats``)
 and the workload's ``growth_slope`` (``perfbench/run.growth_slope``), then
-the new/old ratio of each and whether the two sides wrote the same bytes for
-every case.  Separate benchmark runs of one tree can differ by more than a
+the new/old ratio of each, each side's ``src/boxmodal`` line count
+(``src_lines``), and whether the two sides wrote the same bytes for every
+case.  Separate benchmark runs of one tree can differ by more than a
 code change does; timing both sides in one process takes that drift out.
 Not a pytest module: it measures, it asserts nothing, and it writes nothing
 under ``perfbench/``.
@@ -35,6 +36,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run  # noqa: E402  (perfbench/run.py, read only)
 import stats  # noqa: E402
 import workloads  # noqa: E402
+from timing import package_lines  # noqa: E402
 
 SIDES = ("old", "new")
 
@@ -77,11 +79,12 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    roots = (args.old_root, args.new_root)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         sys.path.insert(0, str(work))
         mains = {}
-        for side, root in zip(SIDES, (args.old_root, args.new_root)):
+        for side, root in zip(SIDES, roots):
             bm, cli = load_side(root, side, work)
             mains[side] = cli.main
             if side == "old":
@@ -105,6 +108,8 @@ def main() -> int:
     for name in values["old"]:
         old, new = values["old"][name], values["new"][name]
         print(f"{name:>14} {old:10.4f} {new:10.4f} {new / old:8.3f}")
+    old, new = (package_lines(Path(root, "src", "boxmodal")) for root in roots)
+    print(f"{'src_lines':>14} {old:10d} {new:10d} {new / old:8.3f}")
     same = "byte-identical" if not differ else f"{differ} of {len(cases)} cases differ"
     print(f"outputs: {same}")
     return 0

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import boxmodal
+
+def package_lines(package: Path) -> int:
+    """Lines of the Python source files of a package directory."""
+    return sum(len(f.read_text(encoding="utf-8").splitlines()) for f in package.glob("*.py"))
 
 
 def src_lines() -> int:
@@ -12,5 +15,6 @@ def src_lines() -> int:
     With ``PYTHONPATH`` pointed at another checkout, that checkout's package
     is both the one timed and the one counted.
     """
-    files = Path(boxmodal.__file__).parent.glob("*.py")
-    return sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
+    import boxmodal  # here, so that ``time_ab.py`` can count checkouts without importing it
+
+    return package_lines(Path(boxmodal.__file__).parent)
