@@ -14,10 +14,11 @@ The checkers decide, exactly:
 
 Both checks run on the finite atom quotient of the partition (see
 ``atomgrid``), which is exact for box-union regions.  Cells are one box
-table (``TableCells``), whose Regions are kept when the cells were given as
-Regions and made only when asked for otherwise.  A partition paints its
-read-only owner array (each atom's cell, in the grid's shape) from the
-table once, the only place cells become atom labels, or takes the one that
+table (``TableCells``), built validated from Regions (``make_partition``),
+which it keeps, or trusted from a table (``Partition._of_boxes``), whose
+Regions are made only when asked for.  A partition paints its read-only
+owner array (each atom's cell, in the grid's shape) from the table once,
+the only place cells become atom labels, or takes the one that
 ``make_partition`` painted to validate the cells.  Consumers needing the
 cuts of a valuation, generators or another partition too join them to its
 grid with ``AtomGrid.regrid``.
@@ -33,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -124,44 +125,18 @@ class Partition:
         return len(self.cells)
 
     @classmethod
-    def _trusted(
-        cls, dim: int, carrier: Region, cells: Iterable[Region],
-        painted: Optional[tuple[AtomGrid, np.ndarray]] = None,
-    ) -> "Partition":
-        """Construct without validation; callers guarantee the invariants.
-
-        The cells are numbered by their least points.  ``painted``, when
-        given, is the grid of the carrier and the cells and its owner array,
-        the cells numbered in the order given; the partition keeps the grid
-        and the array, renumbered, rather than painting its own.
-        """
-        cells = tuple(cells)
-        order = sorted(range(len(cells)), key=lambda i: cells[i].min_point())
-        ordered = tuple(cells[i] for i in order)
-        starts = [0, *accumulate(len(c.boxes) for c in ordered)]
-        p = cls(dim, carrier, TableCells(BoxTable.of_regions(ordered), starts, ordered))
-        if painted is not None:
-            grid, owner = painted
-            rank = [0] * len(order) + [-1]  # the last entry is read for -1
-            for new, old in enumerate(order):
-                rank[old] = new
-            owner = np.array(rank, np.int32)[owner, ...]  # an array, also in dimension 0
-            owner.flags.writeable = False
-            vars(p).update(_grid=grid, _owner=owner)
-        return p
-
-    @classmethod
     def _of_boxes(cls, dim: int, carrier: Region, table: BoxTable) -> "Partition":
-        """``_trusted`` of the cells of a box table whose rows are grouped by cell.
+        """The partition of a box table's cells, its rows grouped by cell; callers guarantee the
+        invariants.
 
-        Each cell keeps its rows in order.  The cells are numbered by their
-        least points, the least lower corners of their boxes, which one
-        lexicographic sort of all rows gives.
+        Each cell keeps its rows in order.  The cells are numbered by their least points, the
+        least lower corners of their boxes: one lexicographic sort of all rows, the cell its
+        last key so that it has one in dimension 0 (two cells never share a corner).
         """
         rows = table.cell.size
         starts, sizes = runs(table.cell)
         rank = np.empty(rows, np.intp)
-        rank[np.lexsort(table.lo.T[::-1])] = np.arange(rows)
+        rank[np.lexsort((table.cell, *table.lo.T[::-1]))] = np.arange(rows)
         first = np.minimum.reduceat(rank, starts)  # each cell's least corner, as a rank
         by_cell = first.repeat(sizes).argsort(kind="stable")
         sizes = sizes[first.argsort()]
@@ -243,7 +218,17 @@ def make_partition(carrier: Region, cells: Sequence[Region]) -> Partition:
     ):
         if wrong.any():
             raise PartitionError(kind, message, witness=grid.region_of_bool(wrong))
-    return Partition._trusted(dim, carrier, cells, (grid, owner))
+    # Number the cells by their least points, and keep the grid and owner array, renumbered.
+    order = sorted(range(len(cells)), key=lambda i: cells[i].min_point())
+    ordered = tuple(cells[i] for i in order)
+    starts = [0, *accumulate(len(c.boxes) for c in ordered)]
+    p = Partition(dim, carrier, TableCells(BoxTable.of_regions(ordered), starts, ordered))
+    rank = np.full(len(order) + 1, -1, np.int32)  # the last entry is read for -1
+    rank[order] = np.arange(len(order))
+    owner = rank[owner, ...]  # an array, also in dimension 0
+    owner.flags.writeable = False
+    vars(p).update(_grid=grid, _owner=owner)
+    return p
 
 
 def restrict(p: Partition, v: Region) -> Partition:
@@ -254,7 +239,7 @@ def restrict(p: Partition, v: Region) -> Partition:
     if carrier.is_empty():
         raise PartitionError("empty_carrier", "restriction has an empty carrier")
     cells = [c.intersect(v) for c in p.cells]
-    return Partition._trusted(p.dim, carrier, [c for c in cells if not c.is_empty()])
+    return make_partition(carrier, [c for c in cells if not c.is_empty()])
 
 
 def induced(
@@ -280,7 +265,7 @@ def induced(
         if f.dim != carrier.dim:
             raise DimensionMismatch("family member dimension differs from carrier")
     if not family:
-        return Partition._trusted(carrier.dim, carrier, [carrier])
+        return make_partition(carrier, [carrier])
     grid = AtomGrid.for_regions(carrier.dim, (carrier, *family))
     car = grid.region_bool(carrier)
     profiles = np.stack([grid.region_bool(f)[car] for f in family], axis=-1)

@@ -32,9 +32,10 @@ cell keeps its own rows, its cofinal cell's rows clipped to the quadrant
 come from one plan per n.  ``refine_monotone`` makes the outermost call,
 the only one given the input's cofinal cell, as that cell's rows of the
 input's box table: its quadrant cell (on a line, the tail above k0) keeps
-the input's boxes, and the line faces of its last layer become kept rows,
-off its grid.  A nested call reads its cofinal cell from its labels.  A
-call whose grid would exceed ``MAX_ATOMS`` raises ValueError up front.
+the input's boxes, pruned as ``Region.intersect`` prunes, and the line
+faces of its last layer become kept rows, off its grid.  A nested call
+reads its cofinal cell from its labels.  A call whose grid would exceed
+``MAX_ATOMS`` raises ValueError up front.
 
 Lower-dimensional faces repeat: within one outermost call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
@@ -74,7 +75,7 @@ from .partition import (
     refines,
     restrict,
 )
-from .region import OMEGA, OrderKind, Point, full, upper_quadrant
+from .region import OrderKind, Point, full, upper_quadrant
 
 
 @dataclass(frozen=True)
@@ -153,36 +154,12 @@ def refine_monotone_1d(p: Partition) -> Partition:
 
 
 def cofinal_threshold(p: Partition) -> int:
-    """Least k such that every cell meeting [k, w)^n is cofinal in the grid.
+    """Least k such that every cell meeting [k, w)^n is cofinal in the grid; 0 in dimension 0.
 
-    The refiner reads the same k from atom labels (``_atom_threshold``); this
-    Region form is the reference that one is tested against.
+    It is ``_atom_threshold`` of the partition's owner array, the one the refiner reads.
     """
     _require_full_carrier(p)
-    n = p.dim
-    bound = 0
-    for cell in p.cells:
-        if cell.is_cofinal_in_space():
-            continue
-        for b in cell.boxes:
-            finite_his = [iv.hi for iv in b.intervals if iv.hi is not OMEGA]
-            if not finite_his:
-                raise RuntimeError("cell with an unbounded box cannot be non-cofinal")
-            bound = max(bound, 1 + min(finite_his))
-    k0 = bound
-
-    def meets_non_cofinal(k: int) -> bool:
-        quadrant = upper_quadrant(n, k)
-        return any(
-            not c.intersect(quadrant).is_empty() and not c.is_cofinal_in_space() for c in p.cells
-        )
-
-    # The closed form above is checked against the defining property.
-    if meets_non_cofinal(k0):
-        raise RuntimeError("threshold check failed: non-cofinal cell meets the quadrant")
-    if k0 > 0 and not meets_non_cofinal(k0 - 1):
-        raise RuntimeError("threshold is not minimal")
-    return k0
+    return _atom_threshold(p._grid, p._owner) if p.dim else 0
 
 
 @cache
@@ -239,11 +216,11 @@ def _compress(grid: AtomGrid, labels: np.ndarray) -> tuple[AtomGrid, np.ndarray]
 
 
 def _atom_threshold(grid: AtomGrid, labels: np.ndarray) -> int:
-    """``cofinal_threshold`` of a labelled partition of the full grid.
+    """Least k such that only the cofinal cell, the one on the top atom, meets [k, w)^n, of a
+    labelled partition of the full grid of dimension 1 or more.
 
-    The cofinal cell is the one on the top atom.  An atom meets [k, w)^n
-    exactly when the least of its upper bounds is at least k; bounds are
-    compared through their ranks, so the arithmetic stays in small ints.
+    An atom meets [k, w)^n exactly when the least of its upper bounds is at least k; bounds
+    are compared through their ranks, so the arithmetic stays in small ints.
     """
     top = labels[(-1,) * grid.dim]
     his = [[c - 1 for c in cuts[1:]] for cuts in grid.cuts]
@@ -281,21 +258,26 @@ def _quadrant_rows(cell: BoxTable, k: int) -> BoxTable:
 
     A nested call's cell is canonical (``AtomGrid.boxes``): its boxes are pairwise disjoint,
     and so are what is left of them, so these are the rows of ``Region.intersect`` with the
-    quadrant, whose ``_prune`` keeps every row, in order.  The outermost call's cell is the
-    input's rows, which may repeat a box or hold one inside another; ``_prune`` would drop
-    such a box, and these rows keep it.  The output's bytes stay the same: the kept box's
-    lower corner is not below its cover's, so ``Partition._of_boxes`` numbers the cells
-    alike; it paints only atoms its cover paints; and ``TableCells.to_json`` writes a cell of
-    several rows through ``Region.normalize``, which prunes and sorts.  Only the in-memory
-    Region of that cell lists the kept box.
+    quadrant.  The outermost call's cell is the input's rows, which ``_prune_rows`` prunes
+    after the clip as ``Region.intersect`` does.
     """
     lo = np.maximum(cell.lo, k)
     keep = (cell.end > lo).all(axis=1)
     return BoxTable(np.zeros(np.count_nonzero(keep), np.intp), lo[keep], cell.end[keep])
 
 
+def _prune_rows(rows: BoxTable) -> BoxTable:
+    """The rows without those that repeat an earlier row or lie inside another, in order: the
+    boxes ``Region._prune`` keeps."""
+    lo, end = rows.lo, rows.end
+    covers = (lo[:, None] <= lo[None]).all(axis=2) & (end[None] <= end[:, None]).all(axis=2)
+    same = covers & covers.T
+    drop = (covers & ~same).any(axis=0) | np.triu(same, 1).any(axis=0)
+    return BoxTable(*(a[~drop] for a in rows))
+
+
 def _cofinal(rows: BoxTable) -> bool:
-    """``Region.is_cofinal_in_space`` of a cell's rows: some row is unbounded on every axis."""
+    """Whether a cell is cofinal in the grid, from its rows: some row is unbounded on every axis."""
     return bool((rows.end == END_OMEGA).all(axis=1).any())
 
 
@@ -572,7 +554,8 @@ def _refine_atoms(
     ``cofinal``, the input's cofinal cell as its box table rows, marks the
     outermost call; nested calls read that cell from their labels, in the
     canonical rows of ``AtomGrid.boxes``.  Every call clips it to its
-    quadrant with ``_quadrant_rows``.
+    quadrant with ``_quadrant_rows``, and the outermost call prunes what is
+    left of the input's rows (``_prune_rows``).
     """
     m = grid.dim
     if m == 1:
@@ -581,7 +564,7 @@ def _refine_atoms(
             return _Cells(grid, labels, count), trace
         line = _Cells(AtomGrid._sorted(1, [range(out)]), np.arange(out, dtype=np.int32), out)
         if cofinal is not None:
-            tail = _quadrant_rows(cofinal, trace.k0 + 1)
+            tail = _prune_rows(_quadrant_rows(cofinal, trace.k0 + 1))
             line.kept.append(tail._replace(cell=tail.cell + trace.k0 + 1))
         return line, trace
     grid, labels = _compress(grid, labels)
@@ -593,9 +576,10 @@ def _refine_atoms(
         memo[key] = _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
         return memo[key]
     outermost = cofinal is not None
-    if not outermost:
-        cofinal = grid.boxes(np.where(labels == labels[(-1,) * m], 0, -1))
-    quadrant = _quadrant_rows(cofinal, k0)
+    if outermost:
+        quadrant = _prune_rows(_quadrant_rows(cofinal, k0))
+    else:
+        quadrant = _quadrant_rows(grid.boxes(np.where(labels == labels[(-1,) * m], 0, -1)), k0)
     if not _cofinal(quadrant):
         raise RuntimeError("restriction to the quadrant lost cofinality")
     _require_atoms((k0 + 1) ** m)

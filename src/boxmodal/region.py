@@ -278,10 +278,6 @@ class Region:
                 out.append(Box(tuple(ivs)))
         return Region(self.dim, _prune(out))
 
-    def is_cofinal_in_space(self) -> bool:
-        """Every point of the grid lies below some point of this region."""
-        return full(self.dim).subset(self.downset(OrderKind.REFLEXIVE))
-
     # -- coordinate analysis -------------------------------------------------
 
     def min_point(self) -> Point:

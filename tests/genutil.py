@@ -15,6 +15,7 @@ from boxmodal import (
     full,
     make_fibered,
     make_partition,
+    upper_quadrant,
 )
 from boxmodal.formulas import (
     And,
@@ -131,6 +132,41 @@ def hull(r: Region) -> Region:
     corner = r.boxes[0].intervals
     ivs = (Interval(0, OMEGA) if i in varying else corner[i] for i in range(r.dim))
     return Region(r.dim, (Box(tuple(ivs)),))
+
+
+# -- the Region form of ``refine.cofinal_threshold`` -----------------------------------
+
+
+def is_cofinal_in_space(r: Region) -> bool:
+    """Every point of the grid lies below some point of the region."""
+    return full(r.dim).subset(r.downset(OrderKind.REFLEXIVE))
+
+
+def region_cofinal_threshold(p: Partition) -> int:
+    """Least k such that every cell meeting [k, w)^n is cofinal in the grid, from the cells'
+    Regions: the reference ``cofinal_threshold`` is tested against."""
+    bound = 0
+    for cell in p.cells:
+        if is_cofinal_in_space(cell):
+            continue
+        for b in cell.boxes:
+            finite_his = [iv.hi for iv in b.intervals if iv.hi is not OMEGA]
+            if not finite_his:
+                raise RuntimeError("cell with an unbounded box cannot be non-cofinal")
+            bound = max(bound, 1 + min(finite_his))
+
+    def meets_non_cofinal(k: int) -> bool:
+        quadrant = upper_quadrant(p.dim, k)
+        return any(
+            not c.intersect(quadrant).is_empty() and not is_cofinal_in_space(c) for c in p.cells
+        )
+
+    # The closed form above is checked against the defining property.
+    if meets_non_cofinal(bound):
+        raise RuntimeError("threshold check failed: non-cofinal cell meets the quadrant")
+    if bound > 0 and not meets_non_cofinal(bound - 1):
+        raise RuntimeError("threshold is not minimal")
+    return bound
 
 
 # -- grid-sizing probes for the refiner ---------------------------------------------

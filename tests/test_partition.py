@@ -19,10 +19,14 @@ from boxmodal import (
     Partition,
     PartitionError,
     Region,
+    Valuation,
     box,
     cell_of,
+    cofinal_threshold,
     empty_region,
+    filtration_pipeline,
     full,
+    generate_subalgebra,
     induced,
     is_monotone,
     is_tuned,
@@ -37,7 +41,8 @@ from boxmodal import (
     upper_quadrant,
 )
 
-from boxmodal.atomgrid import AtomGrid
+from boxmodal.atomgrid import AtomGrid, BoxTable
+from boxmodal.formulas import parse_formula
 from boxmodal.partition import MonotoneViolation, _classes, _hulls
 from boxmodal.region import MAX_COORD
 from genutil import hull, random_partition, random_region, translate, varying_coords
@@ -166,7 +171,7 @@ class TestOwner:
     def test_owner_from_the_box_table_matches_the_regions(self, seed, n):
         rng = random.Random(seed)
         q, _ = refine_monotone(random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4)))
-        from_regions = Partition._trusted(q.dim, q.carrier, tuple(q.cells))
+        from_regions = make_partition(q.carrier, tuple(q.cells))
         assert from_regions == q
         assert all(np.array_equal(a, b) for a, b in zip(from_regions.cells.table, q.cells.table))
         assert from_regions._grid.cuts == q._grid.cuts
@@ -208,10 +213,21 @@ class TestOwner:
         assert calls == {"paint": 0, "for_regions": 1}
 
     def test_dim_zero(self):
-        for p in (make_partition(full(0), [full(0)]), Partition._trusted(0, full(0), [full(0)])):
-            assert p._grid.shape == () and int(p._owner) == 0
-            assert p.cells.table.lo.shape == (1, 0) and cell_of(p, ()) == 0
+        p = make_partition(full(0), [full(0)])
+        assert p._grid.shape == () and int(p._owner) == 0
+        assert p.cells.table.lo.shape == (1, 0) and cell_of(p, ()) == 0
         assert refine_monotone(p)[0] is p
+        assert cofinal_threshold(p) == 0
+
+    def test_dim_zero_from_a_box_table(self):
+        """A table of rows with no lower corner to sort by: ``induced`` and the modal calls
+        that build on it."""
+        q = induced(full(0), [full(0)])
+        assert q == make_partition(full(0), [full(0)]) and int(q._owner) == 0
+        sub = generate_subalgebra([full(0)], LE)
+        assert sub.atoms == q and sub.generator_atoms == (frozenset({0}),)
+        report = filtration_pipeline(parse_formula("p"), Valuation(0, LE, {"p": full(0)}))
+        assert (report.world_count, report.edge_count, report.globally_true) == (1, 1, True)
 
     def test_cached_owner_is_read_only(self):
         p = origin_partition()
@@ -242,7 +258,7 @@ def reference_make_partition(carrier: Region, cells: list[Region]) -> Partition:
         if wrong.any():
             witness = grid.region_of_bool(wrong.reshape(grid.shape))
             raise PartitionError(kind, message, witness=witness)
-    return Partition._trusted(carrier.dim, carrier, cells)
+    return Partition._of_boxes(carrier.dim, carrier, BoxTable.of_regions(cells))
 
 
 @settings(max_examples=150, deadline=None)
@@ -363,7 +379,7 @@ class TestInduced:
                 flat = np.zeros(grid.size, dtype=bool)
                 flat[idx[inverse == label]] = True
                 cells.append(grid.region_of_bool(flat.reshape(grid.shape)))
-            return Partition._trusted(carrier.dim, carrier, cells)
+            return make_partition(carrier, cells)
 
         rng = random.Random(11)
         checked = 0

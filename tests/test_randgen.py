@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from boxmodal import OMEGA, Box, Interval, Partition, Region, full
+from boxmodal import OMEGA, Box, Interval, Partition, Region, full, make_partition
 from boxmodal.atomgrid import AtomGrid
 from boxmodal.randgen import InfeasibleParameters, gen_random
 
@@ -36,7 +36,7 @@ def reference_gen_random(n: int, cells: int, max_const: int, seed: int) -> Parti
     for g in range(cells):
         member = Region(n, tuple(a for a, gg in zip(atoms, group) if gg == g))
         regions.append(grid.region_of_bool(grid.region_bool(member)))
-    return Partition._trusted(n, full(n), regions)
+    return make_partition(full(n), regions)
 
 
 def test_pinned_line_case():

@@ -29,6 +29,7 @@ from boxmodal import (
     cofinal_threshold,
     extend_from_quadrant,
     full,
+    induced,
     is_monotone,
     is_tuned,
     make_fibered,
@@ -63,21 +64,29 @@ from boxmodal.refine import (
     _grow,
     _line_rule,
     _plane_rule,
+    _prune_rows,
     _quadrant_rows,
     _refine_atoms,
 )
 from genutil import (
+    is_cofinal_in_space,
     probe_far_cut,
     probe_long_line,
     probe_split_axes,
     probe_split_face,
     random_fibered,
     random_partition,
+    random_region,
+    region_cofinal_threshold,
 )
 from record_refine_golden import GOLDEN, refine_digest, square
 
 LE = OrderKind.REFLEXIVE
 LT = OrderKind.STRICT
+
+
+def tables_equal(a: BoxTable, b: BoxTable) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def cells_equal(p, expected):
@@ -148,6 +157,21 @@ class TestThreshold:
         assert cell.intersect(upper_quadrant(2, 3)).is_empty() is False
         assert cell.intersect(upper_quadrant(2, 4)).is_empty() is True
         assert cofinal_threshold(p) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**30), st.sampled_from(["random", "split", "square"]))
+    def test_matches_the_region_form(self, n, seed, kind):
+        rng = random.Random(seed)
+        if kind == "square":
+            p = square(n, rng.randint(1, 4 if n < 4 else 2))
+        else:
+            if n < 4:
+                p = random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4))
+            else:  # past ``gen_random``'s dimensions: the classes of random regions
+                p = induced(full(n), [random_region(rng, n, 2, 2) for _ in range(2)])
+            if kind == "split":
+                p = split_cofinal(p, rng)
+        assert cofinal_threshold(p) == region_cofinal_threshold(p)
 
 
 class TestExtend:
@@ -611,7 +635,7 @@ class TestNestedQuadrantRows:
         rows = _quadrant_rows(grid.boxes(labels), k)
         expected = BoxTable.of_regions([cell])
         assert all(np.array_equal(a, b) for a, b in zip(rows, expected))
-        assert _cofinal(rows) == cell.is_cofinal_in_space()
+        assert _cofinal(rows) == is_cofinal_in_space(cell)
 
     def test_a_cell_off_the_top_atom_is_not_cofinal(self):
         grid = AtomGrid(2, [[0, 3], [0, 2, MAX_COORD]])
@@ -652,8 +676,8 @@ def region_quadrant_rows(cell: BoxTable, k: int) -> BoxTable:
 
 
 class TestOutermostQuadrantRows:
-    """The outermost call clips the input's rows of its cofinal cell, duplicate and covered
-    boxes too, and the output is what the Region form gave."""
+    """The outermost call clips the input's rows of its cofinal cell and prunes duplicate and
+    covered boxes, as the Region form did, and the output is what that form gave."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 2**30))
@@ -665,19 +689,28 @@ class TestOutermostQuadrantRows:
             q_ref, trace_ref = refine_monotone(p)
         assert q.to_json() == q_ref.to_json()
         assert trace.to_json() == trace_ref.to_json()
+        assert tables_equal(q.cells.table, q_ref.cells.table)
+        assert q._grid.cuts == q_ref._grid.cuts
 
-    def test_the_kept_rows_differ_and_the_json_does_not(self):
+    def test_the_kept_rows_are_pruned_and_the_grid_shrinks(self):
         # [3, 5] x [2, w) lies inside [2, w) x [1, w), and that box comes again.
         top = region(box((2, OMEGA), (1, OMEGA)), box(1, (1, OMEGA)), box((3, 5), (2, OMEGA)),
                      box((2, OMEGA), (1, OMEGA)))
         p = make_partition(full(2), [point_region(0, 0), region(box(0, (1, OMEGA))),
                                      region(box((1, OMEGA), 0)), top])
+        cofinal = p.cells.rows(p._owner[-1, -1])
+        rows = _prune_rows(_quadrant_rows(cofinal, 1))
+        assert rows.cell.size == 2 and tables_equal(rows, region_quadrant_rows(cofinal, 1))
         q, trace = refine_monotone(p)
         with mock.patch.object(boxmodal.refine, "_quadrant_rows", region_quadrant_rows):
             q_ref, trace_ref = refine_monotone(p)
-        assert trace.k0 == 1 and q.size == q_ref.size
-        assert q.cells.table.cell.size == q_ref.cells.table.cell.size + 2
+        with mock.patch.object(boxmodal.refine, "_prune_rows", lambda rows: rows):
+            unpruned, _ = refine_monotone(p)
+        assert trace.k0 == 1 and tables_equal(q.cells.table, q_ref.cells.table)
+        assert unpruned.cells.table.cell.size == q.cells.table.cell.size + 2
+        assert q._grid.size < unpruned._grid.size
         assert (q.to_json(), trace.to_json()) == (q_ref.to_json(), trace_ref.to_json())
+        assert unpruned.to_json() == q.to_json()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_refining_reads_no_cell_as_a_region(self, n):
@@ -924,7 +957,7 @@ class TestGridSizing:
             for _ in range(20):
                 p = random_partition(rng, n, rng.randint(1, 8), rng.randint(0, 8))
                 grid, labels = _compress(p._grid, p._owner)
-                assert _atom_threshold(grid, labels) == cofinal_threshold(p)
+                assert _atom_threshold(grid, labels) == region_cofinal_threshold(p)
 
     def test_too_many_atoms_fail_before_any_layer(self, tmp_path):
         # A finite square of side C needs (C + 1)^2 atoms; a line, C + 2.

@@ -22,7 +22,7 @@ from boxmodal import (
     upper_quadrant,
 )
 
-from genutil import hull, translate, varying_coords
+from genutil import hull, is_cofinal_in_space, translate, varying_coords
 
 LE = OrderKind.REFLEXIVE
 LT = OrderKind.STRICT
@@ -141,8 +141,8 @@ class TestCofinality:
         assert not box_hull.subset(down)
 
     def test_cofinal_in_space(self):
-        assert upper_quadrant(2, 1).is_cofinal_in_space()
-        assert not region(box((0, 3), (0, OMEGA))).is_cofinal_in_space()
+        assert is_cofinal_in_space(upper_quadrant(2, 1))
+        assert not is_cofinal_in_space(region(box((0, 3), (0, OMEGA))))
 
 
 class TestGeometryHelpers:

@@ -13,8 +13,11 @@ best-of-N ``cases_per_s``, the p50 and p90 case time (``perfbench/stats``)
 and the workload's ``growth_slope`` (``perfbench/run.growth_slope``), then
 the new/old ratio of each, each side's ``src/boxmodal`` line count
 (``src_lines``), and whether the two sides wrote the same bytes for every
-case.  Separate benchmark runs of one tree can differ by more than a
-code change does; timing both sides in one process takes that drift out.
+case.  A workload of several command kinds (``small_commands``) also gets
+each kind's ``cases_per_s`` and its ratio: a few per cent on one kind does
+not show in the total.  Separate benchmark runs of one tree can differ by
+more than a code change does; timing both sides in one process takes that
+drift out.
 Not a pytest module: it measures, it asserts nothing, and it writes nothing
 under ``perfbench/``.
 """
@@ -67,6 +70,14 @@ def metrics(workload: str, cases, seconds: list[float], outs: list[str]) -> dict
     }
 
 
+def rate_by_kind(cases, seconds: list[float]) -> dict[str, float]:
+    """``cases_per_s`` of the cases of each kind."""
+    spent: dict[str, list[float]] = {}
+    for case, t in zip(cases, seconds):
+        spent.setdefault(case.kind, []).append(t)
+    return {kind: len(ts) / sum(ts) for kind, ts in sorted(spent.items())}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_root", help="checkout whose src/boxmodal is the old side")
@@ -108,6 +119,11 @@ def main() -> int:
     for name in values["old"]:
         old, new = values["old"][name], values["new"][name]
         print(f"{name:>14} {old:10.4f} {new:10.4f} {new / old:8.3f}")
+    rates = [rate_by_kind(cases, best[side]) for side in SIDES]
+    if len(rates[0]) > 1:
+        for kind, old in rates[0].items():
+            new = rates[1][kind]
+            print(f"{kind:>14} {old:10.4f} {new:10.4f} {new / old:8.3f}  cases_per_s")
     old, new = (package_lines(Path(root, "src", "boxmodal")) for root in roots)
     print(f"{'src_lines':>14} {old:10d} {new:10d} {new / old:8.3f}")
     same = "byte-identical" if not differ else f"{differ} of {len(cases)} cases differ"
