@@ -6,8 +6,17 @@ malformed input or usage errors, 3 when an internal check fails (a
 ``RuntimeError`` such as ``TruthLemmaFailure``: one ``internal error`` line).
 
 Output is the text of ``json.dumps(obj, indent=2, sort_keys=True)``, written
-by ``_json_text``: a recursive writer, with a compact C encoding plus a
-fixed chain of replacements for lists of Region objects.
+by ``_json_text`` in one of three forms:
+
+- generic: a recursive writer for dicts with str keys, lists, tuples, str,
+  int, bool and None;
+- Region lists: a compact C encoding plus a fixed chain of replacements;
+- traces: a ``RefinementTrace`` in the payload is written as its
+  ``to_json`` through fixed templates, each distinct subtrace formatted once
+  per document and re-indented with one ``str.replace`` where it is nested.
+
+Any other value sends the whole document to ``json.dumps``, which writes a
+trace through its ``to_json``.
 """
 from __future__ import annotations
 
@@ -41,6 +50,7 @@ from .partition import (
 from .randgen import gen_random
 from .refine import (
     FiberedPartition,
+    RefinementTrace,
     product_refines,
     product_tuned_violation,
     refine_monotone,
@@ -98,8 +108,58 @@ def _regions_text(value: list, newline: str) -> Optional[str]:
     return "[" + n1 + head + text[len('[{"boxes":[[['):-2] + n1 + "}" + n0 + "]"
 
 
-def _text(value: object, newline: str) -> str:
-    """Indent-2, sorted-key JSON text of ``value``; ``newline`` ends in its indent."""
+# The text of a RefinementTrace at base indent, its fields in sorted key order.
+# A face's keys, and so its ``sub``, sit at indent 10 within the text of the trace.
+_TRACE = '{\n  "cells_in": %d,\n  "cells_out": %d,\n  "dim": %d,\n  "k0": %s,\n  "steps": %s\n}'
+_STEP = '{\n      "faces": %s,\n      "level": %d\n    }'
+_FACE = (
+    '{\n          "atom_count": %d,\n          "cell_count": %d,\n          "coords": [%s],'
+    '\n          "family_size": %d,\n          "sub": %s\n        }'
+)
+# The newline and indent before a face's sub, and before each step, face and coordinate.
+_SUB, _STEP_NL, _FACE_NL, _COORD_NL = ("\n" + " " * k for k in (10, 4, 8, 12))
+
+
+def _trace_text(trace: RefinementTrace, newline: str, memo: dict) -> str:
+    """``_text`` of ``trace.to_json()``, each distinct trace formatted once per indent.
+
+    A trace is formatted at base indent and moved to ``newline``'s indent
+    with one ``str.replace``, which is safe because trace text holds only
+    fixed keys, ints and null.  ``memo`` keeps the result by ``id`` (stable
+    while the document being written holds the trace) and indent.  A face's
+    ``sub`` always sits at the same indent within its trace, so a subtrace
+    shared by many faces, at any depths, is formatted once.
+    """
+    key = (id(trace), newline)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _format_trace(trace, memo).replace("\n", newline)
+    return text
+
+
+def _format_trace(trace: RefinementTrace, memo: dict) -> str:
+    """The text of one trace at base indent, through the fixed templates."""
+    steps = []
+    for step in trace.steps:
+        faces = []
+        for f in step.faces:
+            coords = ""
+            if f.coords:
+                coords = _COORD_NL + ("," + _COORD_NL).join(map(str, f.coords)) + _SUB
+            sub = _trace_text(f.sub, _SUB, memo)
+            faces.append(_FACE % (f.atom_count, f.cell_count, coords, f.family_size, sub))
+        faces_text = "[" + _FACE_NL + ("," + _FACE_NL).join(faces) + "\n      ]" if faces else "[]"
+        steps.append(_STEP % (faces_text, step.level))
+    steps_text = "[" + _STEP_NL + ("," + _STEP_NL).join(steps) + "\n  ]" if steps else "[]"
+    k0 = "null" if trace.k0 is None else "%d" % trace.k0
+    return _TRACE % (trace.cells_in, trace.cells_out, trace.dim, k0, steps_text)
+
+
+def _text(value: object, newline: str, memo: dict) -> str:
+    """Indent-2, sorted-key JSON text of ``value``; ``newline`` ends in its indent.
+
+    ``memo`` is ``_trace_text``'s, for one document.
+    """
     kind = type(value)
     inner = newline + "  "
     if kind is list or kind is tuple:
@@ -113,7 +173,7 @@ def _text(value: object, newline: str) -> str:
         items = []
         for v in value:
             scalar = _SCALARS.get(type(v))
-            items.append(_text(v, inner) if scalar is None else scalar(v))
+            items.append(_text(v, inner, memo) if scalar is None else scalar(v))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict and all(type(k) is str for k in value):
         if not value:
@@ -122,25 +182,35 @@ def _text(value: object, newline: str) -> str:
         for k in sorted(value):
             v = value[k]
             scalar = _SCALARS.get(type(v))
-            text = _text(v, inner) if scalar is None else scalar(v)
+            text = _text(v, inner, memo) if scalar is None else scalar(v)
             items.append(encode_basestring_ascii(k) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is RefinementTrace:
+        return _trace_text(value, newline, memo)
     if kind not in _SCALARS:
         raise _Unsupported
     return _SCALARS[kind](value)
+
+
+def _trace_json(value: object) -> dict:
+    """``json.dumps``'s ``default``: a RefinementTrace as its ``to_json``."""
+    if type(value) is RefinementTrace:
+        return value.to_json()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_text(obj: object) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, written directly where it can be.
 
     The standard encoder falls back to pure Python whenever it indents.
-    This writer covers dicts with str keys, lists, tuples, str, int, bool and
-    None; any other value sends the whole document to ``json.dumps``.
+    This writer covers dicts with str keys, lists, tuples, str, int, bool,
+    None and RefinementTrace objects (written as their ``to_json``); any
+    other value sends the whole document to ``json.dumps``.
     """
     try:
-        return _text(obj, "\n")
+        return _text(obj, "\n", {})
     except _Unsupported:
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(obj, indent=2, sort_keys=True, default=_trace_json)
 
 
 def _dump(obj: object, out: Optional[str]) -> None:
@@ -208,7 +278,7 @@ def cmd_check_monotone(args: argparse.Namespace) -> int:
 def cmd_refine(args: argparse.Namespace) -> int:
     p = _load_partition(args.partition)
     refined, trace = refine_monotone(p)
-    payload: dict = {"partition": refined.to_json(), "trace": trace.to_json()}
+    payload: dict = {"partition": refined.to_json(), "trace": trace}
     code = 0
     if args.verify:
         checks = {
@@ -265,7 +335,7 @@ def cmd_product(args: argparse.Namespace) -> int:
     violation = product_tuned_violation(refined, _order(args))
     payload = {
         "fibered": refined.to_json(),
-        "trace": trace.to_json(),
+        "trace": trace,
         "refines": product_refines(refined, fp),
         "tuned": violation is None,
         "violation": violation.to_json() if violation else None,

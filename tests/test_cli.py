@@ -4,24 +4,32 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import boxmodal.cli
 import boxmodal.modal
 import boxmodal.refine
 from boxmodal import (
-    InfeasibleParameters, Partition, full, gen_random, make_partition, parse_formula, point_region,
+    InfeasibleParameters, Partition, full, gen_random, induced, make_partition, parse_formula,
+    point_region, refine_monotone,
 )
 from boxmodal.cli import _dump, _json_text, _regions_text, main
+from boxmodal.refine import FaceStep, LevelStep, RefinementTrace
 from boxmodal.region import MAX_COORD
 from boxmodal.viz import MAX_SIDE
+
+from genutil import random_partition, random_region
+from record_refine_golden import GOLDEN, refine_digest, square
 
 DATA = Path(__file__).parent / "data"
 
@@ -554,6 +562,185 @@ class TestJsonText:
             _dump(obj, str(tmp_path / "out.json"))
             expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
             assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
+
+
+def _as_dicts(obj: object) -> object:
+    """A copy of a document with every RefinementTrace replaced by its ``to_json``."""
+    if isinstance(obj, RefinementTrace):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {k: _as_dicts(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_as_dicts(v) for v in obj)
+    return obj
+
+
+def _assert_writes_dumps(obj: object) -> None:
+    """``_json_text(obj)`` is ``json.dumps`` of ``obj`` with its traces as dicts.
+
+    A failure names the first line that differs: pytest's diff of two long
+    texts would take minutes for every example Hypothesis shrinks.
+    """
+    got, want = _json_text(obj), json.dumps(_as_dicts(obj), indent=2, sort_keys=True)
+    if got != want:
+        for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines())):
+            if a != b:
+                pytest.fail(f"line {i}: {a!r}, json.dumps writes {b!r}")
+        pytest.fail(f"{len(got.splitlines())} lines, json.dumps writes {len(want.splitlines())}")
+
+
+SMALL = st.integers(0, 12)
+
+
+@st.composite
+def trace_pools(draw) -> list:
+    """RefinementTrace objects built bottom up.  Each step's first face holds the trace
+    built last, and its other face one drawn from all built before, so that one subtrace
+    can sit at several depths and under several faces.  ``k0`` may be None and
+    ``coords`` empty anywhere; ``steps`` and ``faces`` may be empty in the first trace."""
+    pool: list = []
+    for _ in range(draw(st.integers(1, 5))):
+        steps = []
+        for level in draw(st.lists(SMALL, min_size=1 if pool else 0, max_size=2)):
+            faces = tuple(
+                FaceStep(
+                    tuple(draw(st.lists(SMALL, max_size=3))),
+                    draw(SMALL), draw(SMALL), draw(SMALL),
+                    pool[-1] if i == 0 else draw(st.sampled_from(pool)),
+                )
+                for i in range(draw(st.integers(1, 2)) if pool else 0)
+            )
+            steps.append(LevelStep(level, faces))
+        k0 = draw(st.one_of(st.none(), SMALL))
+        pool.append(RefinementTrace(draw(SMALL), k0, draw(SMALL), draw(SMALL), tuple(steps)))
+    return pool
+
+
+@st.composite
+def refinements(draw) -> tuple:
+    """A refined partition and its trace, from ``random_partition``, ``gen_random`` or a
+    square; past ``gen_random``'s three dimensions, from the classes of random regions."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "square"]))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    if kind == "square":
+        p = square(n, rng.randint(1, {1: 9, 2: 9, 3: 5, 4: 3}[n]))
+    elif n == 4:
+        p = induced(full(n), [random_region(rng, n, 2, 2) for _ in range(rng.randint(1, 3))])
+    elif draw(st.booleans()):
+        p = random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4))
+    else:
+        try:
+            p = gen_random(n, rng.randint(1, 8), rng.randint(0, 8), rng.randrange(1000))
+        except InfeasibleParameters:
+            p = gen_random(n, 1, 0, 0)
+    return refine_monotone(p)
+
+
+def _depths(trace: RefinementTrace, depth: int = 0, seen: Optional[dict] = None) -> dict:
+    """The depths at which each trace object under ``trace`` sits, by ``id``."""
+    seen = {} if seen is None else seen
+    seen.setdefault(id(trace), set()).add(depth)
+    for step in trace.steps:
+        for face in step.faces:
+            _depths(face.sub, depth + 1, seen)
+    return seen
+
+
+def _at_several_depths(trace: RefinementTrace) -> bool:
+    return any(len(d) > 1 for d in _depths(trace).values())
+
+
+class TestTraceText:
+    """``_json_text`` writes a RefinementTrace in the payload as ``json.dumps`` writes its
+    ``to_json``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(refinements(), st.booleans())
+    def test_refinements_match_json_dumps(self, refined, nested):
+        q, trace = refined
+        event(f"a trace at several depths: {_at_several_depths(trace)}")
+        payload = {"partition": q.to_json(), "trace": trace}
+        if nested:
+            payload = {"runs": [payload, {"again": (trace, [trace])}], "trace": trace}
+        _assert_writes_dumps(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_handmade_traces_match_json_dumps(self, data):
+        pool = data.draw(trace_pools())
+        event(f"a trace at several depths: {_at_several_depths(pool[-1])}")
+        doc = data.draw(
+            st.recursive(
+                st.one_of(st.none(), st.integers(), st.sampled_from(pool)),
+                lambda inner: st.one_of(
+                    st.lists(inner, max_size=3), st.dictionaries(st.sampled_from("abc"), inner)
+                ),
+                max_leaves=8,
+            )
+        )
+        for obj in (doc, {"trace": pool[-1], "doc": doc}, [pool, doc]):
+            _assert_writes_dumps(obj)
+
+    def test_edge_cases(self):
+        leaf = RefinementTrace(0, None, 1, 1, ())
+        hollow = RefinementTrace(1, 0, 2, 2, (LevelStep(0, ()),))
+        mid = RefinementTrace(2, 3, 2, 5, (LevelStep(1, (FaceStep((), 1, 1, 1, leaf),)),))
+        # ``leaf`` sits under ``top`` at depths 1 and 2, and in ``payload`` at more indents.
+        top = RefinementTrace(
+            3, 4, 3, 9,
+            (LevelStep(0, (FaceStep((0,), 2, 3, 4, leaf), FaceStep((1, 2), 5, 6, 7, mid))),
+             LevelStep(1, (FaceStep((), 0, 0, 0, hollow),))),
+        )
+        payload = {"trace": top, "more": [leaf, {"deep": [[mid, hollow]]}], "k": None}
+        for obj in (leaf, hollow, mid, top, payload, [top, top], (leaf,)):
+            _assert_writes_dumps(obj)
+        assert '"k0": null' in _json_text(leaf) and '"steps": []' in _json_text(leaf)
+        assert '"faces": []' in _json_text(hollow) and '"coords": []' in _json_text(mid)
+
+    def test_a_float_takes_the_json_dumps_fallback(self):
+        q, trace = refine_monotone(square(2, 3))
+        payload = {"partition": q.to_json(), "trace": trace, "seconds": 0.25}
+        _assert_writes_dumps(payload)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _json_text({"trace": trace, "x": 0.5, "y": object()})
+
+    def test_refine_and_product_never_build_the_trace_dicts(self, monkeypatch, tmp_path):
+        from boxmodal import make_fibered
+
+        def refuse(trace):
+            raise AssertionError("the CLI called RefinementTrace.to_json")
+
+        p = square(3, 3)
+        fp = make_fibered(["a", "b"], [["a", "b"]], [p, make_partition(full(3), [full(3)])])
+        (tmp_path / "p.json").write_text(json.dumps(p.to_json()))
+        (tmp_path / "fp.json").write_text(json.dumps(fp.to_json()))
+        monkeypatch.setattr(RefinementTrace, "to_json", refuse)
+        for argv in (["refine", "--verify", "--partition", str(tmp_path / "p.json")],
+                     ["product", "--partition", str(tmp_path / "fp.json")]):
+            assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+            assert json.loads((tmp_path / "out.json").read_text())["trace"]["k0"] == 3
+
+    def test_each_distinct_subtrace_is_formatted_once(self, monkeypatch, tmp_path):
+        """The 4-D square with C = 4 has 481 trace nodes but 56 distinct trace objects."""
+        _, trace = refine_monotone(square(4, 4))
+        assert _node_count(trace) == 481 and len(_depths(trace)) == 56
+        formatted = []
+        format_trace = boxmodal.cli._format_trace
+
+        def spy(trace, memo):
+            formatted.append(id(trace))
+            return format_trace(trace, memo)
+
+        monkeypatch.setattr(boxmodal.cli, "_format_trace", spy)
+        cases = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+        case = next(c for c in cases if c["name"] == "square_n4_c4")
+        assert refine_digest(case["input"], str(tmp_path)) == case["sha256"]
+        assert len(formatted) == len(set(formatted)) == 56
+
+
+def _node_count(trace: RefinementTrace) -> int:
+    return 1 + sum(_node_count(f.sub) for step in trace.steps for f in step.faces)
 
 
 # -- fuzzing the contract: every input ends in exit 0, 1 or 2, with no traceback --------------

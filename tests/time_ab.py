@@ -1,23 +1,25 @@
 """Time two checkouts of boxmodal on one benchmark workload, in one process.
 
     python tests/time_ab.py OLD_ROOT NEW_ROOT --workload refine|small_commands \
-        [--seed N] [--repeat N]
+        [--seed N] [--repeat N] [--rounds N]
 
 Copies ``src/boxmodal`` of each checkout into a temporary directory under a
 package name of its own (``boxmodal_old``, ``boxmodal_new``) and imports
 both.  The corpus is built once, from the old side, with this repository's
 ``perfbench/workloads.build``.  Each of ``--repeat`` passes calls both sides'
 ``cli.main`` on every case in turn, alternating which side goes first, so
-that a slow spell of the machine falls on both.  Per side it prints the
+that a slow spell of the machine falls on both.  Per side a round gives the
 best-of-N ``cases_per_s``, the p50 and p90 case time (``perfbench/stats``)
-and the workload's ``growth_slope`` (``perfbench/run.growth_slope``), then
-the new/old ratio of each, each side's ``src/boxmodal`` line count
+and the workload's ``growth_slope`` (``perfbench/run.growth_slope``); a
+workload of several command kinds (``small_commands``) also gets each kind's
+``cases_per_s``, since a few per cent on one kind does not show in the
+total.  ``--rounds`` repeats the round.  For every metric the script prints
+each side's median over the rounds, and the median, least and greatest
+new/old ratio of the rounds, then each side's ``src/boxmodal`` line count
 (``src_lines``), and whether the two sides wrote the same bytes for every
-case.  A workload of several command kinds (``small_commands``) also gets
-each kind's ``cases_per_s`` and its ratio: a few per cent on one kind does
-not show in the total.  Separate benchmark runs of one tree can differ by
-more than a code change does; timing both sides in one process takes that
-drift out.
+case.  Separate benchmark runs of one tree can differ by more than a code
+change does; timing both sides in one process takes that drift out, and the
+spread of the ratios over rounds shows how far one round can be trusted.
 Not a pytest module: it measures, it asserts nothing, and it writes nothing
 under ``perfbench/``.
 """
@@ -28,6 +30,7 @@ import hashlib
 import importlib
 import json
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -78,6 +81,27 @@ def rate_by_kind(cases, seconds: list[float]) -> dict[str, float]:
     return {kind: len(ts) / sum(ts) for kind, ts in sorted(spent.items())}
 
 
+def measure(workload: str, cases, mains: dict, outs: dict, repeat: int) -> dict:
+    """One round of ``repeat`` paired passes: each side's metrics, and per-kind
+    ``cases_per_s`` under ``"kind:<name>"``."""
+    best = {side: [float("inf")] * len(cases) for side in SIDES}
+    clock = time.perf_counter
+    for rep in range(repeat):
+        for i, case in enumerate(cases):
+            order = SIDES if (rep + i) % 2 == 0 else SIDES[::-1]
+            for side in order:
+                t0 = clock()
+                mains[side]([*case.argv, "--out", outs[side][i]])
+                best[side][i] = min(best[side][i], clock() - t0)
+    values = {}
+    for side in SIDES:
+        values[side] = metrics(workload, cases, best[side], outs[side])
+        kinds = rate_by_kind(cases, best[side])
+        if len(kinds) > 1:
+            values[side].update((f"kind:{kind}", rate) for kind, rate in kinds.items())
+    return values
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_root", help="checkout whose src/boxmodal is the old side")
@@ -87,9 +111,14 @@ def main() -> int:
     parser.add_argument(
         "--repeat", type=int, default=7, help="calls per case and side (best is kept)"
     )
+    parser.add_argument(
+        "--rounds", type=int, default=1, help="rounds of --repeat paired passes (default 1)"
+    )
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     roots = (args.old_root, args.new_root)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -101,29 +130,20 @@ def main() -> int:
             if side == "old":
                 (work / "cases").mkdir()
                 cases = workloads.build(bm, args.workload, args.seed, str(work / "cases"))
-        best = {side: [float("inf")] * len(cases) for side in SIDES}
         outs = {side: [f"{case.out}.{side}" for case in cases] for side in SIDES}
-        clock = time.perf_counter
-        for rep in range(args.repeat):
-            for i, case in enumerate(cases):
-                order = SIDES if (rep + i) % 2 == 0 else SIDES[::-1]
-                for side in order:
-                    t0 = clock()
-                    mains[side]([*case.argv, "--out", outs[side][i]])
-                    best[side][i] = min(best[side][i], clock() - t0)
-        values = {side: metrics(args.workload, cases, best[side], outs[side]) for side in SIDES}
+        rounds = [measure(args.workload, cases, mains, outs, args.repeat)
+                  for _ in range(args.rounds)]
         differ = sum(digest(a) != digest(b) for a, b in zip(outs["old"], outs["new"]))
-    print(f"{args.workload}, seed {args.seed}: {len(cases)} cases, "
-          f"best of {args.repeat} calls per side")
-    print(f"{'metric':>14} {'old':>10} {'new':>10} {'new/old':>8}")
-    for name in values["old"]:
-        old, new = values["old"][name], values["new"][name]
-        print(f"{name:>14} {old:10.4f} {new:10.4f} {new / old:8.3f}")
-    rates = [rate_by_kind(cases, best[side]) for side in SIDES]
-    if len(rates[0]) > 1:
-        for kind, old in rates[0].items():
-            new = rates[1][kind]
-            print(f"{kind:>14} {old:10.4f} {new:10.4f} {new / old:8.3f}  cases_per_s")
+    print(f"{args.workload}, seed {args.seed}: {len(cases)} cases, best of {args.repeat} calls "
+          f"per side, {args.rounds} round(s); medians over the rounds")
+    print(f"{'metric':>14} {'old':>10} {'new':>10} {'new/old':>8} {'min':>7} {'max':>7}")
+    for name in rounds[0]["old"]:
+        old, new = (statistics.median(r[side][name] for r in rounds) for side in SIDES)
+        ratios = [r["new"][name] / r["old"][name] for r in rounds]
+        label = name.removeprefix("kind:")
+        unit = "  cases_per_s" if name.startswith("kind:") else ""
+        print(f"{label:>14} {old:10.4f} {new:10.4f} {statistics.median(ratios):8.3f} "
+              f"{min(ratios):7.3f} {max(ratios):7.3f}{unit}")
     old, new = (package_lines(Path(root, "src", "boxmodal")) for root in roots)
     print(f"{'src_lines':>14} {old:10d} {new:10d} {new / old:8.3f}")
     same = "byte-identical" if not differ else f"{differ} of {len(cases)} cases differ"

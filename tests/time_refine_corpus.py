@@ -6,14 +6,23 @@ Builds the seed-N corpus of the ``refine`` workload with
 ``perfbench/workloads.build`` in a temporary directory, then runs every case
 the way ``boxmodal.cli`` runs ``refine --verify``, one phase at a time:
 building the parser and parsing the arguments, loading the input, the
-refinement, ``to_json`` of the partition and the trace, the four checks (the
-first, ``refines``, also builds the refined partition's owner array), the
-JSON text and the file write.  For each phase it prints the seconds of one
-pass over the corpus, best of ``--repeat`` passes, and the line count of
-the imported package's source.  An untimed pass then counts the face
-sub-problems that ``_extend_core`` and ``_plane_rule`` solved, per dimension
-of the face, and
-the calls of ``_extend_core`` (one per level of a grown partition),
+refinement, ``to_json`` of the partition, the four checks (the first,
+``refines``, also builds the refined partition's owner array), the JSON text
+and the file write.  The payload holds the trace object itself, as in
+``cmd_refine``, and its JSON text is split in two phases:
+``partition_text`` is ``_json_text`` of the payload without the trace (the
+partition and the checks), and ``trace_text`` is ``_trace_text`` of the
+trace at indent 2.  The write phase splices the two texts ("trace" is the
+last key) and writes them; an untimed pass checks that every spliced file
+holds the bytes that ``refine --verify`` writes.  On seed 0 (Python 3.11.7,
+2 CPUs, best of 5) ``partition_text`` took 0.029 s and ``trace_text``
+0.013 s; writing the trace as ``_text`` of ``trace.to_json()``, the form
+``_trace_text`` replaced, took 0.041 s.  For each phase it prints the
+seconds of one pass over the corpus, best of ``--repeat`` passes, and the
+line count of the imported package's source.  An untimed pass then counts
+the face sub-problems that ``_extend_core`` and ``_plane_rule`` solved, per
+dimension of the face, and the calls of ``_extend_core`` (one per level of a
+grown partition),
 ``_plane_rule``, ``_refine_atoms``, ``_compress`` and ``_line_rule``.
 ``_refine_atoms`` is the refiner at every depth, so its count includes one
 top-level call per case.  ``_line_rule`` solves every line face of the level
@@ -23,7 +32,8 @@ its line and point faces included.  Seed 0 has 945 point, 2,036 line, 438
 plane and 40 three-dimensional face sub-problems, and makes 541
 ``_refine_atoms`` calls (63 top-level), 541 compressions, 341
 ``_extend_core``, 213 ``_plane_rule`` and 828 ``_line_rule`` calls.  Not a
-pytest module: it measures, it asserts nothing.
+pytest module: it measures, and stops with an error only when a spliced file
+differs from ``refine --verify``'s.
 """
 from __future__ import annotations
 
@@ -40,14 +50,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import boxmodal  # noqa: E402
 import boxmodal.refine  # noqa: E402
 from boxmodal import OrderKind, is_monotone, is_tuned, refine_monotone, refines  # noqa: E402
-from boxmodal.cli import _json_text, _load_partition, build_parser  # noqa: E402
+from boxmodal.cli import _json_text, _load_partition, _trace_text, build_parser  # noqa: E402
+from boxmodal.cli import main as cli_main  # noqa: E402
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
 from timing import src_lines  # noqa: E402
 
 PHASES = (
-    "parser", "load", "refine_monotone", "to_json",
-    "refines", "monotone", "tuned_le", "tuned_lt", "json_text", "write",
+    "parser", "load", "refine_monotone", "to_json", "refines", "monotone",
+    "tuned_le", "tuned_lt", "partition_text", "trace_text", "write",
 )
 
 
@@ -61,7 +72,7 @@ def run_case(argv: list[str], out: str, times: dict) -> None:
     t2 = clock()
     refined, trace = refine_monotone(p)
     t3 = clock()
-    payload: dict = {"partition": refined.to_json(), "trace": trace.to_json()}
+    payload: dict = {"partition": refined.to_json()}
     t4 = clock()
     checks = {"refines": refines(refined, p)}
     t5 = clock()
@@ -72,14 +83,31 @@ def run_case(argv: list[str], out: str, times: dict) -> None:
     checks["tuned_lt"] = is_tuned(refined, OrderKind.STRICT)
     t8 = clock()
     payload["checks"] = checks
-    text = _json_text(payload) + "\n"
+    head = _json_text(payload)
     t9 = clock()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    tail = _trace_text(trace, "\n  ", {})
     t10 = clock()
-    stamps = (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(splice(head, tail))
+    t11 = clock()
+    stamps = (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11)
     for name, start, stop in zip(PHASES, stamps, stamps[1:]):
         times[name] += stop - start
+
+
+def splice(head: str, trace: str) -> str:
+    """The text of the whole payload, from the text without ``"trace"``, its last key, and the
+    trace's text at indent 2."""
+    return head[: -len("\n}")] + ',\n  "trace": ' + trace + "\n}\n"
+
+
+def check_splice(cases: list) -> None:
+    """Fail unless every case's spliced text is what ``refine --verify`` writes."""
+    for case in cases:
+        cli_main([*case.argv, "--out", case.out + ".cli"])
+        with open(case.out, "rb") as spliced, open(case.out + ".cli", "rb") as written:
+            if spliced.read() != written.read():
+                raise SystemExit(f"{case.out}: the spliced text differs from refine's output")
 
 
 def count_calls(cases: list) -> tuple[Counter, Counter]:
@@ -128,6 +156,7 @@ def main() -> int:
             for case in cases:
                 run_case(case.argv, case.out, times)
             best = {name: min(best[name], times[name]) for name in PHASES}
+        check_splice(cases)
         faces, calls = count_calls(cases)
     print(f"seed {args.seed}: {len(cases)} cases, best of {args.repeat} passes")
     for name in PHASES:
