@@ -157,10 +157,25 @@ class AtomGrid:
         self, cuts: Sequence[Iterable[int]], arrays: list[np.ndarray]
     ) -> tuple["AtomGrid", list[np.ndarray]]:
         """The grid joining ``cuts`` with this one's, and the arrays (in this grid's shape)
-        on it; when no cut is new, this grid and the arrays themselves."""
-        if all([set(own).issuperset(more) for own, more in zip(self.cuts, cuts) if more]):
+        on it; when no cut is new, this grid and the arrays themselves.
+
+        The joint grid's size is checked before its cuts are built: a ``range``
+        of step 1 is counted, not held, so that a grid too large fails at once.
+        """
+        parts = []  # per axis, the joint cuts in sorted parts
+        for own, more in zip(self.cuts, cuts):
+            if type(more) is range and more.step == 1 and more:  # between the old cuts outside it
+                below, above = bisect.bisect_left(own, more[0]), bisect.bisect_right(own, more[-1])
+                parts.append((own[:below], more, own[above:]))
+            elif set(own).issuperset(more):
+                parts.append((own,))
+            else:
+                parts.append((sorted(set(own).union(more)),))
+        shape = [sum(map(len, axis)) for axis in parts]
+        if shape == list(self.shape):
             return self, arrays
-        joint = [sorted(set(own).union(more)) for own, more in zip(self.cuts, cuts)]
+        require_grid_size(math.prod(shape))
+        joint = [axis[0] if len(axis) == 1 else (*axis[0], *axis[1], *axis[2]) for axis in parts]
         fine = AtomGrid._sorted(self.dim, joint)
         for axis, (old, grown) in enumerate(zip(self.cuts, fine.cuts)):
             if len(old) != len(grown):

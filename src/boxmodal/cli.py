@@ -10,24 +10,31 @@ by ``_json_text`` in one of three forms:
 
 - generic: a recursive writer for dicts with str keys, lists, tuples, str,
   int, bool and None;
-- Region lists: a compact C encoding plus a fixed chain of replacements;
+- partitions: a ``Partition`` or ``TableCells`` in the payload is written as
+  its ``to_json`` straight from the box table, one fixed template per cell
+  of one box; a partition held in several places is formatted once per
+  indent;
 - traces: a ``RefinementTrace`` in the payload is written as its
   ``to_json`` through fixed templates, each distinct subtrace formatted once
   per document and re-indented with one ``str.replace`` where it is nested.
 
-Any other value sends the whole document to ``json.dumps``, which writes a
-trace through its ``to_json``.
+Commands hand the writer these objects, never their ``to_json``.  Any other
+value sends the whole document to ``json.dumps``, which writes them through
+their ``to_json``.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
-import re
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
+import numpy as np
+
+from .atomgrid import END_OMEGA
 from .formulas import parse_formula
 from .modal import (
     NotCompatible,
@@ -41,6 +48,7 @@ from .modal import (
 from .oracle import grid_downset, grid_truth, grid_tuned
 from .partition import (
     Partition,
+    TableCells,
     is_monotone,
     is_tuned,
     monotone_violation,
@@ -56,7 +64,7 @@ from .refine import (
     refine_monotone,
     refine_product_finite,
 )
-from .region import OrderKind, Region
+from .region import OrderKind, Region, full
 from .viz import render_partition_svg
 
 
@@ -70,42 +78,6 @@ _SCALARS = {
 
 class _Unsupported(Exception):
     """A value ``_text`` leaves to ``json.dumps``."""
-
-
-_COMPACT = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
-_BOUND = r"(?:-?\d+|null)"
-_BOX = rf"\[\[{_BOUND},{_BOUND}\](?:,\[{_BOUND},{_BOUND}\])*\]"
-_REGION = rf'\{{"boxes":\[{_BOX}(?:,{_BOX})*\],"dim":-?\d+\}}'
-# The compact text of a nonempty list of Region objects with int or null bounds.
-_REGIONS = re.compile(rf"\[{_REGION}(?:,{_REGION})*\]")
-
-
-def _regions_text(value: list, newline: str) -> Optional[str]:
-    """``_text`` of a list of Region objects (``{"boxes", "dim"}``), or None for any other list.
-
-    One C encoding gives the compact text.  Once it has the shape of
-    ``_REGIONS``, every bracket run in it has one fixed place in the
-    indented text, so a fixed chain of replacements indents it.  The commas
-    these put in are held as NUL, which compact JSON never holds, until the
-    commas left, those inside each [lo, hi], have been indented.
-    """
-    try:
-        text = _COMPACT.encode(value)
-    except (TypeError, ValueError, RecursionError):
-        return None
-    if not _REGIONS.fullmatch(text):
-        return None
-    n0, n1, n2, n3, n4, n5 = (newline + "  " * k for k in range(6))
-    head = "{" + n2 + '"boxes": [' + n3 + "[" + n4 + "[" + n5
-    text = (
-        text.replace(']]],"dim":', n4 + "]" + n3 + "]" + n2 + "]\0" + n2 + '"dim": ')
-        .replace("]],[[", n4 + "]" + n3 + "]\0" + n3 + "[" + n4 + "[" + n5)
-        .replace("],[", n4 + "]\0" + n4 + "[" + n5)
-        .replace('},{"boxes":[[[', n1 + "}\0" + n1 + head)
-        .replace(",", "," + n5)
-        .replace("\0", ",")
-    )
-    return "[" + n1 + head + text[len('[{"boxes":[[['):-2] + n1 + "}" + n0 + "]"
 
 
 # The text of a RefinementTrace at base indent, its fields in sorted key order.
@@ -155,21 +127,74 @@ def _format_trace(trace: RefinementTrace, memo: dict) -> str:
     return _TRACE % (trace.cells_in, trace.cells_out, trace.dim, k0, steps_text)
 
 
+@lru_cache(maxsize=64)
+def _box_cell(dim: int, newline: str) -> str:
+    """The text of a one-box cell of ``dim`` axes at ``newline``'s indent, a ``%s`` for each
+    bound."""
+    n1, n2, n3, n4 = (newline + "  " * k for k in range(1, 5))
+    axis = n3 + "[" + n4 + "%s," + n4 + "%s" + n3 + "]"
+    boxes = "[" + n2 + "[" + ",".join([axis] * dim) + n2 + "]" + n1 + "]"
+    return "{" + n1 + '"boxes": ' + boxes + "," + n1 + '"dim": %d' % dim + newline + "}"
+
+
+def _cells_text(cells: TableCells, newline: str, memo: dict) -> str:
+    """``_text`` of ``cells.to_json()``, written from the box table.
+
+    Every run of one-box cells is one ``_box_cell`` template per cell, filled
+    at once from the table's ``lo`` and ``end - 1`` columns, with null for an
+    unbounded end.  A cell of several rows is written from ``Region.to_json``,
+    which normalizes it.
+    """
+    inner = newline + "  "
+    lo, end = cells.table.lo, cells.table.end
+    dim = lo.shape[1]
+    bounds = np.empty((*lo.shape, 2), np.uint64)
+    bounds[..., 0] = lo
+    np.subtract(end, 1, out=bounds[..., 1])
+    flat = bounds.ravel().tolist()
+    for i in np.flatnonzero(end == END_OMEGA).tolist():
+        flat[2 * i + 1] = "null"
+    one, sep, width = _box_cell(dim, inner), "," + inner, 2 * dim
+    starts, count = cells.starts, len(cells)
+    items, row = [], 0  # ``row`` starts the run of one-box cells not yet written
+    for i in [*np.flatnonzero(np.diff(starts) > 1).tolist(), count]:
+        if starts[i] > row:
+            run = sep.join([one] * (starts[i] - row))
+            items.append(run % tuple(flat[row * width : starts[i] * width]))
+        if i < count:
+            items.append(_text(cells[i].to_json(), inner, memo))
+            row = starts[i + 1]
+    return "[" + inner + sep.join(items) + newline + "]"
+
+
+def _partition_text(p: Partition, newline: str, memo: dict) -> str:
+    """``_text`` of ``p.to_json()``, its keys in sorted order.  ``memo`` keeps it by ``id`` and
+    indent, as for traces, so that a partition held in several places at one indent is
+    formatted once."""
+    key = (id(p), newline)
+    text = memo.get(key)
+    if text is None:
+        inner = newline + "  "
+        carrier = '"full"'
+        if not p.carrier.equal(full(p.dim)):
+            carrier = _text(p.carrier.to_json(), inner, memo)
+        text = memo[key] = (
+            "{" + inner + '"carrier": ' + carrier + "," + inner + '"cells": '
+            + _cells_text(p.cells, inner, memo) + "," + inner + '"dim": %d' % p.dim + newline + "}"
+        )
+    return text
+
+
 def _text(value: object, newline: str, memo: dict) -> str:
     """Indent-2, sorted-key JSON text of ``value``; ``newline`` ends in its indent.
 
-    ``memo`` is ``_trace_text``'s, for one document.
+    ``memo`` is ``_trace_text``'s and ``_partition_text``'s, for one document.
     """
     kind = type(value)
     inner = newline + "  "
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        first = value[0]
-        if type(first) is dict and len(first) == 2 and "boxes" in first:
-            text = _regions_text(value, newline)
-            if text is not None:
-                return text
         items = []
         for v in value:
             scalar = _SCALARS.get(type(v))
@@ -187,14 +212,19 @@ def _text(value: object, newline: str, memo: dict) -> str:
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is RefinementTrace:
         return _trace_text(value, newline, memo)
+    if kind is Partition:
+        return _partition_text(value, newline, memo)
+    if kind is TableCells:
+        return _cells_text(value, newline, memo)
     if kind not in _SCALARS:
         raise _Unsupported
     return _SCALARS[kind](value)
 
 
-def _trace_json(value: object) -> dict:
-    """``json.dumps``'s ``default``: a RefinementTrace as its ``to_json``."""
-    if type(value) is RefinementTrace:
+def _object_json(value: object) -> object:
+    """``json.dumps``'s ``default``: a RefinementTrace, Partition or TableCells as its
+    ``to_json``."""
+    if type(value) in (RefinementTrace, Partition, TableCells):
         return value.to_json()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -204,13 +234,14 @@ def _json_text(obj: object) -> str:
 
     The standard encoder falls back to pure Python whenever it indents.
     This writer covers dicts with str keys, lists, tuples, str, int, bool,
-    None and RefinementTrace objects (written as their ``to_json``); any
-    other value sends the whole document to ``json.dumps``.
+    None, and RefinementTrace, Partition and TableCells objects (written as
+    their ``to_json``); any other value sends the whole document to
+    ``json.dumps``.
     """
     try:
         return _text(obj, "\n", {})
     except _Unsupported:
-        return json.dumps(obj, indent=2, sort_keys=True, default=_trace_json)
+        return json.dumps(obj, indent=2, sort_keys=True, default=_object_json)
 
 
 def _dump(obj: object, out: Optional[str]) -> None:
@@ -278,7 +309,7 @@ def cmd_check_monotone(args: argparse.Namespace) -> int:
 def cmd_refine(args: argparse.Namespace) -> int:
     p = _load_partition(args.partition)
     refined, trace = refine_monotone(p)
-    payload: dict = {"partition": refined.to_json(), "trace": trace}
+    payload: dict = {"partition": refined, "trace": trace}
     code = 0
     if args.verify:
         checks = {
@@ -318,14 +349,27 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             args.out,
         )
         return 1
-    _dump(qf.to_json(), args.out)
+    payload = {
+        "worlds": qf.world_count,
+        "edges": sorted(list(e) for e in qf.edges),
+        "val": {name: sorted(worlds) for name, worlds in sorted(qf.valuation.items())},
+        "cells": qf.cells,
+    }
+    _dump(payload, args.out)
     return 0
 
 
 def cmd_subalgebra(args: argparse.Namespace) -> int:
     dim, generators = _load_regions(args.generators)
     result = generate_subalgebra(generators, _order(args), dim=dim)
-    _dump(result.to_json(), args.out)
+    payload = {
+        "order": result.order.value,
+        "atom_count": result.atom_count,
+        "element_count": result.element_count,
+        "atoms": result.atoms,
+        "generator_atoms": [sorted(s) for s in result.generator_atoms],
+    }
+    _dump(payload, args.out)
     return 0
 
 
@@ -334,7 +378,11 @@ def cmd_product(args: argparse.Namespace) -> int:
     refined, trace = refine_product_finite(fp)
     violation = product_tuned_violation(refined, _order(args))
     payload = {
-        "fibered": refined.to_json(),
+        "fibered": {
+            "worlds": list(refined.worlds),
+            "edges": [list(e) for e in refined.edges],
+            "fibers": dict(zip(refined.worlds, refined.fibers)),
+        },
         "trace": trace,
         "refines": product_refines(refined, fp),
         "tuned": violation is None,
@@ -413,8 +461,7 @@ def cmd_viz(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    p = gen_random(args.n, args.cells, args.max_const, args.seed)
-    _dump(p.to_json(), args.out)
+    _dump(gen_random(args.n, args.cells, args.max_const, args.seed), args.out)
     return 0
 
 

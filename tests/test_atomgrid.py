@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -169,6 +170,36 @@ def test_regrid_without_a_new_cut_returns_the_grid_and_the_arrays():
     labels = np.arange(6).reshape(grid.shape)
     same, (out,) = grid.regrid([[5, 2], []], [labels])
     assert same is grid and out is labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), max_size=5),
+    st.integers(0, 14), st.integers(0, 6), st.integers(1, 3),
+)
+def test_regrid_of_a_range_matches_its_list(own, start, length, step):
+    """A range, counted before the grid is built, gives what the list of its values gives."""
+    grid = AtomGrid(2, [sorted({0, *own}), [0, 4]])
+    labels = np.arange(grid.size).reshape(grid.shape)
+    more = range(start, start + length * step, step)
+    fine, (out,) = grid.regrid([more, [2]], [labels])
+    expected, (want,) = grid.regrid([list(more), [2]], [labels])
+    assert fine.cuts == expected.cuts and np.array_equal(out, want)
+
+
+def test_regrid_checks_the_size_before_building_the_cuts():
+    """A range that makes the grid too large is counted, not held: its 2 M cuts would take
+    over 50 MB."""
+    grid = AtomGrid(2, [[0, 1], [0, 1, 9]])
+    far = atomgrid.MAX_ATOMS // 2 + 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"atom grid too large: {2 * (far + 1)} atoms"):
+            grid.regrid([(), range(2, far + 1)], [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dim_zero():

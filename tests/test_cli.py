@@ -20,16 +20,17 @@ import boxmodal.cli
 import boxmodal.modal
 import boxmodal.refine
 from boxmodal import (
-    InfeasibleParameters, Partition, full, gen_random, induced, make_partition, parse_formula,
-    point_region, refine_monotone,
+    Box, InfeasibleParameters, Interval, Partition, Region, box, full, gen_random, induced,
+    make_fibered, make_partition, parse_formula, point_region, refine_monotone, region, restrict,
 )
-from boxmodal.cli import _dump, _json_text, _regions_text, main
+from boxmodal.cli import _cells_text, _dump, _json_text, main
+from boxmodal.partition import TableCells
 from boxmodal.refine import FaceStep, LevelStep, RefinementTrace
 from boxmodal.region import MAX_COORD
 from boxmodal.viz import MAX_SIDE
 
 from genutil import random_partition, random_region
-from record_refine_golden import GOLDEN, refine_digest, square
+from record_refine_golden import GOLDEN, command_digest, refine_digest, square
 
 DATA = Path(__file__).parent / "data"
 
@@ -501,9 +502,9 @@ def region_objects(bound, boxes_min: int = 1):
 
 
 BOUNDS = st.one_of(st.none(), st.integers(0, 2**63 - 1))
-# What the compact fast path must hand back: other bound types, strings that
-# hold its bracket runs, ints beyond 64 bits, wrong lengths, empty box lists,
-# a bool dim, a missing or an extra key.
+# Near misses of the Region shape: other bound types, strings that hold its
+# bracket runs, ints beyond 64 bits, wrong lengths, empty box lists, a bool
+# dim, a missing or an extra key.
 NEAR_REGIONS = st.one_of(
     *[
         region_objects(st.one_of(BOUNDS, near))
@@ -538,12 +539,6 @@ class TestJsonText:
         obj = {"partition": {"cells": cells, "dim": 2}} if nested else cells
         assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
-    def test_region_lists_take_the_compact_encoding(self):
-        cells = [{"dim": 2, "boxes": [[[0, 2**63 - 1], [1, None]], ((3, 4), (5, 6))]}]
-        outer = json.dumps([cells], indent=2, sort_keys=True)  # the list at indent 2
-        assert _regions_text(cells, "\n  ") == outer[len("[\n  ") : -len("\n]")]
-        assert _regions_text([{"dim": 2, "boxes": []}], "\n") is None
-
     @settings(max_examples=200, deadline=None)
     @given(documents(SCALARS))
     def test_matches_json_dumps(self, obj):
@@ -565,8 +560,9 @@ class TestJsonText:
 
 
 def _as_dicts(obj: object) -> object:
-    """A copy of a document with every RefinementTrace replaced by its ``to_json``."""
-    if isinstance(obj, RefinementTrace):
+    """A copy of a document with every RefinementTrace, Partition and TableCells replaced by
+    its ``to_json``."""
+    if isinstance(obj, (RefinementTrace, Partition, TableCells)):
         return obj.to_json()
     if isinstance(obj, dict):
         return {k: _as_dicts(v) for k, v in obj.items()}
@@ -576,7 +572,7 @@ def _as_dicts(obj: object) -> object:
 
 
 def _assert_writes_dumps(obj: object) -> None:
-    """``_json_text(obj)`` is ``json.dumps`` of ``obj`` with its traces as dicts.
+    """``_json_text(obj)`` is ``json.dumps`` of ``obj`` with its traces and partitions as dicts.
 
     A failure names the first line that differs: pytest's diff of two long
     texts would take minutes for every example Hypothesis shrinks.
@@ -706,8 +702,6 @@ class TestTraceText:
             _json_text({"trace": trace, "x": 0.5, "y": object()})
 
     def test_refine_and_product_never_build_the_trace_dicts(self, monkeypatch, tmp_path):
-        from boxmodal import make_fibered
-
         def refuse(trace):
             raise AssertionError("the CLI called RefinementTrace.to_json")
 
@@ -741,6 +735,132 @@ class TestTraceText:
 
 def _node_count(trace: RefinementTrace) -> int:
     return 1 + sum(_node_count(f.sub) for step in trace.steps for f in step.faces)
+
+
+def _split(b: Box) -> tuple[Box, ...]:
+    """A box as two boxes split on its first axis after its lower end, or itself if that axis
+    holds one value."""
+    first, *rest = b.intervals
+    if first.hi == first.lo:
+        return (b,)
+    low, high = Interval(first.lo, first.lo), Interval(first.lo + 1, first.hi)
+    return Box((low, *rest)), Box((high, *rest))
+
+
+def _several_boxes(p: Partition) -> Partition:
+    """``p`` built again by ``make_partition`` from cells of several boxes: each cell's boxes
+    split in two where they can be, in reverse order, and followed by its first lower corner,
+    a box the first box covers."""
+    cells = []
+    for c in p.cells:
+        corner = Box(tuple(Interval(iv.lo, iv.lo) for iv in c.boxes[0].intervals))
+        boxes = tuple(half for b in c.boxes for half in _split(b))[::-1]
+        cells.append(Region(p.dim, (*boxes, corner)))
+    return make_partition(p.carrier, cells)
+
+
+def _far(p: Partition) -> Partition:
+    """``p`` with every bound but a lower 0 moved up so that the largest finite one is
+    ``MAX_COORD``."""
+    doc = p.to_json()
+    bounds = [x for cell in doc["cells"] for b in cell["boxes"] for pair in b for x in pair]
+    _stretch(doc, MAX_COORD - max(x for x in bounds if x is not None))
+    return Partition.from_json(doc)
+
+
+@st.composite
+def partitions(draw) -> Partition:
+    """A refined partition (see ``refinements``), maybe built again from cells of several boxes,
+    with its bounds moved up to ``MAX_COORD``, or restricted to a carrier that is not full."""
+    p, _ = draw(refinements())
+    form = draw(st.sampled_from(["refined", "several boxes", "far", "restricted"]))
+    if form == "several boxes":
+        p = _several_boxes(p)
+    elif form == "far":
+        p = _far(p)
+    elif form == "restricted":
+        rng = random.Random(draw(st.integers(0, 2**30)))
+        v = random_region(rng, p.dim, 4)
+        if not p.carrier.intersect(v).is_empty():
+            p = restrict(p, v)
+    event(f"{form}, cells of several rows: {len(p.cells.table.cell) > p.size}")
+    return p
+
+
+class TestPartitionText:
+    """``_json_text`` writes a Partition or TableCells in the payload as ``json.dumps`` writes
+    its ``to_json``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(partitions(), st.integers(0, 2), st.booleans())
+    def test_partitions_match_json_dumps(self, p, nesting, with_float):
+        payload = [
+            p,
+            {"partition": p, "cells": p.cells, "k": None},
+            {"runs": [{"fibers": {"a": p, "b": p}}, (p.cells, [[p]])], "p": p, "c": [p.cells]},
+        ][nesting]
+        if with_float:  # the whole document goes to json.dumps
+            payload = {"doc": payload, "seconds": 0.25}
+        _assert_writes_dumps(payload)
+
+    def test_cells_of_one_box_take_the_box_table_form(self):
+        """Bounds at 0, at ``MAX_COORD`` and unbounded, and a cell of unsorted boxes, one of
+        them covered, between cells of one box."""
+        tall = box((0, 0), (0, MAX_COORD - 1))
+        top = box((0, 0), (MAX_COORD, None))
+        rest = region(box((1, None), (1, None)), box((2, 3), (0, 0)), box((1, None), (0, 0)))
+        p = make_partition(full(2), [region(top), rest, region(tall)])
+        assert [len(c.boxes) for c in p.cells] == [1, 1, 3]
+        _assert_writes_dumps(p)
+        outer = json.dumps([p.cells.to_json()], indent=2, sort_keys=True)  # the list at indent 2
+        assert _cells_text(p.cells, "\n  ", {}) == outer[len("[\n  ") : -len("\n]")]
+        assert f"{MAX_COORD - 1}\n" in outer and f"{MAX_COORD},\n" in outer
+
+    def test_commands_never_build_the_cell_lists(self, monkeypatch, tmp_path):
+        """``refine --verify``, ``product``, ``quotient``, ``subalgebra`` and ``gen`` write
+        their golden bytes with ``TableCells.to_json`` refusing every call."""
+        gen_argv = ["gen", "--n", "2", "--cells", "6", "--max-const", "4", "--seed", "0"]
+        p = gen_random(2, 6, 4, 0)
+        gen_bytes = json.dumps(p.to_json(), indent=2, sort_keys=True) + "\n"
+        assert any(len(c.boxes) > 1 for c in p.cells)
+
+        def refuse(cells):
+            raise AssertionError("the CLI called TableCells.to_json")
+
+        cases = [
+            c for c in json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+            if c.get("verify") or c["kind"] in ("product", "quotient", "subalgebra")
+        ]
+        monkeypatch.setattr(TableCells, "to_json", refuse)
+        for case in cases:
+            if case["kind"] == "refine":
+                assert refine_digest(case["input"], str(tmp_path), True) == case["sha256"]
+            else:
+                digest = command_digest(case["kind"], case["input"], str(tmp_path))
+                assert digest == (case["sha256"], case["outcome"])
+        assert main([*gen_argv, "--out", str(tmp_path / "gen.json")]) == 0
+        assert (tmp_path / "gen.json").read_text(encoding="utf-8") == gen_bytes
+
+    def test_a_shared_partition_is_formatted_once(self, monkeypatch, tmp_path):
+        """The three worlds of a ``product`` share one refined partition."""
+        fp = make_fibered(
+            ["a", "b", "c"], [["a", "b"], ["b", "c"]],
+            [square(2, 3), make_partition(full(2), [full(2)]), gen_random(2, 6, 4, 0)],
+        )
+        (tmp_path / "fp.json").write_text(json.dumps(fp.to_json()))
+        formatted = []
+        cells_text = boxmodal.cli._cells_text
+
+        def spy(cells, newline, memo):
+            formatted.append(cells)
+            return cells_text(cells, newline, memo)
+
+        monkeypatch.setattr(boxmodal.cli, "_cells_text", spy)
+        assert main(["product", "--partition", str(tmp_path / "fp.json"), "--out",
+                     str(tmp_path / "out.json")]) == 0
+        fibers = json.loads((tmp_path / "out.json").read_text())["fibered"]["fibers"]
+        assert len(formatted) == 1 and len(fibers) == 3
+        assert all(f["cells"] == formatted[0].to_json() for f in fibers.values())
 
 
 # -- fuzzing the contract: every input ends in exit 0, 1 or 2, with no traceback --------------

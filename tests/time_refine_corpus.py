@@ -6,20 +6,21 @@ Builds the seed-N corpus of the ``refine`` workload with
 ``perfbench/workloads.build`` in a temporary directory, then runs every case
 the way ``boxmodal.cli`` runs ``refine --verify``, one phase at a time:
 building the parser and parsing the arguments, loading the input, the
-refinement, ``to_json`` of the partition, the four checks (the first,
-``refines``, also builds the refined partition's owner array), the JSON text
-and the file write.  The payload holds the trace object itself, as in
+refinement, the four checks (the first, ``refines``, also builds the refined
+partition's owner array), the JSON text and the file write.  The payload
+holds the refined partition and the trace objects themselves, as in
 ``cmd_refine``, and its JSON text is split in two phases:
 ``partition_text`` is ``_json_text`` of the payload without the trace (the
-partition and the checks), and ``trace_text`` is ``_trace_text`` of the
-trace at indent 2.  The write phase splices the two texts ("trace" is the
-last key) and writes them; an untimed pass checks that every spliced file
-holds the bytes that ``refine --verify`` writes.  On seed 0 (Python 3.11.7,
-2 CPUs, best of 5) ``partition_text`` took 0.029 s and ``trace_text``
-0.013 s; writing the trace as ``_text`` of ``trace.to_json()``, the form
-``_trace_text`` replaced, took 0.041 s.  For each phase it prints the
-seconds of one pass over the corpus, best of ``--repeat`` passes, and the
-line count of the imported package's source.  An untimed pass then counts
+partition, written from its box table, and the checks), and ``trace_text``
+is ``_trace_text`` of the trace at indent 2.  The write phase splices the
+two texts ("trace" is the last key) and writes them; an untimed pass checks
+that every spliced file holds the bytes that ``refine --verify`` writes.  On
+seed 0 (Python 3.11.7, 2 CPUs, best of 5) ``partition_text`` took 0.014 s
+and ``trace_text`` 0.015 s; the form ``partition_text`` replaced,
+``Partition.to_json`` and the compact encoding of its cell lists, took
+0.049 s.  For each phase it prints the seconds of one pass over the corpus,
+best of ``--repeat`` passes, and the line count of the imported package's
+source.  An untimed pass then counts
 the face sub-problems that ``_extend_core`` and ``_plane_rule`` solved, per
 dimension of the face, and the calls of ``_extend_core`` (one per level of a
 grown partition),
@@ -57,7 +58,7 @@ import workloads  # noqa: E402  (perfbench/workloads.py, read only)
 from timing import src_lines  # noqa: E402
 
 PHASES = (
-    "parser", "load", "refine_monotone", "to_json", "refines", "monotone",
+    "parser", "load", "refine_monotone", "refines", "monotone",
     "tuned_le", "tuned_lt", "partition_text", "trace_text", "write",
 )
 
@@ -72,25 +73,22 @@ def run_case(argv: list[str], out: str, times: dict) -> None:
     t2 = clock()
     refined, trace = refine_monotone(p)
     t3 = clock()
-    payload: dict = {"partition": refined.to_json()}
-    t4 = clock()
     checks = {"refines": refines(refined, p)}
-    t5 = clock()
+    t4 = clock()
     checks["monotone"] = is_monotone(refined)
-    t6 = clock()
+    t5 = clock()
     checks["tuned_le"] = is_tuned(refined, OrderKind.REFLEXIVE)
-    t7 = clock()
+    t6 = clock()
     checks["tuned_lt"] = is_tuned(refined, OrderKind.STRICT)
+    t7 = clock()
+    head = _json_text({"partition": refined, "checks": checks})
     t8 = clock()
-    payload["checks"] = checks
-    head = _json_text(payload)
-    t9 = clock()
     tail = _trace_text(trace, "\n  ", {})
-    t10 = clock()
+    t9 = clock()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(splice(head, tail))
-    t11 = clock()
-    stamps = (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11)
+    t10 = clock()
+    stamps = (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10)
     for name, start, stop in zip(PHASES, stamps, stamps[1:]):
         times[name] += stop - start
 
