@@ -255,14 +255,15 @@ class AtomGrid:
         (columns) the lowest atom index and one past the highest.
         """
         flat = labels.ravel()
-        where = (flat >= 0).nonzero()[0]
-        where = where[flat[where].argsort(kind="stable")]
+        where = flat.argsort(kind="stable")
         ordered = flat[where]
+        first = ordered.searchsorted(0)  # past the atoms labelled -1
+        where, ordered = where[first:], ordered[first:]
         starts, counts = runs(ordered)
-        at = np.unravel_index(where, self.shape) if self.dim else ()
-        shape = (self.dim, starts.size)
-        lows = np.array([np.minimum.reduceat(a, starts) for a in at], np.intp).reshape(shape)
-        highs = np.array([np.maximum.reduceat(a, starts) + 1 for a in at], np.intp).reshape(shape)
+        at = np.array(np.unravel_index(where, self.shape) if self.dim else (), np.intp)
+        at = at.reshape(self.dim, where.size)  # per axis (rows), each atom's index
+        lows = np.minimum.reduceat(at, starts, axis=1)
+        highs = np.maximum.reduceat(at, starts, axis=1) + 1
         return ordered[starts], counts, lows, highs
 
     def _spans(self, labels: np.ndarray, label: int, lo: list[int], hi: list[int]) -> list:
@@ -418,10 +419,11 @@ class AtomGrid:
 
 def runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each run of equal neighbours in a 1-D array starts, and its length."""
-    head = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=head[1:])
-    starts = head.nonzero()[0]
-    return starts, np.subtract(np.append(starts[1:], values.size), starts)
+    edges = np.empty(values.size + 1, dtype=bool)  # where a run starts, and the end
+    edges[0] = edges[-1] = True
+    np.not_equal(values[1:], values[:-1], out=edges[1:-1])
+    at = edges.nonzero()[0]
+    return at[:-1], at[1:] - at[:-1]
 
 
 def unpack(rows: np.ndarray, count: int) -> np.ndarray:

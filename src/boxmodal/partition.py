@@ -26,6 +26,24 @@ Which cells see which is one ``AtomGrid.sees`` pass, in blocks of bounded
 size.  The monotone check reads every cell's varying axes and hull from
 the owner array and checks hull cofinality with one gather before that
 pass.
+
+Both checks first try every cell's top atom t_j, the highest index of its
+atoms on every axis (``Partition._tops``).  The downset of a cell that owns
+its top is the top's: every atom of the cell lies below the top on every
+axis, and an atom that sees one atom sees every atom above it.  The atoms
+that see t_j, by the rule of ``sees``, are the box from the origin to a
+corner c_j: under <= c_j = t_j, and under < c_j = t_j - 1 on every axis
+where t_j is not the unbounded last atom (the box is empty where that is
+-1).  So when every cell owns its top, cell i meets cell j's downset when
+one of its atoms lies in the box, and lies within it when its top does.
+The partition is then tuned exactly when, on every axis, the running
+maximum of the owners' top coordinates up to c_j is at most c_j; and
+monotone, once the hulls hold, when the running OR of the owners'
+varying-axis masks up to t_j has no axis outside cell j's mask.  Each
+costs a pass per axis over an array of atoms, instead of ``sees``'s bit
+per atom and target cell.  A check that finds a violation this way, or a
+partition with a cell missing its top, takes the ``sees`` pass, which
+names the first violating pair and its witness.
 """
 from __future__ import annotations
 
@@ -156,6 +174,15 @@ class Partition:
         owner = self._grid.paint(self.cells.table)
         owner.flags.writeable = False
         return owner
+
+    @cached_property
+    def _tops(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Every cell's lowest and highest atom index, per axis (rows) and cell (columns), read
+        from the owner array; and whether every cell owns its top, the atom at the highest
+        indices."""
+        _, _, lo, hi = self._grid.windows(self._owner)  # every cell owns an atom
+        top = hi - 1
+        return lo, top, bool((self._owner[tuple(top)] == np.arange(self.size)).all())
 
     # -- serialization ----------------------------------------------------------
 
@@ -395,12 +422,33 @@ def _tuned_pass(
     return TunedViolation(i, j, witness)
 
 
+def _tuned_by_tops(p: Partition, order: OrderKind) -> bool:
+    """True when every cell owns its top atom and no cell meets a downset without lying
+    within it, read from the tops (see the module docstring); False otherwise."""
+    _, top, owns = p._tops
+    if not owns:
+        return False
+    # Each atom's owner's top, -1 outside the cells, then its running maximum along every axis.
+    tops = np.full((p.size + 1, p.dim), -1, np.int32)  # the last row is read for -1
+    tops[:-1] = top.T
+    reach = tops[p._owner]
+    for axis in range(p.dim):
+        np.maximum.accumulate(reach, axis, out=reach)
+    corner = top
+    if order is OrderKind.STRICT:  # one atom lower, except in the unbounded last atom
+        corner = top - (top < np.array(p._grid.shape)[:, None] - 1)
+        corner = corner[:, (corner >= 0).all(axis=0)]  # the cells of a nonempty downset
+    return not (reach[tuple(corner)] > corner.T).any()
+
+
 def tuned_violation(p: Partition, order: OrderKind) -> Optional[TunedViolation]:
     """First violating (source, target) pair in index order, or None if tuned.
 
     The witness is the least point of the source cell that sees no point of
     the target cell.
     """
+    if _tuned_by_tops(p, order):
+        return None
     return _tuned_pass(p._grid, p._owner, p._owner, p.size, order)
 
 
@@ -418,9 +466,10 @@ def _hulls(p: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one.  The hull pins the cell's own atom on the other axes.
     """
     grid = p._grid
-    _, _, lo, hi = grid.windows(p._owner)  # every cell owns an atom
-    wide = [np.array([b - a > 1 for a, b in zip(c, c[1:])] + [True]) for c in grid.cuts]
-    varies = (hi - lo > 1) | np.array([w[a] for w, a in zip(wide, lo)]).reshape(lo.shape)
+    lo, top, _ = p._tops
+    bounds, starts = grid._bounds()
+    wide = bounds[1:] - bounds[:-1] > 1  # entry starts[axis] + a: whether atom a holds two values
+    varies = (top > lo) | wide[lo + np.array(starts[:-1], np.intp)[:, None]]
     shape = np.array(grid.shape)[:, None]
     return varies, np.where(varies, 0, lo), np.where(varies, shape, lo + 1)
 
@@ -439,7 +488,8 @@ def monotone_violation(p: Partition) -> Optional[MonotoneViolation]:
     # and the cell's own atom on the others, so the only atom of the cell it
     # sees is itself: the hull is in the cell's downset exactly when the
     # cell owns its top atom.
-    missing = np.flatnonzero(owner[tuple(stop - 1)] != np.arange(p.size))
+    top = tuple(stop - 1)
+    missing = np.flatnonzero(owner[top] != np.arange(p.size))
     if missing.size:
         i = int(missing[0])
         hull = np.zeros(grid.shape, dtype=bool)
@@ -448,8 +498,14 @@ def monotone_violation(p: Partition) -> Optional[MonotoneViolation]:
         witness = grid.first_point(hull & ~down[..., 0])
         assert witness is not None
         return MonotoneViolation("hull", i, None, witness)
-    # Source i must not see target j when i varies where j does not.
+    # Source i must not see target j when i varies where j does not.  Every cell owns its hull's
+    # top, the highest atom of the cell, so the axes varying below a cell's top decide.
     masks = (1 << np.arange(p.dim)) @ varies
+    below = np.append(masks, 0)[owner]
+    for axis in range(p.dim):
+        np.bitwise_or.accumulate(below, axis, out=below)
+    if not (below[top] & ~masks).any():
+        return None
     kinds, kind_of = np.unique(masks, return_inverse=True)
     best = None
     for block, bits, meets, _ in grid.sees(owner, owner, p.size, OrderKind.REFLEXIVE):

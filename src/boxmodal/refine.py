@@ -28,14 +28,18 @@ classes.  A face's sub-problem goes down, and its result comes back, as
 labels.  The cells leave as one box table (``AtomGrid.boxes``), built once
 at the end and handed to ``Partition`` as it is; only each call's quadrant
 cell keeps its own rows, its cofinal cell's rows clipped to the quadrant
-(``_quadrant_rows``).  The faces of a layer, their free axes and subsets
-come from one plan per n.  ``refine_monotone`` makes the outermost call,
-the only one given the input's cofinal cell, as that cell's rows of the
-input's box table: its quadrant cell (on a line, the tail above k0) keeps
-the input's boxes, pruned as ``Region.intersect`` prunes, and the line
-faces of its last layer become kept rows, off its grid.  A nested call
-reads its cofinal cell from its labels.  A call whose grid would exceed
-``MAX_ATOMS`` raises ValueError up front.
+(``_quadrant_rows``, or for a nested call ``_quadrant_cell``).  The faces
+of a layer, their free axes and subsets come from one plan per n.
+``refine_monotone`` makes the outermost call, the only one given the
+input's cofinal cell, as that cell's rows of the input's box table: its
+quadrant cell (on a line, the tail above k0) keeps the input's boxes,
+pruned as ``Region.intersect`` prunes, and the line faces of its last
+layer become kept rows, off its grid.  A nested call reads its quadrant
+cell from its labels: the runs of equal slices of its cofinal cell met
+from the quadrant atom on, along each axis in turn, which are the
+canonical rows (``AtomGrid.boxes``) left by the clip, found without
+building them.  A call whose grid would exceed ``MAX_ATOMS`` raises
+ValueError up front.
 
 Lower-dimensional faces repeat: within one outermost call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
@@ -44,13 +48,14 @@ memo is local to the call, so it holds at most the distinct face
 sub-problems of one refinement.  Lines and points make no sub-call: the face
 step refines a line face in closed form (``_line_rule``) and labels it in
 place, and a point face is one new cell, labelled in place.  A nested plane
-makes no level loop: once its threshold and quadrant cell are checked,
-``_plane_rule`` writes its cells and trace in one pass, the same ones the
-loop (``_grow``) would, failing the same size checks.  The outermost call
-keeps the loop in every dimension, the plane too: its quadrant cell keeps
-the input's boxes and its last layer's lines become kept rows, which the
-closed form does not model, and ``perfbench/test_perfbench.py`` counts the
-face step's ``induced`` calls when it refines a square of the plane.
+makes no level loop: once its threshold and the quadrant cell read from
+its labels are checked, ``_plane_rule`` writes its cells and trace in one
+pass, the same ones the loop (``_grow``) would, failing the same size
+checks.  The outermost call keeps the loop in every dimension, the plane
+too: its quadrant cell keeps the input's boxes and its last layer's lines
+become kept rows, which the closed form does not model, and
+``perfbench/test_perfbench.py`` counts the face step's ``induced`` calls
+when it refines a square of the plane.
 
 A trace records the threshold, the per-layer face work, and recursive
 subtraces; identical inputs yield identical traces and outputs.
@@ -264,6 +269,38 @@ def _quadrant_rows(cell: BoxTable, k: int) -> BoxTable:
     lo = np.maximum(cell.lo, k)
     keep = (cell.end > lo).all(axis=1)
     return BoxTable(np.zeros(np.count_nonzero(keep), np.intp), lo[keep], cell.end[keep])
+
+
+def _quadrant_cell(grid: AtomGrid, labels: np.ndarray, k: int) -> BoxTable:
+    """``_quadrant_rows`` of the top cell's canonical rows (``AtomGrid.boxes``), read from the
+    labels of a partition whose only cell meeting [k, w)^m is the top one.
+
+    The canonical rows are the runs of equal nonempty slices along each axis in turn.  A row
+    is left after the clip exactly when it reaches, on every axis, the quadrant atom, the one
+    holding k; its slices there hold the quadrant, so they are nonempty, and the rows left are
+    the runs met from the quadrant atom on.  The first of them starts at k after the clip, the
+    others at their own first cut.  On the last axis the cell holds the whole quadrant, so one
+    run is met, [k, w).
+    """
+    cuts = grid.cuts
+    quadrant = [bisect.bisect_right(c, k) - 1 for c in cuts]
+    rows: list[tuple[list[int], list[int]]] = []
+
+    def collect(mask: np.ndarray, axis: int, lo: list[int], end: list[int]) -> None:
+        if axis == grid.dim - 1:
+            rows.append(([*lo, k], [*end, END_OMEGA]))
+            return
+        c, q = cuts[axis], quadrant[axis]
+        past = mask[q:]
+        change = (past[1:] != past[:-1]).any(axis=tuple(range(1, past.ndim)))
+        starts = [0, *(change.nonzero()[0] + 1).tolist()]
+        for a, b in zip(starts, [*starts[1:], len(past)]):
+            top = c[q + b] if q + b < len(c) else END_OMEGA
+            collect(past[a], axis + 1, [*lo, c[q + a] if a else k], [*end, top])
+
+    collect(labels == labels[(-1,) * grid.dim], 0, [], [])
+    lo, end = (np.array(x, np.uint64) for x in zip(*rows))
+    return BoxTable(np.zeros(len(rows), np.intp), lo, end)
 
 
 def _prune_rows(rows: BoxTable) -> BoxTable:
@@ -552,10 +589,10 @@ def _refine_atoms(
     only read it.  A line follows ``_line_rule`` on its own grid, and a nested
     plane ``_plane_rule``; the rest grow level by level (``_grow``).
     ``cofinal``, the input's cofinal cell as its box table rows, marks the
-    outermost call; nested calls read that cell from their labels, in the
-    canonical rows of ``AtomGrid.boxes``.  Every call clips it to its
-    quadrant with ``_quadrant_rows``, and the outermost call prunes what is
-    left of the input's rows (``_prune_rows``).
+    outermost call, which clips it to its quadrant with ``_quadrant_rows``
+    and prunes what is left of the input's rows (``_prune_rows``).  Nested
+    calls read the clip of that cell's canonical rows (those of
+    ``AtomGrid.boxes``) from their labels with ``_quadrant_cell``.
     """
     m = grid.dim
     if m == 1:
@@ -579,7 +616,7 @@ def _refine_atoms(
     if outermost:
         quadrant = _prune_rows(_quadrant_rows(cofinal, k0))
     else:
-        quadrant = _quadrant_rows(grid.boxes(np.where(labels == labels[(-1,) * m], 0, -1)), k0)
+        quadrant = _quadrant_cell(grid, labels, k0)
     if not _cofinal(quadrant):
         raise RuntimeError("restriction to the quadrant lost cofinality")
     _require_atoms((k0 + 1) ** m)

@@ -48,6 +48,19 @@ def bounded(cell, k):
 
 patch(boxmodal.refine, "_quadrant_rows", bounded)
 """
+BOUNDED_QUADRANT_CELL = """
+import boxmodal.refine
+from boxmodal.atomgrid import END_OMEGA
+quadrant_cell = boxmodal.refine._quadrant_cell
+
+def bounded(grid, labels, k):
+    rows = quadrant_cell(grid, labels, k)
+    end = rows.end.copy()
+    end[end == END_OMEGA] = k + 1
+    return rows._replace(end=end)
+
+patch(boxmodal.refine, "_quadrant_cell", bounded)
+"""
 STEP_SHORT = """
 import boxmodal.refine
 grow = boxmodal.refine._grow
@@ -92,6 +105,10 @@ FAULTS = {
     ),
     "bounded_quadrant_row": (
         BOUNDED_QUADRANT, lambda: refine_monotone(PLANE), PLANE,
+        "restriction to the quadrant lost cofinality",
+    ),
+    "bounded_nested_quadrant_row": (  # the cube's plane faces are nested calls
+        BOUNDED_QUADRANT_CELL, lambda: refine_monotone(CUBE), CUBE,
         "restriction to the quadrant lost cofinality",
     ),
     "one_level_fewer": (

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,9 +42,12 @@ from boxmodal import (
     upper_quadrant,
 )
 
-from boxmodal.atomgrid import AtomGrid, BoxTable
+import boxmodal.atomgrid
+from boxmodal.atomgrid import AtomGrid, BoxTable, unpack
 from boxmodal.formulas import parse_formula
-from boxmodal.partition import MonotoneViolation, _classes, _hulls
+from boxmodal.partition import (
+    MonotoneViolation, TunedViolation, _classes, _hulls, _tuned_by_tops, _tuned_pass,
+)
 from boxmodal.region import MAX_COORD
 from genutil import hull, random_partition, random_region, translate, varying_coords
 
@@ -622,8 +626,13 @@ class TestMonotoneOnOwner:
         with counting_sees() as calls:
             assert monotone_violation(p) == MonotoneViolation("hull", 0, None, (0, 2))
             assert calls == []
-            assert monotone_violation(four_cell()) is None
-            assert len(calls) == 1
+            assert monotone_violation(four_cell()) is None  # decided at the tops
+            assert calls == []
+            column = region(box(0, (0, OMEGA)))
+            b = point_region(1, 0)
+            q = make_partition(full(2), [column, b, column.union(b).complement()])
+            assert monotone_violation(q) == MonotoneViolation("varying", 0, 1, (0, 0))
+            assert len(calls) == 1  # a violation at the tops takes the sees pass for its witness
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**30), st.integers(1, 3), st.booleans())
@@ -632,7 +641,7 @@ class TestMonotoneOnOwner:
         with counting_sees() as calls:
             v = monotone_violation(p)
         assert v == reference_monotone(p)
-        assert len(calls) == (0 if v is not None and v.kind == "hull" else 1)
+        assert len(calls) == (1 if v is not None and v.kind == "varying" else 0)
 
     def test_reference_sees_both_kinds(self):
         kinds = set()
@@ -640,6 +649,102 @@ class TestMonotoneOnOwner:
             v = reference_monotone(painted_partition(seed, 1 + seed % 3, seed % 2 == 0))
             kinds.add(v.kind if v else None)
         assert kinds == {"hull", "varying", None}
+
+
+def sees_matrices(p: Partition, order: OrderKind) -> tuple[np.ndarray, np.ndarray]:
+    """Per source (rows) and target cell (columns): whether some point of the source sees
+    one of the target, and whether every one does, from the ``sees`` pass."""
+    meets, within = (np.zeros((p.size, p.size), dtype=bool) for _ in range(2))
+    for block, _, some, every in p._grid.sees(p._owner, p._owner, p.size, order):
+        meets[:, block.start : block.stop] = unpack(some, len(block))
+        within[:, block.start : block.stop] = unpack(every, len(block))
+    return meets, within
+
+
+def top_atom_case(seed: int, n: int, kind: str) -> Partition:
+    if kind == "refined":
+        rng = random.Random(seed)
+        return refine_monotone(random_partition(rng, n, rng.randint(1, 6), rng.randint(0, 4)))[0]
+    return painted_partition(seed, n, kind == "subcarrier")
+
+
+def top_atom_verdicts(p: Partition) -> dict:
+    """What the top atoms decide, after checking them against the owner array and the checks
+    against the ``sees`` pass."""
+    lo, top, owns = p._tops
+    for i in range(p.size):
+        atoms = np.argwhere(p._owner == i)
+        assert np.array_equal(lo[:, i], atoms.min(axis=0))
+        assert np.array_equal(top[:, i], atoms.max(axis=0))
+    assert owns == all(p._owner[tuple(top[:, i])] == i for i in range(p.size))
+    out = {"owns": owns}
+    for order in (LE, LT):
+        meets, within = sees_matrices(p, order)
+        tuned = not (meets & ~within).any()
+        assert _tuned_by_tops(p, order) == (owns and tuned)
+        expected = _tuned_pass(p._grid, p._owner, p._owner, p.size, order)
+        assert tuned_violation(p, order) == expected and (expected is None) == tuned
+        out[order] = tuned
+    varies, _, stop = _hulls(p)
+    hulls = all(p._owner[tuple(stop[:, i] - 1)] == i for i in range(p.size))
+    masks = (1 << np.arange(p.dim)) @ varies
+    wider = (masks[:, None] & ~masks[None, :]) != 0
+    out["monotone"] = hulls and not (sees_matrices(p, LE)[0] & wider).any()
+    assert (monotone_violation(p) is None) == out["monotone"]
+    if hulls:
+        assert owns  # the hull's top is the cell's top
+    return out
+
+
+class TestTopAtoms:
+    """The tuned and monotone checks decided from every cell's top atom agree with the
+    ``sees`` pass, verdict and violation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**30), st.integers(1, 3),
+        st.sampled_from(["random", "refined", "subcarrier"]), st.booleans(),
+    )
+    def test_match_the_sees_pass(self, seed, n, kind, one_byte):
+        p = top_atom_case(seed, n, kind)
+        sees_bytes = 1 if one_byte else boxmodal.atomgrid.SEES_BYTES  # 1: blocks of 8 targets
+        with mock.patch.object(boxmodal.atomgrid, "SEES_BYTES", sees_bytes):
+            top_atom_verdicts(p)
+
+    def test_the_seeds_reach_every_case(self):
+        seen = set()
+        for seed in range(40):
+            for kind in ("random", "refined", "subcarrier"):
+                p = top_atom_case(seed, 1 + seed % 3, kind)
+                out = top_atom_verdicts(p)
+                seen.add(("owns", out["owns"]))
+                if out["owns"]:
+                    seen.update(("tuned", order, out[order]) for order in (LE, LT))
+                    seen.add(("monotone", out["monotone"]))
+                _, top, _ = p._tops
+                if out["owns"] and ((top == 0) & (np.array(p._grid.shape)[:, None] > 1)).any():
+                    seen.add("an empty strict downset")
+        assert seen == {
+            ("owns", True), ("owns", False), ("tuned", LE, True), ("tuned", LE, False),
+            ("tuned", LT, True), ("tuned", LT, False), ("monotone", True), ("monotone", False),
+            "an empty strict downset",
+        }
+
+    def test_a_top_at_atom_zero_sees_nothing_strictly(self):
+        # The origin's strict downset is empty, so nothing meets it; under <= it sees itself.
+        p = origin_partition()
+        assert p._tops[2] and p._tops[1][:, 0].tolist() == [0, 0]
+        assert _tuned_by_tops(p, LT) and _tuned_by_tops(p, LE)
+
+    def test_a_cell_missing_its_top_takes_the_sees_pass(self):
+        a = point_region(0, 1).union(point_region(1, 0))  # its top atom (1, 1) is not its own
+        p = make_partition(full(2), [a, a.complement()])
+        assert not p._tops[2]
+        assert not _tuned_by_tops(p, LE)
+        with counting_sees() as calls:
+            v = tuned_violation(p, LE)
+        assert len(calls) == 1
+        assert v == _tuned_pass(p._grid, p._owner, p._owner, 2, LE) == TunedViolation(0, 1, (0, 2))
 
 
 class TestMonotoneImpliesTuned:

@@ -65,6 +65,8 @@ from boxmodal.refine import (
     _line_rule,
     _plane_rule,
     _prune_rows,
+    _quadrant_cell,
+    _quadrant_index,
     _quadrant_rows,
     _refine_atoms,
 )
@@ -644,6 +646,81 @@ class TestNestedQuadrantRows:
         assert rows.lo.tolist() == [[5, 5]]
         assert rows.end.tolist() == [[END_OMEGA, MAX_COORD]]
         assert not _cofinal(rows)
+
+
+@st.composite
+def labelled_quadrants(draw):
+    """A labelled grid of dimension 2 or 3, cuts up to ``MAX_COORD``, and a k such that only the
+    top cell meets [k, w)^n: random labels, with the quadrant's atoms given the top one."""
+    n = draw(st.integers(2, 3))
+    near = st.one_of(st.integers(1, 12), st.integers(MAX_COORD - 6, MAX_COORD))
+    cuts = [sorted({0, *draw(st.lists(near, max_size=4))}) for _ in range(n)]
+    grid = AtomGrid(n, cuts)
+    labels = draw(st.lists(st.integers(0, 2), min_size=grid.size, max_size=grid.size))
+    labels = np.array(labels).reshape(grid.shape)
+    k = draw(st.one_of(st.sampled_from(sorted({c for axis in cuts for c in axis})), near))
+    labels[_quadrant_index(grid, k)] = labels[(-1,) * n]
+    return grid, labels, k
+
+
+def boxes_quadrant_rows(grid: AtomGrid, labels: np.ndarray, k: int) -> BoxTable:
+    """The top cell's canonical rows clipped to [k, w)^n, as the nested call read them before."""
+    return _quadrant_rows(grid.boxes(np.where(labels == labels[(-1,) * grid.dim], 0, -1)), k)
+
+
+class TestQuadrantCellFromLabels:
+    """``_quadrant_cell`` reads the rows that the top cell's canonical rows leave in the
+    quadrant straight from the labels."""
+
+    @staticmethod
+    def assert_same_rows(grid, labels, k):
+        rows, expected = _quadrant_cell(grid, labels, k), boxes_quadrant_rows(grid, labels, k)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(rows, expected))
+        assert _cofinal(rows)
+        return rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_quadrants())
+    def test_matches_the_clipped_canonical_rows(self, case):
+        self.assert_same_rows(*case)
+
+    def test_several_runs_past_the_quadrant_atom_on_a_plane(self):
+        # Two other cells below y = 2 at x in [4, 5] and x >= 9: three runs along x past k = 2.
+        grid = AtomGrid(2, [[0, 2, 4, 6, 9], [0, 1, 2]])
+        labels = np.full(grid.shape, 2)
+        labels[2, :2], labels[4, 1] = 0, 1
+        rows = self.assert_same_rows(grid, labels, 2)
+        assert rows.lo.tolist() == [[2, 2], [4, 2], [6, 2], [9, 2]]
+        assert rows.end.tolist() == [[4, END_OMEGA], [6, END_OMEGA], [9, END_OMEGA],
+                                     [END_OMEGA, END_OMEGA]]
+
+    def test_several_runs_past_the_quadrant_atom_on_a_cube(self):
+        grid = AtomGrid(3, [[0, 1, 3], [0, 1, 2, 5], [0, 1]])
+        labels = np.full(grid.shape, 1)
+        labels[1, 2, 0] = labels[2, 1, 0] = 0
+        rows = self.assert_same_rows(grid, labels, 1)
+        assert len(rows.cell) == 5
+
+    def test_a_top_cell_filling_its_window_is_one_row(self):
+        grid = AtomGrid(2, [[0, 3, 7], [0, 5]])
+        labels = np.array([[0, 0], [1, 1], [1, 1]])  # [3, w) x [0, w) fills its window
+        rows = self.assert_same_rows(grid, labels, 4)
+        assert rows.lo.tolist() == [[4, 4]]
+        assert rows.end.tolist() == [[END_OMEGA, END_OMEGA]]
+
+    def test_a_nested_call_reads_its_quadrant_cell_from_its_labels(self, monkeypatch):
+        calls = []
+
+        def spy(grid, labels, k):
+            rows = _quadrant_cell(grid, labels, k)
+            calls.append(k)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(rows, boxes_quadrant_rows(grid, labels, k)))
+            return rows
+
+        monkeypatch.setattr(boxmodal.refine, "_quadrant_cell", spy)
+        refine_monotone(square(3, 4))
+        assert calls and all(k > 0 for k in calls)
 
 
 def split_cofinal(p: Partition, rng: random.Random) -> Partition:

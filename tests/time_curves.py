@@ -56,7 +56,10 @@ CHECKS = {  # the checks of ``refine --verify``, as (refined, input) -> bool
 }
 SECONDS = ("refine_monotone", "owner", *CHECKS, "text")
 PHASES = ("parser", "load", "refine_monotone", *CHECKS, "partition_text", "trace_text", "write")
-HELPERS = ("_extend_core", "_plane_rule", "_refine_atoms", "_compress", "_line_rule")
+HELPERS = (
+    "_extend_core", "_plane_rule", "_refine_atoms", "_compress", "_line_rule", "_atom_threshold",
+    "_quadrant_cell",
+)
 FORMULAS = {
     "~ x200 p": "~" * 200 + "p",
     "<> x100 p": "<>" * 100 + "p",
