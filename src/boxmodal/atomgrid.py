@@ -9,8 +9,11 @@ hi and hi + 1 for every finite upper bound.  This turns the partition
 checkers into boolean-array arithmetic, on arrays in the grid's shape (only
 ``sees``, ``windows`` and ``first_point`` flatten one), while staying exact.
 ``regrid`` is the one way onto a finer grid.  A ``BoxTable`` holds boxes as
-arrays: ``boxes`` turns labels into its rows, the one way back from atoms,
-and ``paint`` its rows into labels.
+arrays: ``boxes`` turns labels into its rows, and ``paint`` its rows into
+labels.  The one way back from atoms is the walk of ``_collect``, an atom
+set's canonical boxes from a start atom per axis (atom 0 for ``boxes``, the
+quadrant atom for the refiner's nested quadrant cell), and ``_span_rows``,
+which makes them rows.
 
 ``sees`` gives every cell's downward closure at once.  Under <= an atom
 sees an atom of a cell exactly when its index is at most the other's on
@@ -221,31 +224,30 @@ class AtomGrid:
         """An atom set as a Region, in the canonical boxes of ``boxes``."""
         return self.boxes(np.where(arr, 0, -1)).regions().get(0, Region(self.dim, ()))
 
-    def _collect(
-        self, arr: np.ndarray, coord: int, origin: tuple[int, ...]
-    ) -> list[tuple[tuple[int, int], ...]]:
-        """The canonical boxes of an atom window, as atom spans [a, b) per axis: along each
-        coordinate in turn, maximal runs of equal nonempty slices."""
-        if coord == self.dim:
-            return [()] if bool(arr) else []
-        out: list[tuple[tuple[int, int], ...]] = []
-        n = arr.shape[0]
-        at = origin[coord]
-        start = 0
-        while start < n:
-            rep = arr[start]
-            if not rep.any():
-                start += 1
-                continue
-            end = start
-            key = rep.tobytes()
-            while end + 1 < n and arr[end + 1].tobytes() == key:
-                end += 1
-            head = (at + start, at + end + 1)
-            for tail in self._collect(rep, coord + 1, origin):
-                out.append((head,) + tail)
-            start = end + 1
-        return out
+    def _collect(self, arr: np.ndarray, start: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+        """The canonical boxes of an atom set, walked from a start atom per axis, as atom spans.
+
+        Along the first axis, from its start atom on, the set is cut into the
+        maximal runs of equal slices, found with one comparison of
+        neighbouring slices; each run is followed by the walk of its first
+        slice along the other axes, and yields no box if that slice is empty.
+        From atom 0 on every axis these are the canonical boxes.  From other
+        start atoms they are the canonical boxes that reach the start atom on
+        every axis, each raised to start there at the latest.  A box is its
+        atoms [a, b) per axis.
+        """
+        if not start:
+            return [()] if arr else []
+        q, past = start[0], arr[start[0] :]
+        edges = [0, len(past)]
+        if len(past) > 1:
+            flat = past.reshape(len(past), -1)
+            edges[1:1] = ((flat[1:] != flat[:-1]).any(axis=1).nonzero()[0] + 1).tolist()
+        return [
+            ((q + a, q + b), *tail)
+            for a, b in zip(edges, edges[1:])
+            for tail in self._collect(past[a], start[1:])
+        ]
 
     def windows(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The atoms of every label of an int array in this grid's shape: each label's window.
@@ -266,12 +268,6 @@ class AtomGrid:
         highs = np.maximum.reduceat(at, starts, axis=1) + 1
         return ordered[starts], counts, lows, highs
 
-    def _spans(self, labels: np.ndarray, label: int, lo: list[int], hi: list[int]) -> list:
-        """The canonical boxes of one label, as atom spans [a, b) per axis, read from its window
-        of atoms from ``lo`` to ``hi``."""
-        window = labels[tuple(slice(a, b) for a, b in zip(lo, hi))] == label
-        return self._collect(np.ascontiguousarray(window), 0, tuple(lo))
-
     def _bounds(self) -> tuple[np.ndarray, list[int]]:
         """Every axis's cuts followed by ``END_OMEGA``, in one uint64 array, and where each
         axis's part starts, then where the last one ends.  Entry a of an axis's part is where
@@ -284,33 +280,38 @@ class AtomGrid:
             flat.append(END_OMEGA)
         return np.array(flat, np.uint64), starts + [len(flat)]
 
+    def _span_rows(self, cells: np.ndarray, first: np.ndarray, end: np.ndarray) -> BoxTable:
+        """Boxes of atoms as box table rows: row r, a box of ``cells[r]``, spans on each axis the
+        atoms from ``first[r]`` to one below ``end[r]``."""
+        bounds, starts = self._bounds()
+        shift = np.array(starts[:-1], np.intp)
+        return BoxTable(cells, bounds[first + shift], bounds[end + shift])
+
     def boxes(self, labels: np.ndarray) -> BoxTable:
         """Every label of an int array in this grid's shape as rows of a box table.
 
         Atoms labelled -1 belong to no cell.  A label that fills its window
         of atoms is one row, its bounds taken from the cuts; the others
-        follow with the canonical boxes of ``_spans``, each label's rows in a
-        run.
+        follow with the canonical boxes of their windows (``_collect``),
+        each label's rows in a run.
         """
         names, counts, lows, highs = self.windows(labels)
-        bounds, starts = self._bounds()
-        shift = np.array(starts[:-1], np.intp)
-        filled = np.multiply.reduce(highs - lows, axis=0) == counts
-        table = BoxTable(names, bounds[lows.T + shift], bounds[highs.T + shift])
-        if filled.all():
-            return table
-        table = BoxTable(*(a[filled] for a in table))
-        cells, spans = [], []
-        rest = ~filled
-        for label, lo, hi in zip(
-            names[rest].tolist(), lows[:, rest].T.tolist(), highs[:, rest].T.tolist()
-        ):
-            found = self._spans(labels, label, lo, hi)
-            cells += [label] * len(found)
-            spans += found
-        at = np.array(spans, np.intp).reshape(len(spans), self.dim, 2) + shift[:, None]
-        others = BoxTable(np.array(cells, names.dtype), bounds[at[..., 0]], bounds[at[..., 1]])
-        return BoxTable.concat([table, others])
+        lows, highs = lows.T, highs.T
+        filled = np.multiply.reduce(highs - lows, axis=1) == counts
+        if not filled.all():
+            rest = ~filled
+            windows = zip(names[rest].tolist(), lows[rest].tolist(), highs[rest].tolist())
+            found = [
+                self._collect(labels[tuple(map(slice, lo, hi))] == label, (0,) * self.dim)
+                for label, lo, hi in windows
+            ]
+            sizes = [len(f) for f in found]
+            at = np.array([s for f in found for s in f], np.intp).reshape(sum(sizes), self.dim, 2)
+            at += lows[rest].repeat(sizes, axis=0)[..., None]  # from each window's origin
+            names = np.concatenate((names[filled], names[rest].repeat(sizes)))
+            lows = np.concatenate((lows[filled], at[..., 0]))
+            highs = np.concatenate((highs[filled], at[..., 1]))
+        return self._span_rows(names, lows, highs)
 
     def paint(self, table: BoxTable) -> np.ndarray:
         """Int32 array in the grid's shape holding, on every atom of a box, its row's cell.

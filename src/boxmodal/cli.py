@@ -19,8 +19,8 @@ by ``_json_text`` in one of three forms:
   per document and re-indented with one ``str.replace`` where it is nested.
 
 Commands hand the writer these objects, never their ``to_json``.  Any other
-value sends the whole document to ``json.dumps``, which writes them through
-their ``to_json``.
+value, such as a float or a dict key that is not a str, raises TypeError
+naming its type: no command's payload holds one.
 """
 from __future__ import annotations
 
@@ -74,10 +74,6 @@ _SCALARS = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
-
-
-class _Unsupported(Exception):
-    """A value ``_text`` leaves to ``json.dumps``."""
 
 
 # The text of a RefinementTrace at base indent, its fields in sorted key order.
@@ -200,7 +196,10 @@ def _text(value: object, newline: str, memo: dict) -> str:
             scalar = _SCALARS.get(type(v))
             items.append(_text(v, inner, memo) if scalar is None else scalar(v))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is dict and all(type(k) is str for k in value):
+    if kind is dict:
+        for k in value:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
         if not value:
             return "{}"
         items = []
@@ -217,31 +216,19 @@ def _text(value: object, newline: str, memo: dict) -> str:
     if kind is TableCells:
         return _cells_text(value, newline, memo)
     if kind not in _SCALARS:
-        raise _Unsupported
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return _SCALARS[kind](value)
 
 
-def _object_json(value: object) -> object:
-    """``json.dumps``'s ``default``: a RefinementTrace, Partition or TableCells as its
-    ``to_json``."""
-    if type(value) in (RefinementTrace, Partition, TableCells):
-        return value.to_json()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _json_text(obj: object) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, written directly where it can be.
+    """``json.dumps(obj, indent=2, sort_keys=True)``, written directly.
 
     The standard encoder falls back to pure Python whenever it indents.
     This writer covers dicts with str keys, lists, tuples, str, int, bool,
     None, and RefinementTrace, Partition and TableCells objects (written as
-    their ``to_json``); any other value sends the whole document to
-    ``json.dumps``.
+    their ``to_json``); any other value raises TypeError.
     """
-    try:
-        return _text(obj, "\n", {})
-    except _Unsupported:
-        return json.dumps(obj, indent=2, sort_keys=True, default=_object_json)
+    return _text(obj, "\n", {})
 
 
 def _dump(obj: object, out: Optional[str]) -> None:

@@ -35,10 +35,10 @@ input's cofinal cell, as that cell's rows of the input's box table: its
 quadrant cell (on a line, the tail above k0) keeps the input's boxes,
 pruned as ``Region.intersect`` prunes, and the line faces of its last
 layer become kept rows, off its grid.  A nested call reads its quadrant
-cell from its labels: the runs of equal slices of its cofinal cell met
-from the quadrant atom on, along each axis in turn, which are the
-canonical rows (``AtomGrid.boxes``) left by the clip, found without
-building them.  A call whose grid would exceed ``MAX_ATOMS`` raises
+cell from its labels: the canonical rows (``AtomGrid.boxes``) of its
+cofinal cell that the clip leaves are those of the same walk
+(``AtomGrid._collect``) started at the quadrant atom, with every lower
+bound raised to k0.  A call whose grid would exceed ``MAX_ATOMS`` raises
 ValueError up front.
 
 Lower-dimensional faces repeat: within one outermost call, a sub-problem
@@ -80,7 +80,7 @@ from .partition import (
     refines,
     restrict,
 )
-from .region import OrderKind, Point, full, upper_quadrant
+from .region import MAX_COORD, OrderKind, Point, full, upper_quadrant
 
 
 @dataclass(frozen=True)
@@ -224,17 +224,16 @@ def _atom_threshold(grid: AtomGrid, labels: np.ndarray) -> int:
     """Least k such that only the cofinal cell, the one on the top atom, meets [k, w)^n, of a
     labelled partition of the full grid of dimension 1 or more.
 
-    An atom meets [k, w)^n exactly when the least of its upper bounds is at least k; bounds
-    are compared through their ranks, so the arithmetic stays in small ints.
+    An atom meets [k, w)^n exactly when the least of its upper bounds, its reach, is at least
+    k.  Upper bounds are read from the cuts as int64, the unbounded last atom of an axis
+    reaching ``MAX_COORD``: only the top atom is unbounded on every axis, and a finite bound
+    is at most ``MAX_COORD``, so every other atom's reach is its least finite bound.
     """
     top = labels[(-1,) * grid.dim]
-    his = [[c - 1 for c in cuts[1:]] for cuts in grid.cuts]
-    values = sorted(set().union(*his))
-    rank = {v: r for r, v in enumerate(values)}
-    unbounded = len(values)
-    reach = reduce(np.minimum, np.ix_(*[[rank[h] for h in hs] + [unbounded] for hs in his]))
+    his = [np.array([c - 1 for c in cuts[1:]] + [MAX_COORD], np.int64) for cuts in grid.cuts]
+    reach = reduce(np.minimum, np.ix_(*his))
     below = reach[labels != top]
-    k0 = values[int(below.max())] + 1 if below.size else 0
+    k0 = int(below.max()) + 1 if below.size else 0
     # The closed form above is checked against the defining property.
     if (labels[_quadrant_index(grid, k0)] != top).any():
         raise RuntimeError("threshold check failed: non-cofinal cell meets the quadrant")
@@ -275,32 +274,14 @@ def _quadrant_cell(grid: AtomGrid, labels: np.ndarray, k: int) -> BoxTable:
     """``_quadrant_rows`` of the top cell's canonical rows (``AtomGrid.boxes``), read from the
     labels of a partition whose only cell meeting [k, w)^m is the top one.
 
-    The canonical rows are the runs of equal nonempty slices along each axis in turn.  A row
-    is left after the clip exactly when it reaches, on every axis, the quadrant atom, the one
-    holding k; its slices there hold the quadrant, so they are nonempty, and the rows left are
-    the runs met from the quadrant atom on.  The first of them starts at k after the clip, the
-    others at their own first cut.  On the last axis the cell holds the whole quadrant, so one
-    run is met, [k, w).
+    A canonical row is left after the clip exactly when it reaches, on every axis, the
+    quadrant atom, the one holding k: the top cell walked from that atom (``_collect``),
+    with every lower bound raised to k.
     """
-    cuts = grid.cuts
-    quadrant = [bisect.bisect_right(c, k) - 1 for c in cuts]
-    rows: list[tuple[list[int], list[int]]] = []
-
-    def collect(mask: np.ndarray, axis: int, lo: list[int], end: list[int]) -> None:
-        if axis == grid.dim - 1:
-            rows.append(([*lo, k], [*end, END_OMEGA]))
-            return
-        c, q = cuts[axis], quadrant[axis]
-        past = mask[q:]
-        change = (past[1:] != past[:-1]).any(axis=tuple(range(1, past.ndim)))
-        starts = [0, *(change.nonzero()[0] + 1).tolist()]
-        for a, b in zip(starts, [*starts[1:], len(past)]):
-            top = c[q + b] if q + b < len(c) else END_OMEGA
-            collect(past[a], axis + 1, [*lo, c[q + a] if a else k], [*end, top])
-
-    collect(labels == labels[(-1,) * grid.dim], 0, [], [])
-    lo, end = (np.array(x, np.uint64) for x in zip(*rows))
-    return BoxTable(np.zeros(len(rows), np.intp), lo, end)
+    start = [index.start for index in _quadrant_index(grid, k)]
+    spans = np.array(grid._collect(labels == labels[(-1,) * grid.dim], start), np.intp)
+    rows = grid._span_rows(np.zeros(len(spans), np.intp), spans[..., 0], spans[..., 1])
+    return rows._replace(lo=np.maximum(rows.lo, k))
 
 
 def _prune_rows(rows: BoxTable) -> BoxTable:

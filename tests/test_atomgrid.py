@@ -102,7 +102,7 @@ def reference_region_of_bool(grid: AtomGrid, arr: np.ndarray) -> Region:
         cuts = grid.cuts[axis]
         return Interval(cuts[a], cuts[b] - 1 if b < len(cuts) else OMEGA)
 
-    spans = grid._collect(np.ascontiguousarray(arr), 0, (0,) * grid.dim)
+    spans = grid._collect(arr, (0,) * grid.dim)
     boxes = (Box(tuple(interval(axis, a, b) for axis, (a, b) in enumerate(s))) for s in spans)
     return Region(grid.dim, tuple(boxes))
 
@@ -144,6 +144,54 @@ def test_box_table_rows_are_the_regions_boxes(case):
     runs = [c for i, c in enumerate(cells) if i == 0 or cells[i - 1] != c]
     assert len(runs) == len(set(runs))  # each label's rows are consecutive
     assert np.array_equal(grid.paint(table), labels)
+
+
+@st.composite
+def walks(draw):
+    """A grid of 1-4 axes of 1-4 atoms, a mask on it with some slices cleared, and a start atom
+    per axis: 0, the last atom or any."""
+    n = draw(st.integers(1, 4))
+    shape = [draw(st.integers(1, 4)) for _ in range(n)]
+    grid = AtomGrid(n, [list(range(0, 2 * s, 2)) for s in shape])
+    density = draw(st.sampled_from([0.2, 0.5, 0.9, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mask = np.random.default_rng(seed).random(shape) < density
+    for axis, size in enumerate(shape):
+        cleared = draw(st.lists(st.integers(0, size - 1), max_size=2))
+        mask[(slice(None),) * axis + (cleared,)] = False
+    start = [draw(st.one_of(st.just(0), st.just(s - 1), st.integers(0, s - 1))) for s in shape]
+    return grid, mask, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_a_walk_from_start_atoms_is_the_full_walk_clipped(case):
+    """``_collect`` from start atoms keeps the boxes of the full walk that reach the start atom
+    on every axis, raised to start there; ``_span_rows`` of the full walk are ``boxes``' rows."""
+    grid, mask, start = case
+    walk = grid._collect(mask, (0,) * grid.dim)
+    clipped = [
+        tuple((max(a, q), b) for (a, b), q in zip(spans, start))
+        for spans in walk
+        if all(b > q for (_, b), q in zip(spans, start))
+    ]
+    assert grid._collect(mask, start) == clipped
+    at = np.array(walk, np.intp).reshape(len(walk), grid.dim, 2)
+    rows = grid._span_rows(np.zeros(len(walk), np.intp), at[..., 0], at[..., 1])
+    table = grid.boxes(np.where(mask, 0, -1))
+    assert rows.cell.tolist() == table.cell.tolist()
+    assert rows.lo.dtype == rows.end.dtype == np.uint64
+    assert np.array_equal(rows.lo, table.lo) and np.array_equal(rows.end, table.end)
+
+
+def test_walks_of_empty_masks_one_atom_axes_and_last_start_atoms():
+    grid = AtomGrid(3, [[0], [0, 1, 2], [0, 5]])
+    mask = np.zeros(grid.shape, dtype=bool)
+    assert grid._collect(mask, (0, 0, 0)) == [] and grid._collect(mask, (0, 2, 1)) == []
+    mask[0, 0, 1] = mask[0, 2, :] = True  # the middle slice of axis 1 is empty
+    assert grid._collect(mask, (0, 0, 0)) == [((0, 1), (0, 1), (1, 2)), ((0, 1), (2, 3), (0, 2))]
+    assert grid._collect(mask, (0, 2, 1)) == [((0, 1), (2, 3), (1, 2))]
+    assert grid._collect(mask, (0, 1, 0)) == [((0, 1), (2, 3), (0, 2))]
 
 
 def test_paint_rejects_a_misaligned_bound():

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -473,7 +474,7 @@ TEXT = st.text(st.one_of(st.characters(), ESCAPED))
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-(2**80), 2**80), TEXT
 )
-# Floats and non-str keys are left to json.dumps, for the whole document.
+# Floats and non-str keys, which ``_json_text`` refuses.
 FALLBACK = st.one_of(
     st.floats(allow_nan=False),
     st.dictionaries(st.integers(), SCALARS, min_size=1, max_size=3),
@@ -524,6 +525,33 @@ NEAR_REGIONS = st.one_of(
 )
 
 
+def _refusal(obj: object) -> Optional[str]:
+    """The start of the TypeError text ``_json_text`` gives for the first float or non-str
+    key it meets in a document, in its order (a dict's keys, then its values by sorted key);
+    None if the document holds neither."""
+    if type(obj) is float:
+        return "Object of type float is not JSON serializable"
+    if type(obj) is dict:
+        for k in obj:
+            if type(k) is not str:
+                return f"keys must be str, not {type(k).__name__}"
+        obj = [obj[k] for k in sorted(obj)]
+    if type(obj) in (list, tuple):
+        return next(filter(None, map(_refusal, obj)), None)
+    return None
+
+
+def _assert_json_text(obj: object) -> None:
+    """``_json_text`` writes ``json.dumps``'s text of a document, or refuses its first float or
+    non-str key with a TypeError naming the type."""
+    refusal = _refusal(obj)
+    if refusal is None:
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    else:
+        with pytest.raises(TypeError, match="^" + re.escape(refusal)):
+            _json_text(obj)
+
+
 class TestJsonText:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -533,11 +561,13 @@ class TestJsonText:
         st.booleans(),
     )
     def test_region_lists_match_json_dumps(self, cells, near, at, nested):
-        """Lists of Region objects, some with one near miss among them."""
+        """Lists of Region objects, some with one near miss among them; a float bound is
+        refused."""
         if near is not None:
             cells.insert(at, near)
         obj = {"partition": {"cells": cells, "dim": 2}} if nested else cells
-        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        event(f"refused: {_refusal(obj) is not None}")
+        _assert_json_text(obj)
 
     @settings(max_examples=200, deadline=None)
     @given(documents(SCALARS))
@@ -547,16 +577,22 @@ class TestJsonText:
     @settings(max_examples=60, deadline=None)
     @given(documents(st.one_of(SCALARS, FALLBACK)))
     def test_matches_json_dumps_with_fallback_values(self, obj):
-        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        """Documents that may hold floats and non-str keys: those are refused."""
+        event(f"refused: {_refusal(obj) is not None}")
+        _assert_json_text(obj)
 
     def test_dump_writes_the_json_dumps_text(self, tmp_path):
-        cases = [
-            {}, [], [[]], {"a": {}}, [{}, [], [[1, None]]], {"b": [True], "a": -1}, 1.5, {1: "x"}
-        ]
+        cases = [{}, [], [[]], {"a": {}}, [{}, [], [[1, None]]], {"b": [True], "a": -1}]
         for obj in cases:
             _dump(obj, str(tmp_path / "out.json"))
             expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
             assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
+        out = tmp_path / "refused.json"
+        refusals = ((1.5, "Object of type float"), ({1: "x"}, "keys must be str, not int"))
+        for obj, refusal in refusals:
+            with pytest.raises(TypeError, match=refusal):
+                _dump(obj, str(out))
+            assert not out.exists()
 
 
 def _as_dicts(obj: object) -> object:
@@ -694,12 +730,14 @@ class TestTraceText:
         assert '"k0": null' in _json_text(leaf) and '"steps": []' in _json_text(leaf)
         assert '"faces": []' in _json_text(hollow) and '"coords": []' in _json_text(mid)
 
-    def test_a_float_takes_the_json_dumps_fallback(self):
+    def test_a_float_is_refused(self):
         q, trace = refine_monotone(square(2, 3))
-        payload = {"partition": q.to_json(), "trace": trace, "seconds": 0.25}
+        payload = {"partition": q.to_json(), "trace": trace}
         _assert_writes_dumps(payload)
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            _json_text({"trace": trace, "x": 0.5, "y": object()})
+        with pytest.raises(TypeError, match="Object of type float is not JSON serializable"):
+            _json_text({**payload, "seconds": 0.25})
+        with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+            _json_text({"trace": trace, "y": object()})
 
     def test_refine_and_product_never_build_the_trace_dicts(self, monkeypatch, tmp_path):
         def refuse(trace):
@@ -799,9 +837,10 @@ class TestPartitionText:
             {"partition": p, "cells": p.cells, "k": None},
             {"runs": [{"fibers": {"a": p, "b": p}}, (p.cells, [[p]])], "p": p, "c": [p.cells]},
         ][nesting]
-        if with_float:  # the whole document goes to json.dumps
-            payload = {"doc": payload, "seconds": 0.25}
         _assert_writes_dumps(payload)
+        if with_float:  # refused after the partitions are written
+            with pytest.raises(TypeError, match="Object of type float is not JSON serializable"):
+                _json_text({"doc": payload, "seconds": 0.25})
 
     def test_cells_of_one_box_take_the_box_table_form(self):
         """Bounds at 0, at ``MAX_COORD`` and unbounded, and a cell of unsorted boxes, one of

@@ -996,6 +996,31 @@ except RuntimeError as exc:
         self.run_under_python_O(self.PLANE_SCRIPT)
 
 
+def reaching_max_coord(p: Partition, rng: random.Random) -> Partition:
+    """``p`` with every bound but a lower 0 moved up by one shift so that the largest finite one
+    is ``MAX_COORD - 1``, then one box of some cell, unbounded on an axis from l, written as
+    two boxes of that cell, from l to ``MAX_COORD`` and from l + 1 on: the same partition, on
+    a grid cut at 2^63 on that axis."""
+    bounds = [x for c in p.cells for b in c.boxes for iv in b.intervals for x in (iv.lo, iv.hi)]
+    shift = MAX_COORD - 1 - max(x for x in bounds if x is not OMEGA)
+
+    def move(iv: Interval) -> Interval:
+        return Interval(iv.lo and iv.lo + shift, iv.hi if iv.hi is OMEGA else iv.hi + shift)
+
+    cells = [[Box(tuple(map(move, b.intervals))) for b in c.boxes] for c in p.cells]
+    c, k, axis = rng.choice([
+        (c, k, axis) for c, boxes in enumerate(cells) for k, b in enumerate(boxes)
+        for axis, iv in enumerate(b.intervals) if iv.hi is OMEGA
+    ])
+    ivs = list(cells[c][k].intervals)
+    lo = ivs[axis].lo
+    ivs[axis] = Interval(lo, MAX_COORD)
+    cells[c][k] = Box(tuple(ivs))
+    ivs[axis] = Interval(lo + 1, OMEGA)
+    cells[c].append(Box(tuple(ivs)))
+    return make_partition(full(p.dim), [Region(p.dim, tuple(boxes)) for boxes in cells])
+
+
 class TestGridSizing:
     """The refiner's atom grid grows only where some cell changes."""
 
@@ -1029,12 +1054,19 @@ class TestGridSizing:
         assert time.perf_counter() - start < 1.0
 
     def test_label_threshold_matches_the_region_threshold(self):
+        """Random partitions, and each again with its bounds moved up to ``MAX_COORD`` and an
+        axis cut at 2^63, one past the largest int64 (see ``reaching_max_coord``)."""
         rng = random.Random(5)
         for n in (2, 3):
             for _ in range(20):
                 p = random_partition(rng, n, rng.randint(1, 8), rng.randint(0, 8))
                 grid, labels = _compress(p._grid, p._owner)
                 assert _atom_threshold(grid, labels) == region_cofinal_threshold(p)
+                far = reaching_max_coord(p, rng)
+                assert any(cuts[-1] == 2**63 for cuts in far._grid.cuts)
+                k0 = region_cofinal_threshold(far)
+                assert _atom_threshold(far._grid, far._owner) == k0
+                assert _atom_threshold(*_compress(far._grid, far._owner)) == k0
 
     def test_too_many_atoms_fail_before_any_layer(self, tmp_path):
         # A finite square of side C needs (C + 1)^2 atoms; a line, C + 2.

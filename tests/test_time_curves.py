@@ -40,6 +40,9 @@ def test_the_record_of_each_curves_smallest_point(tmp_path, monkeypatch, capsys)
     assert set(probe) == SQUARE_KEYS | {"c"}
     (modal,) = record["modal"]["points"]
     assert set(modal) == {"formula", "subformulas", "mc"}
+    (boxes,) = record["boxes"]["points"]
+    assert (boxes["label"], boxes["atoms"], boxes["rows"]) == ("L", 2000, 3)
+    assert set(boxes) == {"label", "atoms", "rows", "seconds"}
     (corpus,) = record["refine_corpus"]["points"]
     assert set(corpus) == {"seed", "cases", "total", "phases", "faces", "calls", "sha256"}
     assert tuple(corpus["phases"]) == time_curves.PHASES

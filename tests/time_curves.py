@@ -7,7 +7,9 @@ point.  Times are the best of ``--repeat`` runs.  ``squares`` (the cell ``[0,C-1
 its complement) and ``split_face`` time the refiner, the owner build, the checks of
 ``refine --verify`` on fresh copies of the refined partition, and the text ``cmd_refine``
 writes, with per-n log-log slopes against cells out.  ``modal`` times ``mc`` on deep
-formulas.  ``refine_corpus`` and ``small_commands`` run the seed-N corpora of
+formulas.  ``boxes`` times ``AtomGrid.boxes`` of an L-shaped label along a long axis, and
+``_quadrant_cell`` on a nested plane of two columns, a dotted line at x = 0 and k0 = 1,
+each on a grid of ``atoms`` atoms.  ``refine_corpus`` and ``small_commands`` run the seed-N corpora of
 ``perfbench/workloads.py``: the first phase by phase as ``refine --verify`` runs, with face
 and helper call counts, stopping unless its spliced texts are the bytes ``refine --verify``
 writes; the second per command kind, unscaled.  Both record a sha256 over their outputs.
@@ -39,6 +41,7 @@ import boxmodal.refine  # noqa: E402
 from boxmodal import (  # noqa: E402
     OrderKind, Partition, is_monotone, is_tuned, refine_monotone, refines,
 )
+from boxmodal.atomgrid import AtomGrid  # noqa: E402
 from boxmodal.cli import _json_text, _load_partition, _trace_text, build_parser  # noqa: E402
 from boxmodal.cli import main as cli_main  # noqa: E402
 
@@ -117,6 +120,29 @@ def time_mc(point: dict, repeat: int) -> dict:
         if code != 0:
             raise SystemExit(f"mc exited {code} on {point['formula']!r}")
         return {"subformulas": json.loads(out.read_text())["subformulas"], "mc": seconds}
+
+
+def time_boxes(point: dict, repeat: int) -> dict:
+    """``AtomGrid.boxes`` of an L-shaped label, or ``_quadrant_cell`` of a dotted line's plane.
+
+    The L is label 0 on the column y = 0 of a grid of ``atoms`` / 2 x 2 atoms, and on the atom
+    (0, 1); label 1 fills the rest.  The plane is 2 x ``atoms`` / 2 atoms: the line x = 0
+    alternates between labels 1 and 0, and label 0 holds x >= 1, so k0 = 1.
+    """
+    side = point["atoms"] // 2
+    if point["label"] == "L":
+        grid = AtomGrid._sorted(2, [range(side), range(2)])
+        labels = np.ones(grid.shape, np.int32)
+        labels[:, 0] = labels[0, 1] = 0
+        seconds, table = best(grid.boxes, repeat, lambda: labels)
+    else:
+        grid = AtomGrid._sorted(2, [range(2), range(side)])
+        labels = np.zeros(grid.shape, np.int32)
+        labels[0, ::2] = 1
+        k0 = boxmodal.refine._atom_threshold(grid, labels)
+        seconds, table = best(lambda k: boxmodal.refine._quadrant_cell(grid, labels, k), repeat,
+                              lambda: k0)
+    return {"rows": len(table.cell), "seconds": seconds}
 
 
 def digest(cases) -> str:
@@ -231,6 +257,8 @@ def curves(seed: int) -> list[Curve]:
         Curve("split_face", [{"c": c} for c in (20, 50, 100)],
               lambda pt, r: time_partition(probe_split_face(pt["c"]), r)),
         Curve("modal", [{"formula": name} for name in FORMULAS], time_mc),
+        Curve("boxes", [{"label": label, "atoms": atoms} for atoms in (2000, 20000)
+                        for label in ("L", "quadrant")], time_boxes),
         Curve("refine_corpus", [{"seed": seed}], time_refine_corpus),
         Curve("small_commands", [{"seed": seed}], time_small_commands),
     ]
