@@ -111,7 +111,7 @@ class BoxTable(NamedTuple):
 class AtomGrid:
     """Cut positions per coordinate plus the derived atom lattice."""
 
-    __slots__ = ("dim", "cuts", "shape", "size")
+    __slots__ = ("dim", "cuts", "shape", "size", "_bound")
 
     def __init__(self, dim: int, cuts: Sequence[Sequence[int]]):
         cuts = tuple(tuple(c) for c in cuts)
@@ -132,6 +132,7 @@ class AtomGrid:
         self.shape = tuple(len(c) for c in self.cuts)
         self.size = math.prod(self.shape)
         require_grid_size(self.size)
+        self._bound: Optional[tuple[np.ndarray, list[int]]] = None  # built by ``_bounds``
 
     @classmethod
     def for_regions(cls, dim: int, regions: Iterable[Region]) -> "AtomGrid":
@@ -269,16 +270,21 @@ class AtomGrid:
         return ordered[starts], counts, lows, highs
 
     def _bounds(self) -> tuple[np.ndarray, list[int]]:
-        """Every axis's cuts followed by ``END_OMEGA``, in one uint64 array, and where each
-        axis's part starts, then where the last one ends.  Entry a of an axis's part is where
-        its atom a starts and atom a - 1 ends."""
-        flat: list[int] = []
-        starts = []
-        for c in self.cuts:
-            starts.append(len(flat))
-            flat += c
-            flat.append(END_OMEGA)
-        return np.array(flat, np.uint64), starts + [len(flat)]
+        """Every axis's cuts followed by ``END_OMEGA``, in one read-only uint64 array, and where
+        each axis's part starts, then where the last one ends.  Entry a of an axis's part is
+        where its atom a starts and atom a - 1 ends.  Built on the first call and kept, since
+        the grid does not change."""
+        if self._bound is None:
+            flat: list[int] = []
+            starts = []
+            for c in self.cuts:
+                starts.append(len(flat))
+                flat += c
+                flat.append(END_OMEGA)
+            bounds = np.array(flat, np.uint64)
+            bounds.flags.writeable = False
+            self._bound = bounds, starts + [len(flat)]
+        return self._bound
 
     def _span_rows(self, cells: np.ndarray, first: np.ndarray, end: np.ndarray) -> BoxTable:
         """Boxes of atoms as box table rows: row r, a box of ``cells[r]``, spans on each axis the

@@ -43,9 +43,17 @@ ValueError up front.
 
 Lower-dimensional faces repeat: within one outermost call, a sub-problem
 of dimension 2 or more (its compressed grid, labels and cell count) is
-refined once, through every check, and later faces reuse that result.  The
-memo is local to the call, so it holds at most the distinct face
-sub-problems of one refinement.  Lines and points make no sub-call: the face
+refined once, through every check, and later faces reuse that result.  A
+nested plane reads its labels only through equality, so on a miss it is
+looked up again with its cells numbered in order of first occurrence, and
+one partition numbered many ways is refined once; an unrefined one hands
+back its caller's labels.  Dimension 3 and up keep exact keys: their face
+classes are numbered from the labels.  The memo also holds one object per
+equal leaf trace and nested-plane face, so ``cli._trace_text`` formats each
+distinct subtrace once.  The memo is local to the call, so it holds at most
+the distinct face sub-problems and traces of one refinement.  A nested
+result's kept rows are recorded by ``_Cells.place`` and shifted into place
+at once at the end of the call (``_Cells.shift_kept``).  Lines and points make no sub-call: the face
 step refines a line face in closed form (``_line_rule``) and labels it in
 place, and a point face is one new cell, labelled in place.  A nested plane
 makes no level loop: once its threshold and the quadrant cell read from
@@ -207,10 +215,8 @@ def _compress(grid: AtomGrid, labels: np.ndarray) -> tuple[AtomGrid, np.ndarray]
     for axis, c in enumerate(grid.cuts):
         if len(c) == 1:
             continue
-        before = (slice(None),) * axis + (slice(None, -1),)
-        after = (slice(None),) * axis + (slice(1, None),)
-        others = tuple(i for i in range(grid.dim) if i != axis)
-        change = (labels[after] != labels[before]).any(axis=others)
+        along = labels.swapaxes(0, axis)
+        change = (along[1:] != along[:-1]).reshape(len(c) - 1, -1).any(axis=1)
         if not change.all():
             keep = [0, *(change.nonzero()[0] + 1).tolist()]
             labels = labels.take(keep, axis=axis)
@@ -231,7 +237,7 @@ def _atom_threshold(grid: AtomGrid, labels: np.ndarray) -> int:
     """
     top = labels[(-1,) * grid.dim]
     his = [np.array([c - 1 for c in cuts[1:]] + [MAX_COORD], np.int64) for cuts in grid.cuts]
-    reach = reduce(np.minimum, np.ix_(*his))
+    reach = reduce(np.minimum.outer, his)
     below = reach[labels != top]
     k0 = int(below.max()) + 1 if below.size else 0
     # The closed form above is checked against the defining property.
@@ -308,7 +314,8 @@ class _Cells:
     becomes a box table; every other cell takes the canonical form that
     ``AtomGrid.boxes`` gives it.  A kept cell need not be on the grid.
     While the partition grows, ``coarse`` labels the input partition on the
-    same grid.
+    same grid, and ``pending`` holds the kept rows of placed faces, each as
+    (rows, coords, s, offset), until ``shift_kept`` moves them into ``kept``.
     """
 
     grid: AtomGrid
@@ -317,6 +324,7 @@ class _Cells:
     kept: list[BoxTable] = field(default_factory=list)
     coarse: Optional[np.ndarray] = None
     hold_lines: bool = False
+    pending: list[tuple[BoxTable, tuple[int, ...], int, int]] = field(default_factory=list)
 
     def place(
         self, coords: tuple[int, ...], free: tuple[int, ...], s: int, face: tuple,
@@ -339,8 +347,32 @@ class _Cells:
         if labels.shape != self.labels[face].shape:  # the face has cuts the sub lacks
             _, (labels,) = sub.grid.regrid(cuts, [labels])
         self.labels[face] = labels + self.count
-        self.kept.extend(rows.placed(coords, s, self.count) for rows in sub.kept)
+        self.pending.extend((rows, coords, s, self.count) for rows in sub.kept)
         self.count += sub.count
+
+    def shift_kept(self) -> None:
+        """Move the ``pending`` kept rows into ``kept`` as ``BoxTable.placed`` would move each
+        table: up by its face's s + 1, with the face's coordinates inserted and equal to s, and
+        the cells renumbered from its offset.  The tables of faces with as many fixed
+        coordinates are shifted at once, each row's bounds built fixed axes first and then
+        put in axis order.  Each cell's rows stay together and in order."""
+        groups: dict[int, list[tuple[BoxTable, tuple[int, ...], int, int]]] = {}
+        for entry in self.pending:
+            groups.setdefault(len(entry[1]), []).append(entry)
+        self.pending = []
+        n = self.grid.dim
+        for fixed, entries in groups.items():
+            sizes = [len(rows.cell) for rows, _, _, _ in entries]
+            cell, lo, end = (np.concatenate(parts) for parts in zip(*(e[0] for e in entries)))
+            s = np.repeat(np.array([e[2] for e in entries], np.uint64), sizes)[:, None]
+            lo = np.concatenate((s.repeat(fixed, 1), lo + (s + 1)), axis=1)
+            end = np.where(end == END_OMEGA, end, end + (s + 1))
+            end = np.concatenate(((s + 1).repeat(fixed, 1), end), axis=1)
+            order = [[*c, *(i for i in range(n) if i not in c)] for _, c, _, _ in entries]
+            at = np.argsort(order, axis=1).repeat(sizes, axis=0)  # where each axis's bound sits
+            rows = np.arange(len(cell))[:, None]
+            offsets = np.repeat(np.array([e[3] for e in entries], np.intp), sizes)
+            self.kept.append(BoxTable(cell + offsets, lo[rows, at], end[rows, at]))
 
     def place_line(self, coords: tuple, axis: int, s: int, face: tuple, count: int) -> None:
         """Put a line face's ``_line_rule`` result, ``count`` cells, where the coordinates in
@@ -372,8 +404,10 @@ class _Cells:
         return BoxTable.concat([self.grid.boxes(labels), *self.kept])
 
 
-# Refined sub-problems of one top-level call, by (cuts, int64 label bytes, count).
-_Memo = dict[tuple, tuple[_Cells, RefinementTrace]]
+# Of one top-level call: the refined sub-problems, by (cuts, int64 label bytes, count); one
+# object per equal leaf trace, by itself; and one per equal line or point face of a nested
+# plane, by (coords, family size, atom count, cell count).
+_Memo = dict
 # The trace of every point face.
 _POINT = RefinementTrace(0, None, 1, 1, ())
 
@@ -425,6 +459,7 @@ def _extend_core(cells: _Cells, s: int, memo: _Memo) -> tuple[FaceStep, ...]:
             atom_count = int(classes.max()) + 1
             if len(free) == 1:  # a line, in closed form
                 cell_count, subtrace = _line_rule(cuts[0], classes, atom_count)
+                subtrace = memo.setdefault(subtrace, subtrace)
                 cells.place_line(coords, free[0], s, face, cell_count)
             else:
                 sub, subtrace = _refine_atoms(face_grid, classes, atom_count, memo)
@@ -449,6 +484,7 @@ def _grow(
         LevelStep(level, _extend_core(cells, level - 1, memo)) for level in range(k0, 0, -1)
     )
     cells.coarse = None  # the memo keeps only what ``place`` reads
+    cells.shift_kept()
     return cells, steps
 
 
@@ -472,7 +508,7 @@ def _line_facts(along: Sequence[int], rows: list[list[int]]) -> tuple[list[int],
 
 
 def _plane_rule(
-    grid: AtomGrid, labels: np.ndarray, k0: int, quadrant: BoxTable
+    grid: AtomGrid, labels: np.ndarray, k0: int, quadrant: BoxTable, memo: Optional[_Memo] = None
 ) -> tuple[_Cells, tuple[LevelStep, ...]]:
     """``_grow`` of a nested labelled partition of the plane, in closed form.
 
@@ -503,8 +539,10 @@ def _plane_rule(
     are numbered as ``_grow`` numbers them (the quadrant, then per level the
     line x = s, the line y = s and the point) and painted in one pass on the
     final grid, whose y axis is cut at 0..e(0) + 1 and x axis at the mirror
-    ends, besides the input's cuts.
+    ends, besides the input's cuts.  A face, and a line's trace, equal to one
+    already in ``memo`` is that object.
     """
+    memo = {} if memo is None else memo
     cx, cy = grid.cuts
     # Per side, lines x = s (along y) then lines y = s (along x): the cuts along and across the
     # lines, and the facts of the rows that hold a line, the atoms that start below k0.
@@ -532,11 +570,19 @@ def _plane_rule(
             row = kinds[i]
             meets = row[bisect.bisect_right(c, s + 1) - 1]
             atoms = r - s + row[bisect.bisect_right(c, r + 1) - 1]
-            line = RefinementTrace(1, e - s - 1 if e > s else None, atoms, e - s + 1, ())
-            faces.append(FaceStep((side,), meets + count, atoms, e - s + 1, line))
+            key = ((side,), meets + count, atoms, e - s + 1)
+            face = memo.get(key)
+            if face is None:
+                line = RefinementTrace(1, e - s - 1 if e > s else None, atoms, e - s + 1, ())
+                face = memo[key] = FaceStep(*key, memo.setdefault(line, line))
+            faces.append(face)
         ex, ey = reach
         both = ex + ey - 2 * s + 2  # the cells of both lines
-        faces.append(FaceStep((0, 1), 1 + count + both, 1, 1, _POINT))
+        key = ((0, 1), 1 + count + both, 1, 1)
+        face = memo.get(key)
+        if face is None:
+            face = memo[key] = FaceStep(*key, _POINT)
+        faces.append(face)
         steps.append(LevelStep(s + 1, tuple(faces)))
         paints.append((count - s - 1, ex + 1, count + ex - 2 * s, ey + 1, count + both))
         count += both + 1
@@ -559,6 +605,16 @@ def _plane_rule(
     return _Cells(AtomGrid._sorted(2, cuts), paint, count, [quadrant]), tuple(steps)
 
 
+def _renumbered(labels: np.ndarray) -> tuple[int, ...]:
+    """The labels numbered 0, 1, ... in order of first occurrence (row-major).
+
+    A tuple, never equal to the bytes of an exact key: the entry of an unrefined plane holds
+    the labels of the call that stored it.
+    """
+    first: dict[int, int] = {}
+    return tuple([first.setdefault(v, len(first)) for v in labels.ravel().tolist()])
+
+
 def _refine_atoms(
     grid: AtomGrid, labels: np.ndarray, count: int, memo: _Memo, cofinal: Optional[BoxTable] = None
 ) -> tuple[_Cells, RefinementTrace]:
@@ -567,8 +623,12 @@ def _refine_atoms(
     From dimension 2 on, the grid is first stripped of every cut across which
     no cell changes (see ``_compress``), so that equal sub-problems have equal
     keys, and the result is looked up in ``memo`` and stored there; callers
-    only read it.  A line follows ``_line_rule`` on its own grid, and a nested
-    plane ``_plane_rule``; the rest grow level by level (``_grow``).
+    only read it.  A nested plane missing there is looked up again with its
+    cells renumbered in order of first occurrence (``_renumbered``), and its
+    result stored under both keys.  A line follows ``_line_rule`` on its own
+    grid, and a nested plane ``_plane_rule``; the rest grow level by level
+    (``_grow``).  Equal leaf traces, and equal faces of nested planes, are
+    one object through the memo.
     ``cofinal``, the input's cofinal cell as its box table rows, marks the
     outermost call, which clips it to its quadrant with ``_quadrant_rows``
     and prunes what is left of the input's rows (``_prune_rows``).  Nested
@@ -586,14 +646,29 @@ def _refine_atoms(
             line.kept.append(tail._replace(cell=tail.cell + trace.k0 + 1))
         return line, trace
     grid, labels = _compress(grid, labels)
-    key = (grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)
-    if key in memo:
-        return memo[key]
+    keys = [(grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)]
+    found = memo.get(keys[0])
+    if found is not None:
+        return found
+    outermost = cofinal is not None
+    if m == 2 and not outermost:
+        # A nested plane reads its labels only through equality: its threshold, quadrant
+        # cell, ``_plane_rule`` and every check.  Only an unrefined one returns them.
+        keys.append((grid.cuts, _renumbered(labels), count))
+        found = memo.get(keys[1])
+        if found is not None:
+            cells, trace = found
+            if not trace.k0:
+                cells = _Cells(grid, labels, count)
+            memo[keys[0]] = cells, trace
+            return cells, trace
     k0 = _atom_threshold(grid, labels)
     if not k0:
-        memo[key] = _Cells(grid, labels, count), RefinementTrace(m, 0, count, count, ())
-        return memo[key]
-    outermost = cofinal is not None
+        trace = RefinementTrace(m, 0, count, count, ())
+        found = _Cells(grid, labels, count), memo.setdefault(trace, trace)
+        for key in keys:
+            memo[key] = found
+        return found
     if outermost:
         quadrant = _prune_rows(_quadrant_rows(cofinal, k0))
     else:
@@ -602,7 +677,7 @@ def _refine_atoms(
         raise RuntimeError("restriction to the quadrant lost cofinality")
     _require_atoms((k0 + 1) ** m)
     if m == 2 and not outermost:
-        cells, steps = _plane_rule(grid, labels, k0, quadrant)
+        cells, steps = _plane_rule(grid, labels, k0, quadrant, memo)
     else:
         cells, steps = _grow(grid, labels, k0, quadrant, outermost, memo)
     trace = RefinementTrace(m, k0, count, cells.count, steps)
@@ -614,8 +689,9 @@ def _refine_atoms(
         raise RuntimeError("structural bound failed: one face per nonempty coordinate set")
     if trace.depth > m:
         raise RuntimeError("structural bound failed: recursion deeper than the dimension")
-    memo[key] = cells, trace
-    return memo[key]
+    for key in keys:
+        memo[key] = cells, trace
+    return cells, trace
 
 
 def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
@@ -634,6 +710,7 @@ def extend_from_quadrant(coarse: Partition, inner: Partition) -> Partition:
     kept = [inner.cells.table]
     cells = _Cells(grid, labels, inner.size, kept, outer, hold_lines=True)
     _extend_core(cells, 0, {})
+    cells.shift_kept()
     return Partition._of_boxes(coarse.dim, full(coarse.dim), cells.table())
 
 

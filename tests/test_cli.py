@@ -754,9 +754,11 @@ class TestTraceText:
             assert json.loads((tmp_path / "out.json").read_text())["trace"]["k0"] == 3
 
     def test_each_distinct_subtrace_is_formatted_once(self, monkeypatch, tmp_path):
-        """The 4-D square with C = 4 has 481 trace nodes but 56 distinct trace objects."""
+        """The 4-D square with C = 4 has 481 trace nodes but 14 distinct trace objects, one per
+        distinct trace value."""
         _, trace = refine_monotone(square(4, 4))
-        assert _node_count(trace) == 481 and len(_depths(trace)) == 56
+        assert _node_count(trace) == 481 and len(_depths(trace)) == 14
+        assert len({json.dumps(t.to_json()) for t in _traces(trace)}) == 14
         formatted = []
         format_trace = boxmodal.cli._format_trace
 
@@ -768,7 +770,12 @@ class TestTraceText:
         cases = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
         case = next(c for c in cases if c["name"] == "square_n4_c4")
         assert refine_digest(case["input"], str(tmp_path)) == case["sha256"]
-        assert len(formatted) == len(set(formatted)) == 56
+        assert len(formatted) == len(set(formatted)) == 14
+
+
+def _traces(trace: RefinementTrace) -> list[RefinementTrace]:
+    """``trace`` and every subtrace under it, once per trace node."""
+    return [trace, *(t for step in trace.steps for f in step.faces for t in _traces(f.sub))]
 
 
 def _node_count(trace: RefinementTrace) -> int:

@@ -370,9 +370,9 @@ class TestSubProblemMemo:
             levels.append(s)
             return extend(cells, s, memo)
 
-        def spy_plane(grid, labels, k0, quadrant):
+        def spy_plane(grid, labels, k0, quadrant, memo):
             planes.append(k0)
-            return plane_rule(grid, labels, k0, quadrant)
+            return plane_rule(grid, labels, k0, quadrant, memo)
 
         monkeypatch.setattr(boxmodal.refine, "_extend_core", spy_extend)
         monkeypatch.setattr(boxmodal.refine, "_plane_rule", spy_plane)
@@ -911,6 +911,98 @@ class TestPlaneRule:
         self.assert_same(*case)
         with pytest.raises(ValueError, match=message):
             _plane_rule(*case)
+
+
+@st.composite
+def renumbered_planes(draw):
+    """A labelled partition of the plane as a face hands it down (grid, labels, count), and its
+    labels with the cell numbers permuted.  One axis may be cut at 2^63, one past
+    ``MAX_COORD``; a line reaching that far needs too many cells."""
+    near = st.integers(1, 6)
+    far = st.one_of(near, near, st.just(MAX_COORD + 1))
+    far_axis = draw(st.integers(0, 1))
+    cuts = [
+        sorted({0, *draw(st.lists(far if axis == far_axis else near, max_size=4))})
+        for axis in range(2)
+    ]
+    grid = AtomGrid(2, cuts)
+    count = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.integers(0, count - 1), min_size=grid.size, max_size=grid.size))
+    labels = np.array(raw, np.intp).reshape(grid.shape)
+    permutation = np.array(draw(st.permutations(range(count))), np.intp)
+    return grid, labels, permutation[labels], count
+
+
+def assert_same_result(a, b, labels_too=True):
+    (cells, trace), (other, other_trace) = a, b
+    assert cells.grid.cuts == other.grid.cuts and cells.count == other.count
+    assert np.array_equal(cells.labels, other.labels) == labels_too or not labels_too
+    assert len(cells.kept) == len(other.kept)
+    for rows, other_rows in zip(cells.kept, other.kept):
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(rows, other_rows))
+    assert json.dumps(trace.to_json()) == json.dumps(other_trace.to_json())
+
+
+class TestRenumberedPlanes:
+    """A nested plane whose cells are numbered otherwise is refined once: its labels are read
+    only through equality, so the result is the same but for an unrefined plane's labels,
+    which are the caller's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(renumbered_planes())
+    def test_a_permutation_of_the_cells_hits_the_memo(self, case):
+        grid, labels, permuted, count = case
+        try:
+            first = _refine_atoms(grid, labels, count, {})
+        except ValueError as exc:
+            with pytest.raises(ValueError) as again:
+                _refine_atoms(grid, permuted, count, {})
+            assert str(again.value) == str(exc)
+            return
+        fresh = _refine_atoms(grid, permuted, count, {})
+        k0 = first[1].k0
+        assert_same_result(first, fresh, labels_too=bool(k0))
+        own = _compress(grid, permuted)[1]
+        if not k0:
+            assert np.array_equal(fresh[0].labels, own)
+        memo = {}
+        stored = _refine_atoms(grid, labels, count, memo)
+        with mock.patch.object(boxmodal.refine, "_plane_rule") as plane_rule:
+            hit = _refine_atoms(grid, permuted, count, memo)
+        plane_rule.assert_not_called()
+        assert hit[1] is stored[1]
+        assert_same_result(hit, fresh)
+        if k0:
+            assert hit[0] is stored[0]
+        else:
+            assert np.array_equal(hit[0].labels, own)
+
+    def test_an_unrefined_plane_hands_back_the_callers_labels(self):
+        grid = AtomGrid(2, [[0, 3], [0]])
+        memo = {}
+        stored, stored_trace = _refine_atoms(grid, np.array([[2], [2]], np.intp), 3, memo)
+        for own in (1, 0, 2):  # 0 is also the renumbered label
+            cells, trace = _refine_atoms(grid, np.array([[own], [own]], np.intp), 3, memo)
+            assert trace.k0 == 0 and trace is stored_trace
+            assert (cells.grid.cuts, cells.labels.tolist()) == (((0,), (0,)), [[own]])
+        assert stored.labels.tolist() == [[2]]
+
+    def test_a_renumbered_cube_is_refined_anew(self):
+        """Dimension 3 keeps exact keys: its face classes are numbered from its labels."""
+        grid = AtomGrid(3, [[0, 2, 3]] * 3)
+        labels = np.ones(grid.shape, np.intp)
+        labels[0, 0, 0], labels[1, 1, 1] = 0, 2
+        permuted = np.array([2, 0, 1], np.intp)[labels]
+        memo = {}
+        grow = boxmodal.refine._grow
+        with mock.patch.object(boxmodal.refine, "_grow", wraps=grow) as spy:
+            first = _refine_atoms(grid, labels, 3, memo)
+            again = _refine_atoms(grid, permuted, 3, memo)
+            assert all(a is b for a, b in zip(_refine_atoms(grid, labels, 3, memo), first))
+        assert spy.call_count == 2 and first[1].k0 == 3
+        assert again[1] is not first[1]
+        assert_same_result(again, _refine_atoms(grid, permuted, 3, {}))
+        assert json.dumps(again[1].to_json()) == json.dumps(first[1].to_json())
 
 
 class TestStructuralBounds:

@@ -12,7 +12,8 @@ that a slow spell of the machine falls on both.  Per side a round gives the
 best-of-N ``cases_per_s``, the p50 and p90 case time (``perfbench/stats``)
 and the workload's ``growth_slope`` (``perfbench/run.growth_slope``); a
 workload of several command kinds (``small_commands``) also gets each kind's
-``cases_per_s``, since a few per cent on one kind does not show in the
+``cases_per_s``, and one of a single kind (``refine``) each dimension's, since
+a few per cent on one kind, or on the 3-D and 4-D tail, does not show in the
 total.  ``--rounds`` repeats the round.  For every metric the script prints
 each side's median over the rounds, and the median, least and greatest
 new/old ratio of the rounds, then each side's ``src/boxmodal`` line count
@@ -35,6 +36,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -73,17 +75,17 @@ def metrics(workload: str, cases, seconds: list[float], outs: list[str]) -> dict
     }
 
 
-def rate_by_kind(cases, seconds: list[float]) -> dict[str, float]:
-    """``cases_per_s`` of the cases of each kind."""
-    spent: dict[str, list[float]] = {}
+def rate_by(cases, seconds: list[float], group: Callable) -> dict:
+    """``cases_per_s`` of the cases of each group, by ``group(case)``."""
+    spent: dict = {}
     for case, t in zip(cases, seconds):
-        spent.setdefault(case.kind, []).append(t)
-    return {kind: len(ts) / sum(ts) for kind, ts in sorted(spent.items())}
+        spent.setdefault(group(case), []).append(t)
+    return {name: len(ts) / sum(ts) for name, ts in sorted(spent.items())}
 
 
 def measure(workload: str, cases, mains: dict, outs: dict, repeat: int) -> dict:
-    """One round of ``repeat`` paired passes: each side's metrics, and per-kind
-    ``cases_per_s`` under ``"kind:<name>"``."""
+    """One round of ``repeat`` paired passes: each side's metrics, and ``cases_per_s`` per kind
+    under ``"kind:<name>"``, or with one kind, per dimension under ``"dim:<n>"``."""
     best = {side: [float("inf")] * len(cases) for side in SIDES}
     clock = time.perf_counter
     for rep in range(repeat):
@@ -96,13 +98,16 @@ def measure(workload: str, cases, mains: dict, outs: dict, repeat: int) -> dict:
     values = {}
     for side in SIDES:
         values[side] = metrics(workload, cases, best[side], outs[side])
-        kinds = rate_by_kind(cases, best[side])
+        kinds = rate_by(cases, best[side], lambda case: case.kind)
         if len(kinds) > 1:
             values[side].update((f"kind:{kind}", rate) for kind, rate in kinds.items())
+        else:
+            dims = rate_by(cases, best[side], lambda case: case.meta["dim"])
+            values[side].update((f"dim:{dim}", rate) for dim, rate in dims.items())
     return values
 
 
-def main() -> int:
+def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_root", help="checkout whose src/boxmodal is the old side")
     parser.add_argument("new_root", help="checkout whose src/boxmodal is the new side")
@@ -114,7 +119,7 @@ def main() -> int:
     parser.add_argument(
         "--rounds", type=int, default=1, help="rounds of --repeat paired passes (default 1)"
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     if args.rounds < 1:
@@ -140,8 +145,9 @@ def main() -> int:
     for name in rounds[0]["old"]:
         old, new = (statistics.median(r[side][name] for r in rounds) for side in SIDES)
         ratios = [r["new"][name] / r["old"][name] for r in rounds]
-        label = name.removeprefix("kind:")
-        unit = "  cases_per_s" if name.startswith("kind:") else ""
+        group, _, label = name.rpartition(":")
+        label = f"{label}-D" if group == "dim" else label
+        unit = "  cases_per_s" if group else ""
         print(f"{label:>14} {old:10.4f} {new:10.4f} {statistics.median(ratios):8.3f} "
               f"{min(ratios):7.3f} {max(ratios):7.3f}{unit}")
     old, new = (package_lines(Path(root, "src", "boxmodal")) for root in roots)
