@@ -81,17 +81,6 @@ class BoxTable(NamedTuple):
     def concat(cls, tables: Sequence["BoxTable"]) -> "BoxTable":
         return cls(*(np.concatenate(parts) for parts in zip(*tables)))
 
-    def placed(self, coords: tuple[int, ...], s: int, offset: int) -> "BoxTable":
-        """The boxes shifted up by s + 1, with the coordinates in ``coords`` inserted and equal
-        to s, and the cells renumbered from ``offset``."""
-        rows, dim = self.lo.shape
-        free = [i for i in range(dim + len(coords)) if i not in coords]
-        lo = np.full((rows, dim + len(coords)), s, np.uint64)
-        end = np.full((rows, dim + len(coords)), s + 1, np.uint64)
-        lo[:, free] = self.lo + (s + 1)
-        end[:, free] = np.where(self.end == END_OMEGA, self.end, self.end + (s + 1))
-        return BoxTable(self.cell + offset, lo, end)
-
     def regions(self) -> dict[int, Region]:
         """Every cell as the Region of its rows, in row order; cells ascending."""
         dim = self.lo.shape[1]

@@ -19,8 +19,8 @@ orders.  The construction here is recursive in the dimension:
 
 The construction runs on the atom quotient (see ``atomgrid``), and
 ``_refine_atoms`` is the one refiner at every depth.  Each call holds its
-partition as one int label per atom of one grid, cut where some input cell
-changes, at 0..k0, and wherever a sub-call's result needs it, all added by
+partition as one int label per atom of one grid: the grid it is given, cut
+also at 0..k0 and wherever a sub-call's result needs it, all added by
 ``AtomGrid.regrid``.  A face is an index slice of that array.  The shadows
 of the built cells on a face are the sets of labels along the fibers above
 it, and ``partition.induced`` groups the face's atoms into membership
@@ -30,30 +30,32 @@ at the end and handed to ``Partition`` as it is; only each call's quadrant
 cell keeps its own rows, its cofinal cell's rows clipped to the quadrant
 (``_quadrant_rows``, or for a nested call ``_quadrant_cell``).  The faces
 of a layer, their free axes and subsets come from one plan per n.
-``refine_monotone`` makes the outermost call, the only one given the
-input's cofinal cell, as that cell's rows of the input's box table: its
-quadrant cell (on a line, the tail above k0) keeps the input's boxes,
-pruned as ``Region.intersect`` prunes, and the line faces of its last
-layer become kept rows, off its grid.  A nested call reads its quadrant
-cell from its labels: the canonical rows (``AtomGrid.boxes``) of its
-cofinal cell that the clip leaves are those of the same walk
-(``AtomGrid._collect``) started at the quadrant atom, with every lower
-bound raised to k0.  A call whose grid would exceed ``MAX_ATOMS`` raises
-ValueError up front.
+``refine_monotone`` drops the cuts of the input's grid across which no cell
+changes (``_compress``), once, and makes the outermost call on that grid,
+the only one given the input's cofinal cell, as that cell's rows of the
+input's box table: its quadrant cell (on a line, the tail above k0) keeps
+the input's boxes, pruned as ``Region.intersect`` prunes, and the line
+faces of its last layer become kept rows, off its grid.  A nested call
+gets its face's grid as it is, and reads its quadrant cell from its
+labels: the canonical rows (``AtomGrid.boxes``) of its cofinal cell that
+the clip leaves are those of the same walk (``AtomGrid._collect``) started
+at the quadrant atom, with every lower bound raised to k0.  A call whose
+grid would exceed ``MAX_ATOMS`` raises ValueError up front.
 
 Lower-dimensional faces repeat: within one outermost call, a sub-problem
-of dimension 2 or more (its compressed grid, labels and cell count) is
-refined once, through every check, and later faces reuse that result.  A
-nested plane reads its labels only through equality, so on a miss it is
-looked up again with its cells numbered in order of first occurrence, and
-one partition numbered many ways is refined once; an unrefined one hands
-back its caller's labels.  Dimension 3 and up keep exact keys: their face
+of dimension 2 or more (its grid, labels and cell count) is refined once,
+through every check, and later faces reuse that result.  A nested plane
+reads its labels only through equality, so on a miss it is looked up again
+with its cells numbered in order of first occurrence, and one partition
+numbered many ways is refined once; an unrefined one hands back its
+caller's grid and labels.  Dimension 3 and up keep exact keys: their face
 classes are numbered from the labels.  The memo also holds one object per
 equal leaf trace and nested-plane face, so ``cli._trace_text`` formats each
 distinct subtrace once.  The memo is local to the call, so it holds at most
-the distinct face sub-problems and traces of one refinement.  A nested
-result's kept rows are recorded by ``_Cells.place`` and shifted into place
-at once at the end of the call (``_Cells.shift_kept``).  Lines and points make no sub-call: the face
+the distinct face sub-problems and traces of one refinement.  Kept rows,
+a nested result's (``_Cells.place``) and the outermost call's held lines
+(``_Cells.place_line``), wait in one list and are shifted into place at
+once at the end of the call (``_Cells.shift_kept``).  Lines and points make no sub-call: the face
 step refines a line face in closed form (``_line_rule``) and labels it in
 place, and a point face is one new cell, labelled in place.  A nested plane
 makes no level loop: once its threshold and the quadrant cell read from
@@ -314,8 +316,9 @@ class _Cells:
     becomes a box table; every other cell takes the canonical form that
     ``AtomGrid.boxes`` gives it.  A kept cell need not be on the grid.
     While the partition grows, ``coarse`` labels the input partition on the
-    same grid, and ``pending`` holds the kept rows of placed faces, each as
-    (rows, coords, s, offset), until ``shift_kept`` moves them into ``kept``.
+    same grid, and ``pending`` holds the kept rows of placed faces and held
+    lines, each as (rows, coords, s, offset), in the face's own coordinates,
+    until ``shift_kept`` moves them into ``kept``.
     """
 
     grid: AtomGrid
@@ -351,11 +354,11 @@ class _Cells:
         self.count += sub.count
 
     def shift_kept(self) -> None:
-        """Move the ``pending`` kept rows into ``kept`` as ``BoxTable.placed`` would move each
-        table: up by its face's s + 1, with the face's coordinates inserted and equal to s, and
-        the cells renumbered from its offset.  The tables of faces with as many fixed
-        coordinates are shifted at once, each row's bounds built fixed axes first and then
-        put in axis order.  Each cell's rows stay together and in order."""
+        """Move the ``pending`` kept rows into ``kept``, each table up by its face's s + 1, with
+        the face's coordinates inserted and equal to s, and the cells renumbered from its
+        offset.  The tables of faces with as many fixed coordinates are shifted at once, each
+        row's bounds built fixed axes first and then put in axis order.  Each cell's rows stay
+        together and in order."""
         groups: dict[int, list[tuple[BoxTable, tuple[int, ...], int, int]]] = {}
         for entry in self.pending:
             groups.setdefault(len(entry[1]), []).append(entry)
@@ -378,12 +381,12 @@ class _Cells:
         """Put a line face's ``_line_rule`` result, ``count`` cells, where the coordinates in
         ``coords`` equal s: cell j is the point s + 1 + j of the free ``axis``, the last one
         the rest of the line.  With ``hold_lines``, the lines of the last layer (s = 0) become
-        kept rows off the grid: no later face projects them, and on this grid their cuts
-        would multiply with others.
+        kept rows off the grid, pending like a placed face's: no later face projects them, and
+        on this grid their cuts would multiply with others.
         """
         if self.hold_lines and s == 0:
             line = AtomGrid._sorted(1, [range(count)]).boxes(np.arange(count))
-            self.kept.append(line.placed(coords, 0, self.count))
+            self.pending.append((line, coords, 0, self.count))
         else:
             shifted: list[Sequence[int]] = [()] * self.grid.dim
             shifted[axis] = range(s + 1, s + count + 1)
@@ -620,15 +623,16 @@ def _refine_atoms(
 ) -> tuple[_Cells, RefinementTrace]:
     """``refine_monotone`` of a labelled partition of the full grid into ``count`` cells.
 
-    From dimension 2 on, the grid is first stripped of every cut across which
-    no cell changes (see ``_compress``), so that equal sub-problems have equal
-    keys, and the result is looked up in ``memo`` and stored there; callers
-    only read it.  A nested plane missing there is looked up again with its
-    cells renumbered in order of first occurrence (``_renumbered``), and its
-    result stored under both keys.  A line follows ``_line_rule`` on its own
-    grid, and a nested plane ``_plane_rule``; the rest grow level by level
-    (``_grow``).  Equal leaf traces, and equal faces of nested planes, are
-    one object through the memo.
+    The outermost call gets the input's grid compressed (``_compress``), and a
+    nested one the face's grid as ``_extend_core`` cuts it; an unrefined call
+    hands back the grid and labels it was given.  From dimension 2 on, the
+    result is looked up in ``memo`` by the grid, labels and count, and stored
+    there; callers only read it.  A nested plane missing there is looked up
+    again with its cells renumbered in order of first occurrence
+    (``_renumbered``), and its result stored under both keys.  A line follows
+    ``_line_rule`` on its own grid, and a nested plane ``_plane_rule``; the
+    rest grow level by level (``_grow``).  Equal leaf traces, and equal faces
+    of nested planes, are one object through the memo.
     ``cofinal``, the input's cofinal cell as its box table rows, marks the
     outermost call, which clips it to its quadrant with ``_quadrant_rows``
     and prunes what is left of the input's rows (``_prune_rows``).  Nested
@@ -645,7 +649,6 @@ def _refine_atoms(
             tail = _prune_rows(_quadrant_rows(cofinal, trace.k0 + 1))
             line.kept.append(tail._replace(cell=tail.cell + trace.k0 + 1))
         return line, trace
-    grid, labels = _compress(grid, labels)
     keys = [(grid.cuts, labels.astype(np.int64, copy=False).tobytes(), count)]
     found = memo.get(keys[0])
     if found is not None:
@@ -720,7 +723,7 @@ def refine_monotone(p: Partition) -> tuple[Partition, RefinementTrace]:
     if p.dim == 0:
         return p, RefinementTrace(0, None, p.size, p.size, ())
     cofinal = p.cells.rows(p._owner[(-1,) * p.dim])
-    cells, trace = _refine_atoms(p._grid, p._owner, p.size, {}, cofinal)
+    cells, trace = _refine_atoms(*_compress(p._grid, p._owner), p.size, {}, cofinal)
     if not trace.k0:
         return p, trace
     return Partition._of_boxes(p.dim, full(p.dim), cells.table()), trace

@@ -241,3 +241,26 @@ def probe_split_face(c: int) -> Partition:
     for cell in cells[1:]:
         covered = covered.union(cell)
     return make_partition(full(4), cells + [covered.complement()])
+
+
+def probe_corner_lines(c: int) -> Partition:
+    """n=2: the cell {0} x [0, c] u [0, c] x {0} and its complement.
+
+    k0 is 1, and each line of the only layer holds c + 1 cells, kept off the refiner's grid:
+    2c + 4 cells in all.
+    """
+    corner = _cell((0, (0, c)), ((0, c), 0))
+    return make_partition(full(2), [corner, corner.complement()])
+
+
+def probe_strips(k: int) -> Partition:
+    """n=2: the square [0, k]^2 and its complement, the complement given as 2k strips
+    [k + 1 + 3i, k + 3 + 3i] x [0, w) beyond the square, the rest of the half plane past them,
+    and the column above the square.
+
+    Its canonical form is the square and ``square.complement()``; both have k0 = k + 1.
+    """
+    start = k + 1 + 6 * k
+    strips = [((k + 1 + 3 * i, k + 3 + 3 * i), (0, OMEGA)) for i in range(2 * k)]
+    rest = _cell(*strips, ((start, OMEGA), (0, OMEGA)), ((0, k), (k + 1, OMEGA)))
+    return make_partition(full(2), [_cell(((0, k), (0, k))), rest])

@@ -53,6 +53,7 @@ from boxmodal import (  # noqa: E402
 from boxmodal.cli import main  # noqa: E402
 
 from genutil import (  # noqa: E402
+    probe_corner_lines,
     probe_far_cut,
     probe_long_line,
     probe_split_axes,
@@ -184,6 +185,8 @@ def refine_inputs() -> list[tuple[str, Partition]]:
         ("probe_split_axes_50", probe_split_axes(50)),
         ("probe_split_axes_200", probe_split_axes(200)),
         ("probe_split_face_50", probe_split_face(50)),
+        ("probe_corner_lines_3000", probe_corner_lines(3000)),
+        ("probe_corner_lines_20000", probe_corner_lines(20000)),
     ]
     return cases
 

@@ -48,7 +48,7 @@ from boxmodal import (
 
 import boxmodal.refine
 from boxmodal.atomgrid import END_OMEGA, MAX_ATOMS, AtomGrid, BoxTable
-from boxmodal.cli import main
+from boxmodal.cli import _json_text, main
 from boxmodal.partition import TableCells
 from boxmodal.region import MAX_COORD
 from boxmodal.refine import (
@@ -76,6 +76,7 @@ from genutil import (
     probe_long_line,
     probe_split_axes,
     probe_split_face,
+    probe_strips,
     random_fibered,
     random_partition,
     random_region,
@@ -417,14 +418,15 @@ class TestSubProblemMemo:
         _, trace = refine_monotone(p)
         # Point faces are labelled in place and line faces refined in the
         # face step; the top-level call and every plane face of a refined
-        # sub-problem make one call each, and every call compresses.
+        # sub-problem make one call each.  Only the input's grid is
+        # compressed: a face hands its sub-problem down on the face's grid.
         distinct = {id(t): t for t in _subtraces(trace)}.values()
         faces = [f for t in distinct for step in t.steps for f in step.faces]
         assert set(dims) == {2, 3}
         assert len(dims) == 1 + sum(f.sub.dim > 1 for f in faces)
-        assert len(compressed) == len(dims)
+        assert compressed == [3]
         assert sum(f.sub.dim == 1 for f in faces) == 48
-        assert (len(compressed), len(dims)) == (19, 19)
+        assert len(dims) == 19
         golden = TestGridSizing.golden["square_n3_c6"]["sha256"]
         assert refine_digest(p.to_json(), str(tmp_path)) == golden
 
@@ -509,11 +511,24 @@ def reference_line(grid, labels, count):
     return line, RefinementTrace(1, k0, count, k0 + 2, ())
 
 
+def placed(rows: BoxTable, coords: tuple[int, ...], s: int, offset: int) -> BoxTable:
+    """Box table rows shifted up by s + 1, with the coordinates in ``coords`` inserted and equal
+    to s, and the cells renumbered from ``offset``: one table at a time, as ``_Cells.shift_kept``
+    moves them all."""
+    count, dim = rows.lo.shape
+    free = [i for i in range(dim + len(coords)) if i not in coords]
+    lo = np.full((count, dim + len(coords)), s, np.uint64)
+    end = np.full((count, dim + len(coords)), s + 1, np.uint64)
+    lo[:, free] = rows.lo + (s + 1)
+    end[:, free] = np.where(rows.end == END_OMEGA, rows.end, rows.end + (s + 1))
+    return BoxTable(rows.cell + offset, lo, end)
+
+
 def reference_place(cells, coords, s, sub):
     """``_Cells.place`` of a face's sub-call result, as it was before line faces were
     placed in closed form."""
     if cells.hold_lines and s == 0 and len(coords) == cells.grid.dim - 1:
-        cells.kept.append(sub.table().placed(coords, 0, cells.count))
+        cells.kept.append(placed(sub.table(), coords, 0, cells.count))
         cells.count += sub.count
         return
     free = [i for i in range(cells.grid.dim) if i not in coords]
@@ -527,7 +542,7 @@ def reference_place(cells, coords, s, sub):
     if labels.shape != cells.labels[face].shape:
         _, (labels,) = sub.grid.regrid(_face_cuts(cells.grid, free, face, s), [labels])
     cells.labels[face] = labels + cells.count
-    cells.kept.extend(rows.placed(coords, s, cells.count) for rows in sub.kept)
+    cells.kept.extend(placed(rows, coords, s, cells.count) for rows in sub.kept)
     cells.count += sub.count
 
 
@@ -594,6 +609,8 @@ class TestLineRule:
         new.place_line(coords, axis, s, face, cell_count)
         sub, old_trace = reference_line(AtomGrid(1, [line_cuts]), classes, count)
         reference_place(old, coords, s, sub)
+        new.shift_kept()
+        old.shift_kept()
         assert cell_count == sub.count
         assert json.dumps(trace.to_json()) == json.dumps(old_trace.to_json())
         assert new.grid.cuts == old.grid.cuts
@@ -811,11 +828,10 @@ class TestOutermostQuadrantRows:
 
 
 def nested_plane(cuts, raw):
-    """The compressed grid, labels, k0 and quadrant rows of a nested sub-problem of the
-    plane, from cuts and one label per atom (numbered afresh, as classes are)."""
+    """The grid, labels, k0 and quadrant rows of a nested sub-problem of the plane, from cuts
+    and one label per atom (numbered afresh, as classes are)."""
     grid = AtomGrid(2, cuts)
     labels = np.unique(raw, return_inverse=True)[1].reshape(grid.shape)
-    grid, labels = _compress(grid, labels)
     k0 = _atom_threshold(grid, labels)
     top = np.where(labels == labels[-1, -1], 0, -1)
     return grid, labels, k0, _quadrant_rows(grid.boxes(top), k0)
@@ -962,9 +978,8 @@ class TestRenumberedPlanes:
         fresh = _refine_atoms(grid, permuted, count, {})
         k0 = first[1].k0
         assert_same_result(first, fresh, labels_too=bool(k0))
-        own = _compress(grid, permuted)[1]
-        if not k0:
-            assert np.array_equal(fresh[0].labels, own)
+        if not k0:  # an unrefined plane is its own grid and labels
+            assert fresh[0].grid is grid and np.array_equal(fresh[0].labels, permuted)
         memo = {}
         stored = _refine_atoms(grid, labels, count, memo)
         with mock.patch.object(boxmodal.refine, "_plane_rule") as plane_rule:
@@ -975,7 +990,7 @@ class TestRenumberedPlanes:
         if k0:
             assert hit[0] is stored[0]
         else:
-            assert np.array_equal(hit[0].labels, own)
+            assert hit[0].grid is grid and np.array_equal(hit[0].labels, permuted)
 
     def test_an_unrefined_plane_hands_back_the_callers_labels(self):
         grid = AtomGrid(2, [[0, 3], [0]])
@@ -984,8 +999,8 @@ class TestRenumberedPlanes:
         for own in (1, 0, 2):  # 0 is also the renumbered label
             cells, trace = _refine_atoms(grid, np.array([[own], [own]], np.intp), 3, memo)
             assert trace.k0 == 0 and trace is stored_trace
-            assert (cells.grid.cuts, cells.labels.tolist()) == (((0,), (0,)), [[own]])
-        assert stored.labels.tolist() == [[2]]
+            assert (cells.grid.cuts, cells.labels.tolist()) == (((0, 3), (0,)), [[own], [own]])
+        assert stored.labels.tolist() == [[2], [2]]
 
     def test_a_renumbered_cube_is_refined_anew(self):
         """Dimension 3 keeps exact keys: its face classes are numbered from its labels."""
@@ -1172,6 +1187,96 @@ class TestGridSizing:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(square(2, side).to_json()))
         assert main(["refine", "--partition", str(path), "--out", str(tmp_path / "out.json")]) == 2
+
+
+def same_cells(p: Partition, q: Partition) -> bool:
+    """Whether two partitions have the same cells, point for point, numbered alike."""
+    grid, (a,) = p._grid.regrid(q._grid.cuts, [p._owner])
+    _, (b,) = q._grid.regrid(grid.cuts, [q._owner])
+    return p.size == q.size and np.array_equal(a, b)
+
+
+def refined_text(p: Partition) -> str:
+    """The text ``boxmodal refine`` writes for ``p``, but its last newline."""
+    q, trace = refine_monotone(p)
+    return _json_text({"partition": q, "trace": trace})
+
+
+@st.composite
+def split_lines(draw):
+    """A partition of omega^3 or omega^4 into the membership classes of one to three segments
+    of lines along an axis, at other coordinates up to 3, each from a start up to 4 to an end
+    up to 12, a far one or w.  A segment puts cuts on the grids of the faces it does not
+    meet, across which none of their cells changes.  In omega^3 a far end is 40 or 2,100,
+    and two ends at 2,100 on different axes need a grid of more than ``MAX_ATOMS`` atoms; in
+    omega^4 it is 40."""
+    n = draw(st.integers(3, 4))
+    far = st.sampled_from([40, 2100] if n == 3 else [40])
+    ends = st.one_of(st.integers(0, 12), far, st.none())
+    family = []
+    for _ in range(draw(st.integers(1, 3))):
+        axis = draw(st.integers(0, n - 1))
+        ivs = [Interval(at, at) for at in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        lo, hi = draw(st.integers(0, 4)), draw(ends)
+        ivs[axis] = Interval(min(lo, hi), max(lo, hi)) if hi is not None else Interval(lo, OMEGA)
+        family.append(Region(n, (Box(tuple(ivs)),)))
+    return induced(full(n), family)
+
+
+class TestNestedGrids:
+    """A nested sub-problem is refined on its face's grid as the parent cuts it; only the
+    input's grid is compressed.  Compressing every sub-problem too (``_compress``) changes no
+    byte, and fails the same size check: after ``place`` the parent's grid holds every cut of
+    the sub-problem's grid, so no grid passes ``MAX_ATOMS`` only because it is uncompressed.
+    """
+
+    @staticmethod
+    def assert_as_with_every_sub_problem_compressed(p: Partition) -> None:
+        refine_atoms = boxmodal.refine._refine_atoms
+
+        def compressed(grid, labels, *args):
+            return refine_atoms(*_compress(grid, labels), *args)
+
+        with mock.patch.object(boxmodal.refine, "_refine_atoms", compressed):
+            try:
+                expected = refined_text(p)
+            except ValueError as exc:
+                assert str(exc).startswith("atom grid too large")
+                expected = None
+        if expected is None:
+            with pytest.raises(ValueError, match="^atom grid too large"):
+                refined_text(p)
+        else:
+            assert refined_text(p) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_lines())
+    def test_compressing_every_sub_problem_changes_no_byte(self, p):
+        self.assert_as_with_every_sub_problem_compressed(p)
+
+    @pytest.mark.parametrize("c", [50, 100, 200])  # at 200 both fail the size check
+    def test_split_face_as_with_every_sub_problem_compressed(self, c):
+        self.assert_as_with_every_sub_problem_compressed(probe_split_face(c))
+
+    def test_far_lines_fail_in_a_nested_plane_either_way(self):
+        """Two lines of omega^3 to 2,100 along different axes: the nested plane that holds
+        both fails ``require_grid_size`` with or without the cuts no cell changes across (the
+        branch the Hypothesis inputs above reach in about one draw in sixty)."""
+        lines = [((0, 2100), (1, 1), (2, 2)), ((3, 3), (0, 2100), (1, 1))]
+        family = [Region(3, (Box(tuple(Interval(*iv) for iv in line)),)) for line in lines]
+        self.assert_as_with_every_sub_problem_compressed(induced(full(3), family))
+
+    @pytest.mark.parametrize("k", [1, 40])
+    def test_strips_refine_as_their_canonical_form(self, k):
+        """The cofinal cell given as 2k strips refines as the square's complement does: the
+        same trace and the same cells, point for point; the quadrant cell keeps the strips."""
+        strips, canonical = probe_strips(k), square(2, k + 1)
+        assert same_cells(strips, canonical)
+        q, trace = refine_monotone(strips)
+        r, canonical_trace = refine_monotone(canonical)
+        assert json.dumps(trace.to_json()) == json.dumps(canonical_trace.to_json())
+        assert same_cells(q, r)
+        assert len(q.cells.table.cell) == len(r.cells.table.cell) + 2 * k
 
 
 class TestProduct:

@@ -38,6 +38,9 @@ def test_the_record_of_each_curves_smallest_point(tmp_path, monkeypatch, capsys)
     assert (square["n"], square["C"], square["cells_in"]) == (2, 32, 2)
     (probe,) = record["split_face"]["points"]
     assert set(probe) == SQUARE_KEYS | {"c"}
+    (strips,) = record["strips"]["points"]
+    assert set(strips) == SQUARE_KEYS | {"K"}
+    assert (strips["K"], strips["cells_in"]) == (100, 2)
     (modal,) = record["modal"]["points"]
     assert set(modal) == {"formula", "subformulas", "mc"}
     (boxes,) = record["boxes"]["points"]

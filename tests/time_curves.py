@@ -4,7 +4,9 @@
 
 A curve is one row of ``curves``: a name, its points, and the function that times one
 point.  Times are the best of ``--repeat`` runs.  ``squares`` (the cell ``[0,C-1]^n`` and
-its complement) and ``split_face`` time the refiner, the owner build, the checks of
+its complement), ``split_face`` and ``strips`` (the square ``[0,K]^2``, its complement given
+as 2K strips of width 3 and two more boxes; the refiner's entry compression keeps it as
+fast as ``squares`` at C = K + 1) time the refiner, the owner build, the checks of
 ``refine --verify`` on fresh copies of the refined partition, and the text ``cmd_refine``
 writes, with per-n log-log slopes against cells out.  ``modal`` times ``mc`` on deep
 formulas.  ``boxes`` times ``AtomGrid.boxes`` of an L-shaped label along a long axis, and
@@ -46,7 +48,7 @@ from boxmodal.cli import _json_text, _load_partition, _trace_text, build_parser 
 from boxmodal.cli import main as cli_main  # noqa: E402
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
-from genutil import probe_split_face  # noqa: E402
+from genutil import probe_split_face, probe_strips  # noqa: E402
 from record_refine_golden import square  # noqa: E402
 from stats import loglog_slope  # noqa: E402  (perfbench/stats.py, read only)
 from timing import src_lines  # noqa: E402
@@ -256,6 +258,8 @@ def curves(seed: int) -> list[Curve]:
               lambda pt, r: time_partition(square(pt["n"], pt["C"]), r)),
         Curve("split_face", [{"c": c} for c in (20, 50, 100)],
               lambda pt, r: time_partition(probe_split_face(pt["c"]), r)),
+        Curve("strips", [{"K": k} for k in (100, 200, 300)],
+              lambda pt, r: time_partition(probe_strips(pt["K"]), r)),
         Curve("modal", [{"formula": name} for name in FORMULAS], time_mc),
         Curve("boxes", [{"label": label, "atoms": atoms} for atoms in (2000, 20000)
                         for label in ("L", "quadrant")], time_boxes),
